@@ -20,7 +20,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TYPE_CHECKING
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -29,17 +29,13 @@ from scipy.optimize import linprog
 from .model import (
     AppellationRecord,
     AuthorizationMask,
+    Cell,
     CountyRecord,
     DEFAULT_WEIGHTS,
 )
 from .ingest import IntegrityError
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .validate import ComparisonReport
-
 logger = logging.getLogger(__name__)
-
-Cell = tuple[str, str]
 
 #: Tight HiGHS tolerances keep the optimality-floor constraint meaningful.
 _HIGHS_OPTIONS = {
@@ -91,14 +87,12 @@ class AllocationProblem:
 
 @dataclass(eq=False)
 class AllocationMatrix:
-    """Sparse nonnegative surface estimate; support is a subset of the mask."""
+    """Solver output: the sparse nonnegative surfaces (support inside the
+    mask) and their weighted objective. Functions that read an allocation
+    take the ``cells`` mapping itself."""
 
     cells: dict[Cell, float]
     objective_value: float | None = None
-    label: str = ""
-
-    def total_surface(self) -> float:
-        return math.fsum(self.cells.values())
 
 
 def problem_from_caps(
@@ -198,14 +192,12 @@ def random_init(problem: AllocationProblem, seed: int) -> np.ndarray:
     return rng.random(problem.n_cells) * problem.upper_bounds
 
 
-def _matrix_from_vector(
-    problem: AllocationProblem, x: np.ndarray, label: str
-) -> AllocationMatrix:
+def _matrix_from_vector(problem: AllocationProblem, x: np.ndarray) -> AllocationMatrix:
     cells = {
         cell: float(v) for cell, v in zip(problem.cells, x) if v > 0.0
     }
     obj = math.fsum(problem.weights[code] * v for (code, _), v in cells.items())
-    return AllocationMatrix(cells=cells, objective_value=obj, label=label)
+    return AllocationMatrix(cells=cells, objective_value=obj)
 
 
 def optimal_value(problem: AllocationProblem) -> float:
@@ -221,7 +213,7 @@ def optimal_value(problem: AllocationProblem) -> float:
     if res.status != 0:
         raise SolveError(
             f"phase-1 LP failed (status {res.status}): {res.message}",
-            best=_matrix_from_vector(problem, np.zeros(problem.n_cells), "failed"),
+            best=_matrix_from_vector(problem, np.zeros(problem.n_cells)),
         )
     return float(-res.fun)
 
@@ -231,7 +223,6 @@ def solve(
     init: np.ndarray,
     *,
     optimality_slack: float = 1e-9,
-    label: str = "",
     _optimal_value: float | None = None,
 ) -> AllocationMatrix:
     """Solve one start: pick the optimal-face vertex selected by ``init``.
@@ -242,7 +233,7 @@ def solve(
     """
     m = problem.n_cells
     if m == 0:
-        return AllocationMatrix(cells={}, objective_value=0.0, label=label)
+        return AllocationMatrix(cells={}, objective_value=0.0)
     init = np.asarray(init, dtype=float)
     if init.shape != (m,):
         raise ValueError(f"init has shape {init.shape}, expected ({m},)")
@@ -266,42 +257,11 @@ def solve(
         projected = project_feasible(problem, init)
         raise SolveError(
             f"phase-2 LP failed (status {res.status}): {res.message}",
-            best=_matrix_from_vector(problem, projected, label or "projected-init"),
+            best=_matrix_from_vector(problem, projected),
         )
     x = project_feasible(problem, res.x)
     x[x < 1e-12] = 0.0
-    return _matrix_from_vector(problem, x, label)
-
-
-def objective(problem: AllocationProblem, alloc: AllocationMatrix | Mapping[Cell, float]) -> float:
-    """Exact weighted sum ``sum(alpha_a * s_ac)``; order-independent."""
-    cells = alloc.cells if isinstance(alloc, AllocationMatrix) else alloc
-    known = set(problem.cells)
-    for cell in cells:
-        if cell not in known:
-            raise ValueError(f"allocation cell {cell} outside the authorization mask")
-    return math.fsum(problem.weights[code] * v for (code, _), v in cells.items())
-
-
-def greedy_baseline(problem: AllocationProblem) -> AllocationMatrix:
-    """Fill cells in descending weight order, each to its residual capacity.
-    A lower bound for the LP optimum, used as a solver sanity check."""
-    row_res = dict(problem.appellation_caps)
-    col_res = dict(problem.county_caps)
-    order = sorted(
-        range(problem.n_cells),
-        key=lambda k: (-problem.alpha[k], problem.cells[k]),
-    )
-    values: dict[Cell, float] = {}
-    for k in order:
-        code, insee = problem.cells[k]
-        take = min(problem.upper_bounds[k], row_res[code], col_res[insee])
-        if take > 0:
-            values[(code, insee)] = take
-            row_res[code] -= take
-            col_res[insee] -= take
-    obj = math.fsum(problem.weights[code] * v for (code, _), v in values.items())
-    return AllocationMatrix(cells=values, objective_value=obj, label="greedy")
+    return _matrix_from_vector(problem, x)
 
 
 def brute_force_optimum(problem: AllocationProblem, grid_step: float) -> AllocationMatrix:
@@ -366,17 +326,16 @@ def brute_force_optimum(problem: AllocationProblem, grid_step: float) -> Allocat
     descend(0, 0.0)
     cells = {problem.cells[k]: v for k, v in enumerate(best_values) if v > 0}
     obj = math.fsum(problem.weights[code] * v for (code, _), v in cells.items())
-    return AllocationMatrix(cells=cells, objective_value=obj, label="brute-force")
+    return AllocationMatrix(cells=cells, objective_value=obj)
 
 
 @dataclass(eq=False)
 class MultiStartResult:
-    """Averaged allocation plus the per-start solutions and their pairwise
-    rank agreement."""
+    """Averaged allocation plus the per-start solutions and the failed
+    starts as (seed, message)."""
 
     average: AllocationMatrix
     solutions: list[AllocationMatrix]
-    comparison: "ComparisonReport | None"
     failures: list[tuple[int, str]]
     optimal_value: float = 0.0
 
@@ -387,17 +346,16 @@ def multi_start_average(
     seed_base: int = 0,
     *,
     optimality_slack: float = 1e-9,
-    restrict_min_hectares: float = 100.0,
 ) -> MultiStartResult:
     """Average the solutions of ``k_starts`` random starts cell-wise.
 
     The average is feasible by convexity of the constraint set. Failed starts
     are excluded and reported; all starts failing is fatal. The reduction
-    runs in seed order so repeated runs are bit-identical.
+    runs in seed order so repeated runs are bit-identical. Agreement between
+    the starts is measured by ``validate.compare_solutions``.
     """
     if k_starts < 1:
         raise ValueError("k_starts must be >= 1")
-    from .validate import compare_solutions
 
     best = optimal_value(problem)
     solutions: list[AllocationMatrix] = []
@@ -410,7 +368,6 @@ def multi_start_average(
             solution = solve(
                 problem, init,
                 optimality_slack=optimality_slack,
-                label=f"start-{i:03d}",
                 _optimal_value=best,
             )
         except SolveError as exc:
@@ -429,27 +386,18 @@ def multi_start_average(
         avg = project_feasible(problem, stacked.sum(axis=0) / len(vectors))
     else:
         avg = np.zeros(0)
-    average = _matrix_from_vector(problem, avg, label=f"average-of-{len(solutions)}")
-    comparison = None
-    if len(solutions) >= 2:
-        try:
-            comparison = compare_solutions(
-                solutions, restrict_min_hectares=restrict_min_hectares
-            )
-        except ValueError:
-            logger.warning("pairwise rank comparison undefined for this instance")
-    return MultiStartResult(average, solutions, comparison, failures, optimal_value=best)
+    average = _matrix_from_vector(problem, avg)
+    return MultiStartResult(average, solutions, failures, optimal_value=best)
 
 
 def feasibility_violations(
     problem: AllocationProblem,
-    alloc: AllocationMatrix | Mapping[Cell, float],
+    cells: Mapping[Cell, float],
     rel_tol: float = 1e-6,
     abs_tol: float = 1e-9,
 ) -> list[str]:
     """All constraint-family violations beyond tolerance: mask support,
     nonnegativity, row sums, column sums. Sums use exact summation."""
-    cells = alloc.cells if isinstance(alloc, AllocationMatrix) else alloc
     known = set(problem.cells)
     violations = []
     row_values: dict[str, list[float]] = {}
@@ -477,10 +425,10 @@ def feasibility_violations(
 
 def assert_feasible(
     problem: AllocationProblem,
-    alloc: AllocationMatrix | Mapping[Cell, float],
+    cells: Mapping[Cell, float],
     rel_tol: float = 1e-6,
 ) -> None:
-    violations = feasibility_violations(problem, alloc, rel_tol=rel_tol)
+    violations = feasibility_violations(problem, cells, rel_tol=rel_tol)
     if violations:
         raise FeasibilityError("; ".join(violations[:10]))
 
@@ -539,22 +487,23 @@ def load_problem(directory: str | Path) -> AllocationProblem:
     return problem_from_caps(appellation_caps, county_caps, weights, cells)
 
 
-def write_solution(matrix: AllocationMatrix, path: str | Path, min_cell: float = 1e-9) -> None:
-    """Sparse solution CSV; cells at or below ``min_cell`` are omitted."""
+def write_solution(cells: Mapping[Cell, float], path: str | Path, min_cell: float = 1e-9) -> None:
+    """Sparse allocation CSV in cell order, values by ``repr`` so they read
+    back bit-exact; cells at or below ``min_cell`` are omitted."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter=";")
         writer.writerow(["appellation", "insee", "surface_ha"])
-        for (code, insee) in sorted(matrix.cells):
-            value = matrix.cells[(code, insee)]
+        for (code, insee) in sorted(cells):
+            value = cells[(code, insee)]
             if value > min_cell:
                 writer.writerow([code, insee, repr(value)])
 
 
-def read_solution(path: str | Path, label: str = "") -> AllocationMatrix:
+def read_solution(path: str | Path) -> dict[Cell, float]:
     cells: dict[Cell, float] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=";")
         next(reader)
         for row in reader:
             cells[(row[0], row[1])] = float(row[2])
-    return AllocationMatrix(cells=cells, objective_value=None, label=label)
+    return cells

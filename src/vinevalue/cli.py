@@ -221,26 +221,27 @@ def stage_solve(cfg: PipelineConfig) -> None:
         k_starts=cfg.k_starts,
         seed_base=cfg.seed,
         optimality_slack=cfg.optimality_slack,
-        restrict_min_hectares=cfg.restrict_min_hectares,
     )
-    allocator.assert_feasible(problem, result.average, rel_tol=cfg.feasibility_tol)
+    allocator.assert_feasible(problem, result.average.cells, rel_tol=cfg.feasibility_tol)
 
     solutions_dir = out / SOLUTIONS_DIR
     solutions_dir.mkdir(parents=True, exist_ok=True)
+    # The validate stage compares every start file present, so files left by
+    # an earlier run with more starts must not survive.
+    for stale in solutions_dir.glob("start_*.csv"):
+        stale.unlink()
     for i, solution in enumerate(result.solutions):
-        allocator.write_solution(solution, solutions_dir / f"start_{i:03d}.csv")
+        allocator.write_solution(solution.cells, solutions_dir / f"start_{i:03d}.csv")
 
-    average = result.average
+    average = result.average.cells
     champagne_merged = 0
     champagne_path = out / CHAMPAGNE_CSV
     if champagne_path.exists():
-        supplemental = allocator.read_solution(champagne_path)
-        for cell, value in supplemental.cells.items():
-            average.cells[cell] = average.cells.get(cell, 0.0) + value
+        for cell, value in allocator.read_solution(champagne_path).items():
+            average[cell] = average.get(cell, 0.0) + value
             champagne_merged += 1
     allocator.write_solution(average, out / SOLUTION_CSV)
 
-    comparison = result.comparison
     report = {
         "n_active_cells": problem.n_cells,
         "k_starts": cfg.k_starts,
@@ -248,10 +249,6 @@ def stage_solve(cfg: PipelineConfig) -> None:
         "failures": [{"seed": seed, "error": message} for seed, message in result.failures],
         "optimal_value": result.optimal_value,
         "average_objective": result.average.objective_value,
-        "pairwise_tau_mean": comparison.kendall_tau if comparison else None,
-        "pairwise_tau_min": comparison.kendall_tau_min if comparison else None,
-        "restricted_tau_mean": comparison.restricted_tau if comparison else None,
-        "restricted_tau_min": comparison.restricted_tau_min if comparison else None,
         "supplemental_cells_merged": champagne_merged,
     }
     (out / SOLVE_REPORT).write_text(json.dumps(report, sort_keys=True) + "\n", encoding="utf-8")
@@ -267,7 +264,7 @@ def stage_validate(cfg: PipelineConfig) -> None:
     paths = sorted(solutions_dir.glob("start_*.csv"))
     solutions_report = None
     if len(paths) >= 2:
-        solutions = [allocator.read_solution(p, label=p.stem) for p in paths]
+        solutions = [allocator.read_solution(p) for p in paths]
         solutions_report = validate.compare_solutions(
             solutions, restrict_min_hectares=cfg.restrict_min_hectares
         )
@@ -356,20 +353,20 @@ def stage_synth(cfg: PipelineConfig) -> None:
         weights=cfg.weights,
     )
     allocator.dump_problem(instance.problem, out / PROBLEM_DIR)
-    synth.write_truth(instance.truth, out / TRUTH_CSV)
+    allocator.write_solution(instance.truth.cells, out / TRUTH_CSV)
 
     result = allocator.multi_start_average(
         instance.problem, k_starts=k_starts, seed_base=seed,
         optimality_slack=cfg.optimality_slack,
-        restrict_min_hectares=cfg.restrict_min_hectares,
     )
-    allocator.assert_feasible(instance.problem, result.average, rel_tol=cfg.feasibility_tol)
-    allocator.write_solution(result.average, out / SOLUTION_CSV)
+    average = result.average.cells
+    allocator.assert_feasible(instance.problem, average, rel_tol=cfg.feasibility_tol)
+    allocator.write_solution(average, out / SOLUTION_CSV)
 
-    score = synth.score_recovery(instance.truth, result.average)
-    truth_aggregates = validate.aggregate_allocation(instance.truth, instance.categories)
+    score = synth.score_recovery(instance.truth.cells, average)
+    truth_aggregates = validate.aggregate_allocation(instance.truth.cells, instance.categories)
     aggregates = validate.compare_aggregates(
-        result.average, instance.categories, truth_aggregates,
+        average, instance.categories, truth_aggregates,
         restrict_min_hectares=cfg.reference_min_hectares,
     )
     report = {

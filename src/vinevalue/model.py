@@ -12,6 +12,11 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
+#: An (appellation code, INSEE county code) pair. Every allocation (solver
+#: output, synthetic truth, a solution read back from CSV) is a
+#: ``Mapping[Cell, float]`` of surfaces in hectares.
+Cell = tuple[str, str]
+
 
 class Category(str, enum.Enum):
     """Wine product category; drives the allocation priority weight."""

@@ -12,17 +12,15 @@ non-PGI pseudo-appellations are strictly departmental).
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from . import allocator
 from .allocator import AllocationMatrix, AllocationProblem
-from .model import Category, DEFAULT_WEIGHTS
+from .model import Category, Cell, DEFAULT_WEIGHTS
 from .validate import kendall_tau
 
 #: Out-of-home-department sampling weight per category (home weight is 1).
@@ -159,7 +157,6 @@ def generate(
     truth = AllocationMatrix(
         cells=truth_cells,
         objective_value=math.fsum(alpha[code] * v for (code, _), v in truth_cells.items()),
-        label="truth",
     )
     return SyntheticInstance(
         truth=truth,
@@ -170,19 +167,19 @@ def generate(
     )
 
 
-def score_recovery(truth: AllocationMatrix, recovered: AllocationMatrix) -> RecoveryScore:
+def score_recovery(truth: Mapping[Cell, float], recovered: Mapping[Cell, float]) -> RecoveryScore:
     """Tau over the union support plus per-appellation relative error of the
     recovered row sums (zero when the row caps bind at the optimum)."""
-    support = sorted(set(truth.cells) | set(recovered.cells))
+    support = sorted(set(truth) | set(recovered))
     tau = kendall_tau(
-        [truth.cells.get(cell, 0.0) for cell in support],
-        [recovered.cells.get(cell, 0.0) for cell in support],
+        [truth.get(cell, 0.0) for cell in support],
+        [recovered.get(cell, 0.0) for cell in support],
     )
     truth_rows: dict[str, list[float]] = {}
     recovered_rows: dict[str, list[float]] = {}
-    for (code, _), value in truth.cells.items():
+    for (code, _), value in truth.items():
         truth_rows.setdefault(code, []).append(value)
-    for (code, _), value in recovered.cells.items():
+    for (code, _), value in recovered.items():
         recovered_rows.setdefault(code, []).append(value)
     errors = {}
     for code, values in sorted(truth_rows.items()):
@@ -190,34 +187,3 @@ def score_recovery(truth: AllocationMatrix, recovered: AllocationMatrix) -> Reco
         got = math.fsum(recovered_rows.get(code, []))
         errors[code] = abs(got - expected) / expected if expected else abs(got)
     return RecoveryScore(kendall_tau=tau, row_relative_errors=errors)
-
-
-def uniform_spread_baseline(problem: AllocationProblem) -> AllocationMatrix:
-    """Naive baseline: each appellation's cap spread evenly over its
-    authorized cells. Ignores county caps, so it is generally infeasible;
-    useful only as a rank-correlation reference."""
-    per_row: dict[str, int] = {}
-    for code, _ in problem.cells:
-        per_row[code] = per_row.get(code, 0) + 1
-    cells = {}
-    for code, insee in problem.cells:
-        cells[(code, insee)] = problem.appellation_caps[code] / per_row[code]
-    return AllocationMatrix(cells=cells, objective_value=None, label="uniform-spread")
-
-
-def write_truth(truth: AllocationMatrix, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=";")
-        writer.writerow(["appellation", "insee", "surface_ha"])
-        for (code, insee) in sorted(truth.cells):
-            writer.writerow([code, insee, repr(truth.cells[(code, insee)])])
-
-
-def read_truth(path: str | Path) -> AllocationMatrix:
-    cells = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=";")
-        next(reader)
-        for row in reader:
-            cells[(row[0], row[1])] = float(row[2])
-    return AllocationMatrix(cells=cells, objective_value=None, label="truth")

@@ -13,12 +13,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence, TYPE_CHECKING
+from typing import Mapping, Sequence
 
-from .model import Category, department_of_insee
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .allocator import AllocationMatrix
+from .model import Category, Cell, department_of_insee
 
 
 @dataclass
@@ -141,7 +138,7 @@ def _pairwise_taus(vectors: list[list[float]]) -> list[float]:
 
 
 def compare_solutions(
-    solutions: "Sequence[AllocationMatrix]",
+    solutions: Sequence[Mapping[Cell, float]],
     restrict_min_hectares: float = 100.0,
 ) -> ComparisonReport:
     """Mean and minimum pairwise tau across solutions over the union support
@@ -149,8 +146,8 @@ def compare_solutions(
     to cells whose maximum across solutions reaches the threshold."""
     if len(solutions) < 2:
         raise ValueError("need at least two solutions to compare")
-    support = sorted(set().union(*(s.cells.keys() for s in solutions)))
-    vectors = [[s.cells.get(cell, 0.0) for cell in support] for s in solutions]
+    support = sorted(set().union(*solutions))
+    vectors = [[s.get(cell, 0.0) for cell in support] for s in solutions]
     taus = _pairwise_taus(vectors)
     if not taus:
         raise ValueError("pairwise tau undefined for every solution pair")
@@ -169,12 +166,11 @@ def compare_solutions(
 
 
 def aggregate_allocation(
-    alloc: "AllocationMatrix | Mapping",
+    cells: Mapping[Cell, float],
     categories_by_code: Mapping[str, Category],
 ) -> dict[tuple[str, str], float]:
     """Aggregate cell surfaces to (department, wine type). Pseudo
     non-PGI appellations count as non-PGI."""
-    cells = alloc.cells if hasattr(alloc, "cells") else alloc
     sums: dict[tuple[str, str], list[float]] = {}
     for (code, insee), value in cells.items():
         category = categories_by_code.get(code, Category.NON_PGI)
@@ -186,7 +182,7 @@ def aggregate_allocation(
 
 
 def compare_aggregates(
-    alloc: "AllocationMatrix | Mapping",
+    cells: Mapping[Cell, float],
     categories_by_code: Mapping[str, Category],
     reference: Mapping[tuple[str, str], float],
     restrict_min_hectares: float = 1000.0,
@@ -194,7 +190,7 @@ def compare_aggregates(
     """Tau between the model aggregated to (department, wine type) and an
     independent reference table over the same keys. Keys present on one side
     only enter with zero on the other and are counted."""
-    model = aggregate_allocation(alloc, categories_by_code)
+    model = aggregate_allocation(cells, categories_by_code)
     keys = sorted(set(model) | set(reference))
     if len(keys) < 2:
         raise ValueError("need at least two aggregate keys to compare")

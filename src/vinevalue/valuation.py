@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .allocator import AllocationMatrix
 from .linkage import LabelMatch
-from .model import AppellationRecord, Category, PriceEntry, ProductionMode
+from .model import AppellationRecord, Category, Cell, PriceEntry, ProductionMode
 from .yields import ExpectedYield
 
 #: Presentation order of the category summary.
@@ -113,7 +112,7 @@ def resolve_prices(
 
 
 def build_portfolio(
-    alloc: AllocationMatrix,
+    cells: Mapping[Cell, float],
     expected_yields: Mapping[str, ExpectedYield],
     price_by_code: Mapping[str, float],
     appellations: Mapping[str, AppellationRecord],
@@ -135,8 +134,8 @@ def build_portfolio(
     overall_median = statistics.median(price_by_code.values())
 
     records = []
-    for (code, insee) in sorted(alloc.cells):
-        surface = alloc.cells[(code, insee)]
+    for (code, insee) in sorted(cells):
+        surface = cells[(code, insee)]
         if surface <= 0:
             continue
         app = appellations.get(code)

@@ -85,7 +85,7 @@ def test_criterion_2_feasibility_on_random_instances():
         )
         result = multi_start_average(instance.problem, k_starts=2, seed_base=i)
         for matrix in (*result.solutions, result.average):
-            if feasibility_violations(instance.problem, matrix, rel_tol=1e-6):
+            if feasibility_violations(instance.problem, matrix.cells, rel_tol=1e-6):
                 violations += 1
     elapsed = time.perf_counter() - start
     _report(
@@ -147,9 +147,9 @@ def test_criterion_7_recovery_quality_on_synthetic_instances():
     for seed in range(30):
         instance = synth.generate((20, 100, 0.1), seed=seed, extra_mask_factor=0.5)
         result = multi_start_average(instance.problem, k_starts=5, seed_base=seed)
-        truth_aggregates = validate.aggregate_allocation(instance.truth, instance.categories)
+        truth_aggregates = validate.aggregate_allocation(instance.truth.cells, instance.categories)
         report = validate.compare_aggregates(
-            result.average, instance.categories, truth_aggregates
+            result.average.cells, instance.categories, truth_aggregates
         )
         taus.append(report.kendall_tau)
         if report.kendall_tau >= 0.8:
@@ -166,7 +166,7 @@ def test_criterion_8_multi_start_stability():
     instance = synth.generate((10, 50, 0.12), seed=8008)
     first = multi_start_average(instance.problem, k_starts=20, seed_base=8008)
     second = multi_start_average(instance.problem, k_starts=20, seed_base=8008)
-    feasible = not feasibility_violations(instance.problem, first.average, rel_tol=1e-6)
+    feasible = not feasibility_violations(instance.problem, first.average.cells, rel_tol=1e-6)
     best = max(s.objective_value for s in first.solutions)
     within = abs(first.average.objective_value - best) <= 1e-3 * best
     identical = (

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from vinevalue import cli
+from vinevalue import allocator, cli, validate
 from vinevalue.cli import (
     CATEGORY_CSV,
     COMPARISON_JSON,
@@ -73,6 +73,11 @@ class TestEndToEnd:
 
     def test_solve_report_objective_unaffected_by_starts(self, pipeline_out):
         report = json.loads((pipeline_out / SOLVE_REPORT).read_text(encoding="utf-8"))
+        # Agreement between starts is recorded only in comparison.json.
+        assert set(report) == {
+            "n_active_cells", "k_starts", "n_solved", "failures", "optimal_value",
+            "average_objective", "supplemental_cells_merged",
+        }
         assert report["n_solved"] == 20
         assert report["average_objective"] == pytest.approx(report["optimal_value"], rel=1e-8)
 
@@ -117,6 +122,45 @@ class TestDeterminism:
         assert other_report["optimal_value"] == pytest.approx(
             first_report["optimal_value"], rel=1e-9
         )
+
+
+class TestSolutionAgreement:
+    def test_compared_once_in_validate(self, alsace_config, tmp_path, monkeypatch):
+        calls = {"total": 0, "in_solve": 0}
+        inside_solve = False
+        compare = validate.compare_solutions
+        average = allocator.multi_start_average
+
+        def counting_compare(*args, **kwargs):
+            calls["total"] += 1
+            calls["in_solve"] += inside_solve
+            return compare(*args, **kwargs)
+
+        def flagged_average(*args, **kwargs):
+            nonlocal inside_solve
+            inside_solve = True
+            try:
+                return average(*args, **kwargs)
+            finally:
+                inside_solve = False
+
+        monkeypatch.setattr(validate, "compare_solutions", counting_compare)
+        monkeypatch.setattr(allocator, "multi_start_average", flagged_average)
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(alsace_config), "--output-dir", str(out)) == 0
+        assert calls == {"total": 1, "in_solve": 0}
+
+    def test_fewer_starts_replace_earlier_start_files(self, alsace_config, tmp_path):
+        out = tmp_path / "out"
+        for k in ("5", "2"):
+            rc = run_cli("run", "--config", str(alsace_config),
+                         "--output-dir", str(out), "--k-starts", k)
+            assert rc == 0
+        assert sorted(p.name for p in (out / "solutions").iterdir()) == [
+            "start_000.csv", "start_001.csv",
+        ]
+        notes = json.loads((out / COMPARISON_JSON).read_text(encoding="utf-8"))["solutions"]["notes"]
+        assert notes == {"solution_count": 2, "tau_pairs": 1}
 
 
 class TestStageIsolation:

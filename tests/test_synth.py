@@ -5,16 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from baselines import uniform_spread_baseline
 from vinevalue import allocator
 from vinevalue.model import Category
-from vinevalue.synth import (
-    SyntheticInstance,
-    generate,
-    read_truth,
-    score_recovery,
-    uniform_spread_baseline,
-    write_truth,
-)
+from vinevalue.synth import SyntheticInstance, generate, score_recovery
 
 
 class TestGenerate:
@@ -42,7 +36,7 @@ class TestGenerate:
         instance = generate((8, 30, 0.2), seed=11)
         # Exact feasibility, zero tolerance: caps are exact sums of the truth.
         assert allocator.feasibility_violations(
-            instance.problem, instance.truth, rel_tol=0.0, abs_tol=0.0
+            instance.problem, instance.truth.cells, rel_tol=0.0, abs_tol=0.0
         ) == []
 
     def test_degenerate_shape_rejected(self):
@@ -63,24 +57,24 @@ class TestRecovery:
     def test_recovered_allocation_is_feasible(self):
         instance = generate((10, 50, 0.1), seed=19)
         result = allocator.multi_start_average(instance.problem, k_starts=3, seed_base=19)
-        assert allocator.feasibility_violations(instance.problem, result.average) == []
+        assert allocator.feasibility_violations(instance.problem, result.average.cells) == []
 
     def test_score_identity(self):
         instance = generate((6, 24, 0.2), seed=23)
-        score = score_recovery(instance.truth, instance.truth)
+        score = score_recovery(instance.truth.cells, instance.truth.cells)
         assert score.kendall_tau == 1.0
         assert all(err == 0.0 for err in score.row_relative_errors.values())
 
     def test_uniform_spread_baseline_scores(self):
         instance = generate((6, 24, 0.2), seed=29)
         baseline = uniform_spread_baseline(instance.problem)
-        score = score_recovery(instance.truth, baseline)
+        score = score_recovery(instance.truth.cells, baseline.cells)
         assert -1.0 <= score.kendall_tau <= 1.0
 
     def test_row_errors_near_zero_when_caps_bind(self):
         instance = generate((8, 30, 0.15), seed=31)
         result = allocator.multi_start_average(instance.problem, k_starts=2, seed_base=31)
-        score = score_recovery(instance.truth, result.average)
+        score = score_recovery(instance.truth.cells, result.average.cells)
         assert max(score.row_relative_errors.values()) < 1e-6
 
     def test_recovery_degrades_with_extra_mask_cells(self):
@@ -94,7 +88,7 @@ class TestRecovery:
                 solution = allocator.solve(
                     instance.problem, allocator.random_init(instance.problem, seed)
                 )
-                bucket.append(score_recovery(instance.truth, solution).kendall_tau)
+                bucket.append(score_recovery(instance.truth.cells, solution.cells).kendall_tau)
         low_mean = np.mean(low)
         high_mean = np.mean(high)
         assert low_mean > high_mean
@@ -105,8 +99,8 @@ class TestRecovery:
 def test_truth_round_trip(tmp_path):
     instance = generate((4, 12, 0.3), seed=37, counties_per_department=6)
     path = tmp_path / "truth.csv"
-    write_truth(instance.truth, path)
-    assert read_truth(path).cells == instance.truth.cells
+    allocator.write_solution(instance.truth.cells, path)
+    assert allocator.read_solution(path) == instance.truth.cells
 
 
 def test_instance_shape_recorded():

@@ -5,7 +5,6 @@ import json
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from vinevalue.allocator import AllocationMatrix
 from vinevalue.model import Category
 from vinevalue.validate import (
     ComparisonReport,
@@ -89,36 +88,32 @@ class TestKendallTau:
         assert -1.0 <= kendall_tau(x, y) <= 1.0
 
 
-def _matrix(cells, label=""):
-    return AllocationMatrix(cells=dict(cells), objective_value=None, label=label)
-
-
 class TestCompareSolutions:
     def test_identical_solutions(self):
-        sol = _matrix({("A", "00001"): 5.0, ("B", "00002"): 150.0})
-        report = compare_solutions([sol, _matrix(sol.cells)], restrict_min_hectares=100.0)
+        sol = {("A", "00001"): 5.0, ("B", "00002"): 150.0}
+        report = compare_solutions([sol, dict(sol)], restrict_min_hectares=100.0)
         assert report.kendall_tau == 1.0
         assert report.kendall_tau_min == 1.0
         assert report.restricted_tau == 1.0
         assert report.restricted_count == 1
 
     def test_mismatched_supports_fill_zero(self):
-        a = _matrix({("A", "00001"): 5.0, ("B", "00002"): 2.0, ("C", "00003"): 1.0})
-        b = _matrix({("A", "00001"): 5.0, ("C", "00003"): 1.0})
+        a = {("A", "00001"): 5.0, ("B", "00002"): 2.0, ("C", "00003"): 1.0}
+        b = {("A", "00001"): 5.0, ("C", "00003"): 1.0}
         report = compare_solutions([a, b])
         assert report.pair_count == 3
         assert report.kendall_tau < 1.0
 
     def test_restriction_threshold(self):
-        a = _matrix({("A", "00001"): 500.0, ("B", "00002"): 200.0, ("C", "00003"): 1.0})
-        b = _matrix({("A", "00001"): 400.0, ("B", "00002"): 300.0, ("C", "00003"): 2.0})
+        a = {("A", "00001"): 500.0, ("B", "00002"): 200.0, ("C", "00003"): 1.0}
+        b = {("A", "00001"): 400.0, ("B", "00002"): 300.0, ("C", "00003"): 2.0}
         report = compare_solutions([a, b], restrict_min_hectares=100.0)
         assert report.restricted_count == 2
         assert report.restricted_tau == 1.0
 
     def test_needs_two_solutions(self):
         with pytest.raises(ValueError):
-            compare_solutions([_matrix({("A", "00001"): 1.0})])
+            compare_solutions([{("A", "00001"): 1.0}])
 
 
 CATEGORIES = {
@@ -130,21 +125,21 @@ CATEGORIES = {
 
 class TestCompareAggregates:
     def test_self_comparison_exactly_one(self):
-        alloc = _matrix({
+        alloc = {
             ("A", "67003"): 5.0, ("A", "68001"): 2.0,
             ("B", "67003"): 1.0, ("P", "68001"): 4.0,
-        })
+        }
         reference = aggregate_allocation(alloc, CATEGORIES)
         report = compare_aggregates(alloc, CATEGORIES, reference)
         assert report.kendall_tau == 1.0
 
     def test_pseudo_category_folds_into_non_pgi(self):
-        alloc = _matrix({("P", "68001"): 4.0})
+        alloc = {("P", "68001"): 4.0}
         aggregated = aggregate_allocation(alloc, CATEGORIES)
         assert aggregated == {("68", "NON_PGI"): 4.0}
 
     def test_one_sided_keys_counted(self):
-        alloc = _matrix({("A", "67003"): 5.0, ("B", "68001"): 1.0})
+        alloc = {("A", "67003"): 5.0, ("B", "68001"): 1.0}
         reference = {("67", "AOP"): 5.0, ("99", "AOP"): 7.0}
         report = compare_aggregates(alloc, CATEGORIES, reference)
         assert report.notes["model_only_keys"] == 1
@@ -153,7 +148,7 @@ class TestCompareAggregates:
         assert "99|AOP" in keys
 
     def test_scatter_round_trip(self, tmp_path):
-        alloc = _matrix({("A", "67003"): 5.0, ("B", "68001"): 1.0})
+        alloc = {("A", "67003"): 5.0, ("B", "68001"): 1.0}
         reference = aggregate_allocation(alloc, CATEGORIES)
         report = compare_aggregates(alloc, CATEGORIES, reference)
         path = tmp_path / "scatter.csv"

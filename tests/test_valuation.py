@@ -5,7 +5,6 @@ import statistics
 
 import pytest
 
-from vinevalue.allocator import AllocationMatrix
 from vinevalue.linkage import LabelMatch
 from vinevalue.model import AppellationRecord, Category, PriceEntry, ProductionMode
 from vinevalue.valuation import (
@@ -76,9 +75,7 @@ class TestResolvePrices:
 
 class TestBuildPortfolio:
     def _alloc(self):
-        return AllocationMatrix(
-            cells={("A1", "67003"): 2.0, ("A2", "67051"): 3.0, ("B1", "67155"): 4.0},
-        )
+        return {("A1", "67003"): 2.0, ("A2", "67051"): 3.0, ("B1", "67155"): 4.0}
 
     def _yields(self):
         return {"A1": _ey("A1", 50.0), "A2": _ey("A2", 60.0), "A3": _ey("A3", 55.0),
@@ -117,11 +114,11 @@ class TestBuildPortfolio:
             alloc, self._yields(), {"A1": 100.0, "A2": 120.0, "B1": 80.0}, APPS
         )
         assert math.fsum(r.surface for r in records) == pytest.approx(
-            math.fsum(alloc.cells.values()), rel=1e-12
+            math.fsum(alloc.values()), rel=1e-12
         )
 
     def test_unknown_appellation_rejected(self):
-        alloc = AllocationMatrix(cells={("ZZ", "67003"): 1.0})
+        alloc = {("ZZ", "67003"): 1.0}
         with pytest.raises(ValueError):
             build_portfolio(alloc, self._yields(), {"A1": 100.0}, APPS)
 
