@@ -6,11 +6,13 @@ totals, column sums at most the per-county totals, zero outside the
 authorization mask, and per-cell upper bounds ``min(s_a, s_c)``.
 
 The optimum value of this linear program is unique but the optimal point is
-not. Each solve runs two exact LP phases: the first computes the optimal
-value, the second picks the vertex of the (tolerance-widened) optimal face
-that maximizes a random objective derived from the start point. Different
-starts therefore land on different optimal vertices while the objective
-value itself never depends on the start, and the retained estimate is the
+not. Each solve runs two exact LP phases. The first computes the optimal
+value and reads the optimal face from its duals: rows with a nonzero dual
+become equalities and columns with a nonzero reduced cost are fixed at the
+bound they press against. The second picks the vertex of that face that
+maximizes a random objective derived from the start point. Different starts
+therefore land on different optimal vertices while the objective value
+itself never depends on the start, and the retained estimate is the
 cell-wise average over many starts.
 """
 from __future__ import annotations
@@ -37,7 +39,9 @@ from .ingest import IntegrityError
 
 logger = logging.getLogger(__name__)
 
-#: Tight HiGHS tolerances keep the optimality-floor constraint meaningful.
+#: Tight HiGHS tolerances: a phase-1 dual counts as nonzero, and so pins its
+#: row or column to the optimal face, only beyond the dual feasibility
+#: tolerance, and phase 2 meets the face's equality rows within the primal one.
 _HIGHS_OPTIONS = {
     "presolve": True,
     "primal_feasibility_tolerance": 1e-9,
@@ -49,12 +53,7 @@ BRUTE_FORCE_MAX_LEVELS = 12
 
 
 class SolveError(Exception):
-    """Raised when the LP solver fails; carries the best feasible point
-    obtained by projecting the start onto the constraint set."""
-
-    def __init__(self, message: str, best: "AllocationMatrix | None" = None):
-        super().__init__(message)
-        self.best = best
+    """Raised when the LP solver fails."""
 
 
 class FeasibilityError(ValueError):
@@ -74,11 +73,13 @@ class AllocationProblem:
     weights: dict[str, float]
     cells: tuple[Cell, ...]
     upper_bounds: np.ndarray
-    row_codes: tuple[str, ...] = field(repr=False, default=())
-    col_codes: tuple[str, ...] = field(repr=False, default=())
-    row_index: np.ndarray = field(repr=False, default=None)
-    col_index: np.ndarray = field(repr=False, default=None)
-    alpha: np.ndarray = field(repr=False, default=None)
+    row_codes: tuple[str, ...] = field(repr=False)
+    col_codes: tuple[str, ...] = field(repr=False)
+    row_caps: np.ndarray = field(repr=False)
+    col_caps: np.ndarray = field(repr=False)
+    row_index: np.ndarray = field(repr=False)
+    col_index: np.ndarray = field(repr=False)
+    alpha: np.ndarray = field(repr=False)
 
     @property
     def n_cells(self) -> int:
@@ -126,6 +127,8 @@ def problem_from_caps(
         upper_bounds=np.asarray(bounds, dtype=float),
         row_codes=row_codes,
         col_codes=col_codes,
+        row_caps=np.array([appellation_caps[c] for c in row_codes], dtype=float),
+        col_caps=np.array([county_caps[i] for i in col_codes], dtype=float),
         row_index=np.array([row_pos[c] for c, _ in active], dtype=np.intp),
         col_index=np.array([col_pos[i] for _, i in active], dtype=np.intp),
         alpha=np.array([weights[c] for c, _ in active], dtype=float),
@@ -149,6 +152,20 @@ def build_problem(
     return problem_from_caps(appellation_caps, county_caps, weights, mask.cells)
 
 
+@dataclass(frozen=True, eq=False)
+class OptimalFace:
+    """Phase-1 result: the LP optimum ``value`` and the constraints of its
+    optimal face, tight rows as equalities and fixed columns as equal bounds.
+    Every phase-2 start solves over these with its own costs."""
+
+    value: float
+    a_eq: sparse.csr_matrix
+    b_eq: np.ndarray
+    a_ub: sparse.csr_matrix
+    b_ub: np.ndarray
+    bounds: np.ndarray
+
+
 def _constraints(problem: AllocationProblem):
     m = problem.n_cells
     ones = np.ones(m)
@@ -159,13 +176,7 @@ def _constraints(problem: AllocationProblem):
         (ones, (problem.col_index, np.arange(m))), shape=(len(problem.col_codes), m)
     )
     matrix = sparse.vstack([a_rows, a_cols]).tocsr()
-    rhs = np.concatenate(
-        [
-            np.array([problem.appellation_caps[c] for c in problem.row_codes]),
-            np.array([problem.county_caps[i] for i in problem.col_codes]),
-        ]
-    )
-    return matrix, rhs
+    return matrix, np.concatenate([problem.row_caps, problem.col_caps])
 
 
 def project_feasible(problem: AllocationProblem, point: np.ndarray) -> np.ndarray:
@@ -173,12 +184,11 @@ def project_feasible(problem: AllocationProblem, point: np.ndarray) -> np.ndarra
     rows then columns. Downscaling never breaks an already-satisfied
     constraint, so one pass suffices."""
     x = np.clip(np.asarray(point, dtype=float), 0.0, problem.upper_bounds)
-    for index, codes, caps in (
-        (problem.row_index, problem.row_codes, problem.appellation_caps),
-        (problem.col_index, problem.col_codes, problem.county_caps),
+    for index, cap in (
+        (problem.row_index, problem.row_caps),
+        (problem.col_index, problem.col_caps),
     ):
-        cap = np.array([caps[c] for c in codes])
-        sums = np.bincount(index, weights=x, minlength=len(codes))
+        sums = np.bincount(index, weights=x, minlength=len(cap))
         with np.errstate(divide="ignore", invalid="ignore"):
             factor = np.where(sums > cap, np.where(sums > 0, cap / sums, 1.0), 1.0)
         x = x * factor[index]
@@ -200,36 +210,47 @@ def _matrix_from_vector(problem: AllocationProblem, x: np.ndarray) -> Allocation
     return AllocationMatrix(cells=cells, objective_value=obj)
 
 
-def optimal_value(problem: AllocationProblem) -> float:
-    """Exact optimum of the weighted-surface LP (phase one)."""
-    if problem.n_cells == 0:
-        return 0.0
+def optimal_value(problem: AllocationProblem) -> OptimalFace:
+    """Phase one: the exact optimum of the weighted-surface LP and its
+    optimal face.
+
+    By complementary slackness with the phase-1 duals, a feasible point is
+    optimal exactly when every row with a nonzero dual is tight and every
+    column with a nonzero reduced cost sits at the bound it presses against.
+    """
+    m = problem.n_cells
     matrix, rhs = _constraints(problem)
-    bounds = np.column_stack([np.zeros(problem.n_cells), problem.upper_bounds])
+    bounds = np.column_stack([np.zeros(m), problem.upper_bounds])
+    if m == 0:
+        return OptimalFace(0.0, matrix, rhs, matrix, rhs, bounds)
     res = linprog(
         -problem.alpha, A_ub=matrix, b_ub=rhs, bounds=bounds,
         method="highs", options=_HIGHS_OPTIONS,
     )
     if res.status != 0:
-        raise SolveError(
-            f"phase-1 LP failed (status {res.status}): {res.message}",
-            best=_matrix_from_vector(problem, np.zeros(problem.n_cells)),
-        )
-    return float(-res.fun)
+        raise SolveError(f"phase-1 LP failed (status {res.status}): {res.message}")
+    tol = _HIGHS_OPTIONS["dual_feasibility_tolerance"]
+    tight = np.abs(res.ineqlin.marginals) > tol
+    at_cap = np.abs(res.upper.marginals) > tol
+    bounds[at_cap, 0] = bounds[at_cap, 1]
+    bounds[np.abs(res.lower.marginals) > tol, 1] = 0.0
+    return OptimalFace(
+        float(-res.fun), matrix[tight], rhs[tight], matrix[~tight], rhs[~tight], bounds
+    )
 
 
 def solve(
     problem: AllocationProblem,
     init: np.ndarray,
-    *,
-    optimality_slack: float = 1e-9,
-    _optimal_value: float | None = None,
+    face: OptimalFace | None = None,
 ) -> AllocationMatrix:
-    """Solve one start: pick the optimal-face vertex selected by ``init``.
+    """Solve one start: the vertex of the optimal face that maximizes
+    ``init / upper_bounds``.
 
     ``init`` must respect the per-cell bounds (row/column sums need not be
-    feasible). The returned matrix is exactly feasible and its objective is
-    within ``optimality_slack`` (relative) of the LP optimum.
+    feasible). ``face`` is ``optimal_value(problem)``, computed here when not
+    given. The returned matrix is exactly feasible and its objective equals
+    the LP optimum up to float rounding.
     """
     m = problem.n_cells
     if m == 0:
@@ -240,25 +261,15 @@ def solve(
     if np.any(init < -1e-9) or np.any(init > problem.upper_bounds * (1 + 1e-9) + 1e-9):
         raise ValueError("init violates the per-cell bounds")
 
-    best = _optimal_value if _optimal_value is not None else optimal_value(problem)
-    slack = max(optimality_slack * abs(best), 1e-12)
-
-    matrix, rhs = _constraints(problem)
-    floor = sparse.csr_matrix(-problem.alpha.reshape(1, -1))
-    matrix2 = sparse.vstack([matrix, floor]).tocsr()
-    rhs2 = np.concatenate([rhs, [-(best - slack)]])
-    bounds = np.column_stack([np.zeros(m), problem.upper_bounds])
-    tiebreak = init / problem.upper_bounds
+    if face is None:
+        face = optimal_value(problem)
     res = linprog(
-        -tiebreak, A_ub=matrix2, b_ub=rhs2, bounds=bounds,
-        method="highs", options=_HIGHS_OPTIONS,
+        -init / problem.upper_bounds,
+        A_ub=face.a_ub, b_ub=face.b_ub, A_eq=face.a_eq, b_eq=face.b_eq,
+        bounds=face.bounds, method="highs", options=_HIGHS_OPTIONS,
     )
     if res.status != 0:
-        projected = project_feasible(problem, init)
-        raise SolveError(
-            f"phase-2 LP failed (status {res.status}): {res.message}",
-            best=_matrix_from_vector(problem, projected),
-        )
+        raise SolveError(f"phase-2 LP failed (status {res.status}): {res.message}")
     x = project_feasible(problem, res.x)
     x[x < 1e-12] = 0.0
     return _matrix_from_vector(problem, x)
@@ -344,8 +355,6 @@ def multi_start_average(
     problem: AllocationProblem,
     k_starts: int = 20,
     seed_base: int = 0,
-    *,
-    optimality_slack: float = 1e-9,
 ) -> MultiStartResult:
     """Average the solutions of ``k_starts`` random starts cell-wise.
 
@@ -357,7 +366,7 @@ def multi_start_average(
     if k_starts < 1:
         raise ValueError("k_starts must be >= 1")
 
-    best = optimal_value(problem)
+    face = optimal_value(problem)
     solutions: list[AllocationMatrix] = []
     vectors: list[np.ndarray] = []
     failures: list[tuple[int, str]] = []
@@ -365,11 +374,7 @@ def multi_start_average(
         seed = seed_base + i
         init = random_init(problem, seed)
         try:
-            solution = solve(
-                problem, init,
-                optimality_slack=optimality_slack,
-                _optimal_value=best,
-            )
+            solution = solve(problem, init, face)
         except SolveError as exc:
             logger.warning("start %d (seed %d) failed: %s", i, seed, exc)
             failures.append((seed, str(exc)))
@@ -387,7 +392,7 @@ def multi_start_average(
     else:
         avg = np.zeros(0)
     average = _matrix_from_vector(problem, avg)
-    return MultiStartResult(average, solutions, failures, optimal_value=best)
+    return MultiStartResult(average, solutions, failures, optimal_value=face.value)
 
 
 def feasibility_violations(

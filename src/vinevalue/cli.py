@@ -216,12 +216,7 @@ def stage_solve(cfg: PipelineConfig) -> None:
         raise StageError("solve", f"missing {APPELLATIONS_CSV}; run the 'ingest' stage first")
     allocator.dump_problem(problem, out / PROBLEM_DIR)
 
-    result = allocator.multi_start_average(
-        problem,
-        k_starts=cfg.k_starts,
-        seed_base=cfg.seed,
-        optimality_slack=cfg.optimality_slack,
-    )
+    result = allocator.multi_start_average(problem, k_starts=cfg.k_starts, seed_base=cfg.seed)
     allocator.assert_feasible(problem, result.average.cells, rel_tol=cfg.feasibility_tol)
 
     solutions_dir = out / SOLUTIONS_DIR
@@ -355,10 +350,7 @@ def stage_synth(cfg: PipelineConfig) -> None:
     allocator.dump_problem(instance.problem, out / PROBLEM_DIR)
     allocator.write_solution(instance.truth.cells, out / TRUTH_CSV)
 
-    result = allocator.multi_start_average(
-        instance.problem, k_starts=k_starts, seed_base=seed,
-        optimality_slack=cfg.optimality_slack,
-    )
+    result = allocator.multi_start_average(instance.problem, k_starts=k_starts, seed_base=seed)
     average = result.average.cells
     allocator.assert_feasible(instance.problem, average, rel_tol=cfg.feasibility_tol)
     allocator.write_solution(average, out / SOLUTION_CSV)

@@ -68,13 +68,11 @@ class PipelineConfig:
     truncation: int | None = None
     default_category: Category = Category.AOP
     weights: dict[Category, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
-    weights_from_file: bool = False
     threshold_fraction: float = 0.10
     threshold: float | None = None
     harvest_year: int = 2023
     k_starts: int = 20
     seed: int = 20230601
-    optimality_slack: float = 1e-9
     feasibility_tol: float = 1e-6
     restrict_min_hectares: float = 100.0
     reference_min_hectares: float = 1000.0
@@ -103,7 +101,7 @@ class PipelineConfig:
                 raise ConfigError(f"input path for {name} does not exist: {path}")
         if self.k_starts < 1:
             raise ConfigError("k_starts must be >= 1")
-        for name in ("optimality_slack", "feasibility_tol", "threshold_fraction"):
+        for name in ("feasibility_tol", "threshold_fraction"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
 
@@ -210,8 +208,8 @@ def load_config(path: str | Path, overrides: Mapping[str, str] | None = None) ->
         cfg.harvest_year = int(value)
 
     for name, caster in (
-        ("k_starts", int), ("seed", int), ("optimality_slack", float),
-        ("feasibility_tol", float), ("restrict_min_hectares", float),
+        ("k_starts", int), ("seed", int), ("feasibility_tol", float),
+        ("restrict_min_hectares", float),
     ):
         value = _get(parser, "solver", name)
         if value is not None:

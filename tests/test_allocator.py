@@ -13,6 +13,7 @@ from vinevalue.allocator import (
     feasibility_violations,
     load_problem,
     multi_start_average,
+    optimal_value,
     problem_from_caps,
     project_feasible,
     random_init,
@@ -36,6 +37,19 @@ def priority_problem():
         {"01001": 10.0},
         {"AOP1": 1.0, "NP1": 0.25},
         [("AOP1", "01001"), ("NP1", "01001")],
+    )
+
+
+def fixed_columns_problem():
+    """Three priorities over three counties, with a unique optimum. The
+    phase-1 duals fix the NP1 cell in county 01002, which PGI1 fills, at
+    zero, and the AOP1 cell and the NP1 cell in 01003 at their caps."""
+    return _simple(
+        {"AOP1": 8.0, "PGI1": 9.0, "NP1": 10.0},
+        {"01001": 8.0, "01002": 5.0, "01003": 3.0},
+        {"AOP1": 1.0, "PGI1": 1.0 / 3.0, "NP1": 0.25},
+        [("AOP1", "01001"), ("PGI1", "01001"), ("PGI1", "01002"),
+         ("NP1", "01002"), ("NP1", "01003")],
     )
 
 
@@ -222,9 +236,26 @@ class TestSolverAgainstOracles:
         for _ in range(15):
             problem = random_small_problem(rng)
             best = brute_force_optimum(problem, 1.0)
-            solution = solve(problem, random_init(problem, 2))
+            result = multi_start_average(problem, k_starts=3, seed_base=2)
             scale = max(abs(best.objective_value), 1.0)
-            assert abs(solution.objective_value - best.objective_value) <= 1e-6 * scale
+            assert abs(result.optimal_value - best.objective_value) <= 1e-6 * scale
+            for solution in [*result.solutions, result.average]:
+                assert solution.objective_value == pytest.approx(
+                    result.optimal_value, rel=1e-12
+                )
+
+    def test_face_with_fixed_columns_matches_brute_force(self):
+        problem = fixed_columns_problem()
+        low, high = optimal_value(problem).bounds.T
+        assert np.any(high == 0.0)
+        assert np.any((low == high) & (high == problem.upper_bounds))
+        best = brute_force_optimum(problem, 1.0)
+        for seed in range(10):
+            solution = solve(problem, random_init(problem, seed))
+            assert solution.objective_value == pytest.approx(best.objective_value, rel=1e-12)
+            assert solution.cells.keys() == best.cells.keys()
+            for cell, value in best.cells.items():
+                assert solution.cells[cell] == pytest.approx(value, rel=1e-12)
 
     def test_at_least_greedy_on_random_instances(self):
         rng = np.random.default_rng(13)
@@ -233,9 +264,9 @@ class TestSolverAgainstOracles:
             greedy = greedy_baseline(problem)
             assert feasibility_violations(problem, greedy.cells) == []
             solution = solve(problem, random_init(problem, 3))
-            # The solver may sit on the optimality floor, 1e-9 relative below
-            # the exact optimum; anything beyond that margin is a real bug.
-            slack = 1e-8 * max(1.0, greedy.objective_value)
+            # The solver returns a point of the exact optimal face, so it can
+            # fall short of greedy by float rounding only.
+            slack = 1e-12 * max(1.0, greedy.objective_value)
             assert solution.objective_value >= greedy.objective_value - slack
 
     def test_priority_instance_brute_force_unique(self):

@@ -4,6 +4,7 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vinevalue import allocator, cli, validate
@@ -18,6 +19,7 @@ from vinevalue.cli import (
     VALUE_REPORT,
     YIELDS_CSV,
 )
+from vinevalue.config import load_config
 
 END_TO_END_ARTIFACTS = [
     "appellations.csv", "counties.csv", "mask.csv", "prices.csv",
@@ -79,7 +81,18 @@ class TestEndToEnd:
             "average_objective", "supplemental_cells_merged",
         }
         assert report["n_solved"] == 20
-        assert report["average_objective"] == pytest.approx(report["optimal_value"], rel=1e-8)
+        assert report["average_objective"] == pytest.approx(report["optimal_value"], rel=1e-12)
+
+    def test_every_start_reaches_the_optimum(self, alsace_config, pipeline_out):
+        problem = allocator.load_problem(pipeline_out / "problem")
+        low, high = allocator.optimal_value(problem).bounds.T
+        # The Alsace face fixes one cell at its cap through its reduced cost.
+        assert np.count_nonzero((low == high) & (high > 0.0)) == 1
+        seed = load_config(alsace_config).seed
+        result = allocator.multi_start_average(problem, k_starts=20, seed_base=seed)
+        assert len(result.solutions) == 20
+        for solution in [*result.solutions, result.average]:
+            assert solution.objective_value == pytest.approx(result.optimal_value, rel=1e-12)
 
     def test_category_summary_single_category(self, pipeline_out):
         lines = (pipeline_out / CATEGORY_CSV).read_text(encoding="utf-8").strip().splitlines()
