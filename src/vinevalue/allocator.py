@@ -17,7 +17,6 @@ cell-wise average over many starts.
 """
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -34,6 +33,8 @@ from .model import (
     Cell,
     CountyRecord,
     DEFAULT_WEIGHTS,
+    read_rows,
+    write_rows,
 )
 from .ingest import IntegrityError
 
@@ -448,67 +449,38 @@ MASK_CELLS_FILE = "mask_cells.csv"
 def dump_problem(problem: AllocationProblem, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / CAPS_APPELLATIONS_FILE, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=";")
-        writer.writerow(["code", "cap_ha", "alpha"])
-        for code in sorted(problem.appellation_caps):
-            writer.writerow(
-                [code, repr(problem.appellation_caps[code]), repr(problem.weights.get(code, 0.25))]
-            )
-    with open(directory / CAPS_COUNTIES_FILE, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=";")
-        writer.writerow(["insee", "cap_ha"])
-        for insee in sorted(problem.county_caps):
-            writer.writerow([insee, repr(problem.county_caps[insee])])
-    with open(directory / MASK_CELLS_FILE, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=";")
-        writer.writerow(["appellation", "insee"])
-        for code, insee in problem.cells:
-            writer.writerow([code, insee])
+    write_rows(
+        directory / CAPS_APPELLATIONS_FILE, ["code", "cap_ha", "alpha"],
+        ([code, repr(cap), repr(problem.weights.get(code, 0.25))]
+         for code, cap in sorted(problem.appellation_caps.items())),
+    )
+    write_rows(
+        directory / CAPS_COUNTIES_FILE, ["insee", "cap_ha"],
+        ([insee, repr(cap)] for insee, cap in sorted(problem.county_caps.items())),
+    )
+    write_rows(directory / MASK_CELLS_FILE, ["appellation", "insee"], problem.cells)
 
 
 def load_problem(directory: str | Path) -> AllocationProblem:
     directory = Path(directory)
     appellation_caps: dict[str, float] = {}
     weights: dict[str, float] = {}
-    with open(directory / CAPS_APPELLATIONS_FILE, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=";")
-        next(reader)
-        for row in reader:
-            appellation_caps[row[0]] = float(row[1])
-            weights[row[0]] = float(row[2])
-    county_caps: dict[str, float] = {}
-    with open(directory / CAPS_COUNTIES_FILE, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=";")
-        next(reader)
-        for row in reader:
-            county_caps[row[0]] = float(row[1])
-    cells: list[Cell] = []
-    with open(directory / MASK_CELLS_FILE, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=";")
-        next(reader)
-        for row in reader:
-            cells.append((row[0], row[1]))
+    for code, cap, alpha in read_rows(directory / CAPS_APPELLATIONS_FILE):
+        appellation_caps[code] = float(cap)
+        weights[code] = float(alpha)
+    county_caps = {insee: float(cap) for insee, cap in read_rows(directory / CAPS_COUNTIES_FILE)}
+    cells = [(code, insee) for code, insee in read_rows(directory / MASK_CELLS_FILE)]
     return problem_from_caps(appellation_caps, county_caps, weights, cells)
 
 
 def write_solution(cells: Mapping[Cell, float], path: str | Path, min_cell: float = 1e-9) -> None:
     """Sparse allocation CSV in cell order, values by ``repr`` so they read
     back bit-exact; cells at or below ``min_cell`` are omitted."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=";")
-        writer.writerow(["appellation", "insee", "surface_ha"])
-        for (code, insee) in sorted(cells):
-            value = cells[(code, insee)]
-            if value > min_cell:
-                writer.writerow([code, insee, repr(value)])
+    write_rows(
+        path, ["appellation", "insee", "surface_ha"],
+        ([*cell, repr(cells[cell])] for cell in sorted(cells) if cells[cell] > min_cell),
+    )
 
 
 def read_solution(path: str | Path) -> dict[Cell, float]:
-    cells: dict[Cell, float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=";")
-        next(reader)
-        for row in reader:
-            cells[(row[0], row[1])] = float(row[2])
-    return cells
+    return {(code, insee): float(value) for code, insee, value in read_rows(path)}

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import allocator, ingest, linkage, synth, validate, valuation, yields
 from .config import PipelineConfig, load_config
 from .ingest import ConfigError, IngestReport, IntegrityError
-from .model import AppellationRecord, Category
+from .model import AppellationRecord, Category, Cell
 
 logger = logging.getLogger(__name__)
 
@@ -132,33 +132,26 @@ def stage_ingest(cfg: PipelineConfig) -> None:
 
     if cfg.champagne_cells:
         cells = ingest.parse_cell_surfaces(cfg.champagne_cells, delimiter=cfg.delimiter)
-        known = {a.code for a in appellations}
-        extra_surface: dict[str, list[float]] = {}
-        extra_names: dict[str, str] = {}
-        for code, _, surface, name in cells:
-            extra_surface.setdefault(code, []).append(surface)
-            extra_names.setdefault(code, name)
-        added = 0
-        appellations = list(appellations)
-        for code in sorted(extra_surface):
-            if code in known:
-                continue
-            appellations.append(
-                AppellationRecord(
-                    code=code,
-                    name=extra_names[code],
-                    category=Category.AOP,
-                    marginal_surface=math.fsum(extra_surface[code]),
-                )
-            )
-            added += 1
-        with open(out / CHAMPAGNE_CSV, "w", encoding="utf-8", newline="") as fh:
-            fh.write("appellation;insee;surface_ha\n")
-            for code, insee, surface, _ in sorted(cells):
-                fh.write(f"{code};{insee};{surface!r}\n")
+        by_code: dict[str, list[float]] = {}
+        by_cell: dict[Cell, list[float]] = {}
+        names: dict[str, str] = {}
+        for code, insee, surface, name in cells:
+            by_code.setdefault(code, []).append(surface)
+            by_cell.setdefault((code, insee), []).append(surface)
+            names.setdefault(code, name)
+        added = sorted(set(by_code) - {a.code for a in appellations})
+        appellations = [*appellations, *(
+            AppellationRecord(code=code, name=names[code], category=Category.AOP,
+                              marginal_surface=math.fsum(by_code[code]))
+            for code in added
+        )]
+        allocator.write_solution(
+            {cell: math.fsum(surfaces) for cell, surfaces in by_cell.items()},
+            out / CHAMPAGNE_CSV,
+        )
         supplemental = IngestReport(dataset="champagne_cells")
         supplemental.rows_read = len(cells)
-        supplemental.records_out = added
+        supplemental.records_out = len(added)
         reports.append(supplemental)
 
     ingest.check_referential_integrity(appellations, counties, mask)
@@ -271,7 +264,7 @@ def stage_validate(cfg: PipelineConfig) -> None:
             _require(out / APPELLATIONS_CSV, "validate", "ingest")
         )
         categories = {a.code: a.category for a in appellations}
-        reference = validate.load_reference_aggregates(
+        reference = ingest.parse_reference_aggregates(
             cfg.reference_aggregates, delimiter=cfg.delimiter
         )
         aggregates_report = validate.compare_aggregates(
@@ -337,12 +330,9 @@ def stage_synth(cfg: PipelineConfig) -> None:
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     settings = cfg.synth
-    seed = settings.seed if settings.seed is not None else cfg.seed
-    k_starts = settings.k_starts if settings.k_starts is not None else cfg.k_starts
-
     instance = synth.generate(
         (settings.appellations, settings.counties, settings.density),
-        seed=seed,
+        seed=cfg.seed,
         extra_mask_factor=settings.extra_mask_factor,
         counties_per_department=settings.counties_per_department,
         weights=cfg.weights,
@@ -350,7 +340,9 @@ def stage_synth(cfg: PipelineConfig) -> None:
     allocator.dump_problem(instance.problem, out / PROBLEM_DIR)
     allocator.write_solution(instance.truth.cells, out / TRUTH_CSV)
 
-    result = allocator.multi_start_average(instance.problem, k_starts=k_starts, seed_base=seed)
+    result = allocator.multi_start_average(
+        instance.problem, k_starts=cfg.k_starts, seed_base=cfg.seed
+    )
     average = result.average.cells
     allocator.assert_feasible(instance.problem, average, rel_tol=cfg.feasibility_tol)
     allocator.write_solution(average, out / SOLUTION_CSV)
@@ -362,7 +354,7 @@ def stage_synth(cfg: PipelineConfig) -> None:
         restrict_min_hectares=cfg.reference_min_hectares,
     )
     report = {
-        "seed": seed,
+        "seed": cfg.seed,
         "shape": list(instance.shape),
         "n_active_cells": instance.problem.n_cells,
         "cell_tau": score.kendall_tau,
@@ -437,10 +429,9 @@ def main(argv: list[str] | None = None) -> int:
     overrides = {
         "solver.seed": args.seed,
         "solver.k_starts": args.k_starts,
-        # Explicit flags must also beat any [synth] section overrides.
-        "synth.seed": args.seed,
-        "synth.k_starts": args.k_starts,
-        "output.directory": args.output_dir,
+        # A relative flag names a directory under the working directory, not
+        # under the configuration file like the config key does.
+        "output.directory": args.output_dir and Path(args.output_dir).absolute(),
     }
     command = args.command
     if command == "run" and getattr(args, "synth_mode", False):

@@ -37,6 +37,15 @@ class ColumnSettings:
     price_region: str | None = None
 
 
+#: The ``[inputs]`` keys, each an optional path resolved against the
+#: configuration file.
+INPUT_NAMES = (
+    "customs_by_appellation", "customs_by_county", "inao_authorizations",
+    "price_scale", "champagne_cells", "non_pgi_by_department", "ra_map",
+    "region_map", "reference_aggregates", "acronyms", "stopwords",
+)
+
+
 @dataclass
 class SynthSettings:
     appellations: int = 20
@@ -44,8 +53,6 @@ class SynthSettings:
     density: float = 0.1
     extra_mask_factor: float = 0.5
     counties_per_department: int = 20
-    seed: int | None = None
-    k_starts: int | None = None
 
 
 @dataclass
@@ -91,11 +98,7 @@ class PipelineConfig:
             for name, path in required.items():
                 if path is None:
                     raise ConfigError(f"missing required input path: {name}")
-        for name in (
-            "customs_by_appellation", "customs_by_county", "inao_authorizations",
-            "price_scale", "champagne_cells", "non_pgi_by_department", "ra_map",
-            "region_map", "reference_aggregates", "acronyms", "stopwords",
-        ):
+        for name in INPUT_NAMES:
             path = getattr(self, name)
             if path is not None and not Path(path).exists():
                 raise ConfigError(f"input path for {name} does not exist: {path}")
@@ -148,11 +151,7 @@ def load_config(path: str | Path, overrides: Mapping[str, str] | None = None) ->
     base = path.parent
 
     cfg = PipelineConfig()
-    for name in (
-        "customs_by_appellation", "customs_by_county", "inao_authorizations",
-        "price_scale", "champagne_cells", "non_pgi_by_department", "ra_map",
-        "region_map", "reference_aggregates", "acronyms", "stopwords",
-    ):
+    for name in INPUT_NAMES:
         setattr(cfg, name, _get_path(parser, "inputs", name, base))
 
     columns = cfg.columns
@@ -226,7 +225,6 @@ def load_config(path: str | Path, overrides: Mapping[str, str] | None = None) ->
     for name, caster in (
         ("appellations", int), ("counties", int), ("density", float),
         ("extra_mask_factor", float), ("counties_per_department", int),
-        ("seed", int), ("k_starts", int),
     ):
         value = _get(parser, "synth", name)
         if value is not None:

@@ -30,6 +30,8 @@ from .model import (
     WineColor,
     department_of_insee,
     is_valid_insee,
+    read_rows,
+    write_rows,
 )
 
 logger = logging.getLogger(__name__)
@@ -544,9 +546,26 @@ def parse_key_value_map(source, *, delimiter: str = ";") -> dict[str, str]:
     if len(header) < 2:
         raise ConfigError("key_value_map: need two columns")
     out: dict[str, str] = {}
-    for _, row in rows:
+    for line, row in rows:
         values = list(row.values())
+        if len(values) < 2:
+            raise ConfigError(f"key_value_map: malformed row at line {line}")
         out[values[0]] = values[1]
+    return out
+
+
+def parse_reference_aggregates(source, *, delimiter: str = ";") -> dict[tuple[str, str], float]:
+    """Reference surfaces: department; wine_type; surface_ha."""
+    header, rows = _read_table(source, delimiter, "reference_aggregates")
+    if len(header) < 3:
+        raise ConfigError("reference_aggregates: need department, wine type and surface columns")
+    out: dict[tuple[str, str], float] = {}
+    for line, row in rows:
+        values = list(row.values())
+        try:
+            out[(values[0], values[1])] = _parse_float(values[2])
+        except (ValueError, IndexError):
+            raise ConfigError(f"reference_aggregates: malformed row at line {line}")
     return out
 
 
@@ -569,103 +588,68 @@ def check_referential_integrity(
 # write/read cycle reproduces records bit for bit.
 
 def write_appellations(records: Iterable[AppellationRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=";")
-        writer.writerow(["code", "name", "category", "color", "surface_ha", "yield_history"])
-        for rec in sorted(records, key=lambda r: r.code):
-            history = json.dumps(
-                {str(year): repr(value) for year, value in sorted(rec.yield_history.items())},
-                sort_keys=True,
-            )
-            writer.writerow(
-                [rec.code, rec.name, rec.category.value, rec.color.value,
-                 repr(rec.marginal_surface), history]
-            )
+    def row(rec: AppellationRecord) -> list[str]:
+        history = {str(year): repr(value) for year, value in sorted(rec.yield_history.items())}
+        return [rec.code, rec.name, rec.category.value, rec.color.value,
+                repr(rec.marginal_surface), json.dumps(history, sort_keys=True)]
+
+    write_rows(path, ["code", "name", "category", "color", "surface_ha", "yield_history"],
+               map(row, sorted(records, key=lambda r: r.code)))
 
 
 def read_appellations(path: str | Path) -> list[AppellationRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=";")
-        next(reader)
-        for row in reader:
-            history = {int(y): float(v) for y, v in json.loads(row[5]).items()}
-            records.append(
-                AppellationRecord(
-                    code=row[0], name=row[1], category=Category(row[2]),
-                    color=WineColor(row[3]), marginal_surface=float(row[4]),
-                    yield_history=history,
-                )
-            )
-    return records
+    return [
+        AppellationRecord(
+            code=row[0], name=row[1], category=Category(row[2]), color=WineColor(row[3]),
+            marginal_surface=float(row[4]),
+            yield_history={int(y): float(v) for y, v in json.loads(row[5]).items()},
+        )
+        for row in read_rows(path)
+    ]
 
 
 def write_counties(records: Iterable[CountyRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=";")
-        writer.writerow(["insee", "department", "agricultural_region", "surface_ha"])
-        for rec in sorted(records, key=lambda r: r.insee_code):
-            writer.writerow(
-                [rec.insee_code, rec.department, rec.agricultural_region_id,
-                 repr(rec.marginal_surface)]
-            )
+    write_rows(
+        path, ["insee", "department", "agricultural_region", "surface_ha"],
+        ([rec.insee_code, rec.department, rec.agricultural_region_id, repr(rec.marginal_surface)]
+         for rec in sorted(records, key=lambda r: r.insee_code)),
+    )
 
 
 def read_counties(path: str | Path) -> list[CountyRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=";")
-        next(reader)
-        for row in reader:
-            records.append(
-                CountyRecord(
-                    insee_code=row[0], department=row[1],
-                    agricultural_region_id=row[2], marginal_surface=float(row[3]),
-                )
-            )
-    return records
+    return [
+        CountyRecord(insee_code=row[0], department=row[1], agricultural_region_id=row[2],
+                     marginal_surface=float(row[3]))
+        for row in read_rows(path)
+    ]
 
 
 def write_mask(mask: AuthorizationMask, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=";")
-        writer.writerow(["appellation", "insee", "weight"])
-        for code, insee in sorted(mask.cells):
-            writer.writerow([code, insee, repr(mask.weight.get(code, 0.25))])
+    write_rows(
+        path, ["appellation", "insee", "weight"],
+        ([code, insee, repr(mask.weight.get(code, 0.25))] for code, insee in sorted(mask.cells)),
+    )
 
 
 def read_mask(path: str | Path) -> AuthorizationMask:
     mask = AuthorizationMask()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=";")
-        next(reader)
-        for row in reader:
-            mask.cells.add((row[0], row[1]))
-            mask.weight[row[0]] = float(row[2])
+    for code, insee, weight in read_rows(path):
+        mask.cells.add((code, insee))
+        mask.weight[code] = float(weight)
     return mask
 
 
 def write_prices(entries: Iterable[PriceEntry], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=";")
-        writer.writerow(["label", "normalized_label", "price_eur_hl", "production_mode", "region"])
-        for entry in sorted(entries, key=lambda e: (e.label, e.production_mode.value)):
-            writer.writerow(
-                [entry.label, entry.normalized_label, repr(entry.price),
-                 entry.production_mode.value, entry.region_hint or ""]
-            )
+    write_rows(
+        path, ["label", "normalized_label", "price_eur_hl", "production_mode", "region"],
+        ([e.label, e.normalized_label, repr(e.price), e.production_mode.value, e.region_hint or ""]
+         for e in sorted(entries, key=lambda e: (e.label, e.production_mode.value))),
+    )
 
 
 def read_prices(path: str | Path) -> list[PriceEntry]:
-    entries = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=";")
-        next(reader)
-        for row in reader:
-            entries.append(
-                PriceEntry(
-                    label=row[0], normalized_label=row[1], price=float(row[2]),
-                    production_mode=ProductionMode(row[3]), region_hint=row[4] or None,
-                )
-            )
-    return entries
+    return [
+        PriceEntry(label=row[0], normalized_label=row[1], price=float(row[2]),
+                   production_mode=ProductionMode(row[3]), region_hint=row[4] or None)
+        for row in read_rows(path)
+    ]

@@ -7,14 +7,13 @@ appellation names by generalized edit distance after a cleaning pass
 """
 from __future__ import annotations
 
-import csv
 import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .model import AppellationRecord, PriceEntry
+from .model import AppellationRecord, PriceEntry, read_rows, write_rows
 
 #: Recurring French words that carry no meaning in a nomenclature merge.
 DEFAULT_STOPWORDS = frozenset({"ET", "DE", "DU", "DES", "D", "LA", "LE", "LES"})
@@ -242,18 +241,14 @@ def load_acronyms(path: str | Path) -> dict[str, str]:
 
 
 def write_match_report(matches: Iterable[LabelMatch], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=";")
-        writer.writerow(["label", "code", "distance", "accepted"])
-        for m in matches:
-            writer.writerow([m.source_label, m.target_code, repr(m.distance), int(m.accepted)])
+    write_rows(
+        path, ["label", "code", "distance", "accepted"],
+        ([m.source_label, m.target_code, repr(m.distance), int(m.accepted)] for m in matches),
+    )
 
 
 def read_match_report(path: str | Path) -> list[LabelMatch]:
-    matches = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=";")
-        next(reader)
-        for row in reader:
-            matches.append(LabelMatch(row[0], row[1], float(row[2]), bool(int(row[3]))))
-    return matches
+    return [
+        LabelMatch(label, code, float(distance), bool(int(accepted)))
+        for label, code, distance, accepted in read_rows(path)
+    ]

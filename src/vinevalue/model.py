@@ -4,13 +4,17 @@ The pipeline joins four open data sets: customs vineyard-register totals by
 appellation and by county, the list of counties where each appellation is
 authorized, and the crop-insurance price scale. Everything downstream (the
 surface allocator, yield estimation, valuation) works on the types below.
+The stages hand them to each other as artifact tables in one CSV dialect,
+written and read by :func:`write_rows` and :func:`read_rows` only.
 """
 from __future__ import annotations
 
+import csv
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import Mapping
+from pathlib import Path
+from typing import Iterable, Iterator, Mapping, Sequence
 
 #: An (appellation code, INSEE county code) pair. Every allocation (solver
 #: output, synthetic truth, a solution read back from CSV) is a
@@ -180,3 +184,20 @@ class PriceEntry:
     def __post_init__(self) -> None:
         if self.price <= 0:
             raise ValueError(f"{self.label!r}: price must be positive")
+
+
+def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write an artifact table: UTF-8, ``;``-separated, one header row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, delimiter=";")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_rows(path: str | Path) -> Iterator[list[str]]:
+    """The data rows of an artifact table written by :func:`write_rows`,
+    one at a time, header skipped."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, delimiter=";")
+        next(reader, None)
+        yield from reader

@@ -8,14 +8,13 @@ float noise.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .model import Category, Cell, department_of_insee
+from .model import Category, Cell, department_of_insee, write_rows
 
 
 @dataclass
@@ -222,20 +221,9 @@ def compare_aggregates(
     )
 
 
-def load_reference_aggregates(path: str | Path, delimiter: str = ";") -> dict[tuple[str, str], float]:
-    """Reference CSV: department; wine_type; surface_ha."""
-    out: dict[tuple[str, str], float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        next(reader)
-        for row in reader:
-            out[(row[0], row[1])] = float(row[2])
-    return out
-
-
 def write_scatter_csv(report: ComparisonReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=";")
-        writer.writerow(["key", "model_value", "reference_value"])
-        for key, model_value, reference_value in report.scatter_rows:
-            writer.writerow([key, repr(model_value), repr(reference_value)])
+    write_rows(
+        path, ["key", "model_value", "reference_value"],
+        ([key, repr(model_value), repr(reference_value)]
+         for key, model_value, reference_value in report.scatter_rows),
+    )

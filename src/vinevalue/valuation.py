@@ -7,7 +7,6 @@ summation so aggregates are independent of fold order.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 import statistics
@@ -16,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .linkage import LabelMatch
-from .model import AppellationRecord, Category, Cell, PriceEntry, ProductionMode
+from .model import AppellationRecord, Category, Cell, PriceEntry, ProductionMode, write_rows
 from .yields import ExpectedYield
 
 #: Presentation order of the category summary.
@@ -231,44 +230,27 @@ def summarize_by_region(
 
 def write_portfolio(portfolio: Iterable[HarvestValueRecord], path: str | Path) -> None:
     """Presentation CSV: surfaces rounded to 0.1 ha, values to whole euros."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=";")
-        writer.writerow(
-            ["county", "appellation", "surface_ha", "expected_yield_hl_ha",
-             "price_eur_hl", "harvest_value_eur"]
-        )
-        for r in portfolio:
-            writer.writerow(
-                [
-                    r.insee_code,
-                    f"{r.appellation_code} {r.appellation_name}".strip(),
-                    f"{r.surface:.1f}",
-                    f"{r.expected_yield:.2f}",
-                    f"{r.price:g}",
-                    f"{r.value:.0f}",
-                ]
-            )
+    write_rows(
+        path,
+        ["county", "appellation", "surface_ha", "expected_yield_hl_ha",
+         "price_eur_hl", "harvest_value_eur"],
+        ([r.insee_code, f"{r.appellation_code} {r.appellation_name}".strip(),
+          f"{r.surface:.1f}", f"{r.expected_yield:.2f}", f"{r.price:g}", f"{r.value:.0f}"]
+         for r in portfolio),
+    )
 
 
 def write_category_summary(summaries: Iterable[CategorySummary], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=";")
-        writer.writerow(
-            ["category", "value_eur", "value_share", "surface_ha", "surface_share"]
-        )
-        for s in summaries:
-            writer.writerow(
-                [s.category.value, repr(s.total_value), repr(s.value_share),
-                 repr(s.total_surface), repr(s.surface_share)]
-            )
+    write_rows(
+        path, ["category", "value_eur", "value_share", "surface_ha", "surface_share"],
+        ([s.category.value, repr(s.total_value), repr(s.value_share),
+          repr(s.total_surface), repr(s.surface_share)] for s in summaries),
+    )
 
 
 def write_region_summary(summaries: Iterable[RegionSummary], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=";")
-        writer.writerow(["agricultural_region", "value_eur", "surface_ha", "value_eur_per_ha"])
-        for s in summaries:
-            writer.writerow(
-                [s.region_id, repr(s.total_value), repr(s.total_surface),
-                 repr(s.value_per_hectare)]
-            )
+    write_rows(
+        path, ["agricultural_region", "value_eur", "surface_ha", "value_eur_per_ha"],
+        ([s.region_id, repr(s.total_value), repr(s.total_surface), repr(s.value_per_hectare)]
+         for s in summaries),
+    )

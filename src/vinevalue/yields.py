@@ -7,14 +7,13 @@ category-level Olympic average, and finally to a flat 40 hl/ha.
 """
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .model import AppellationRecord, Category
+from .model import AppellationRecord, Category, read_rows, write_rows
 
 #: Flat fallback when neither the appellation nor its category has a usable
 #: five-year history.
@@ -130,19 +129,14 @@ def expected_yield_table(
 
 
 def write_expected_yields(table: Mapping[str, ExpectedYield], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=";")
-        writer.writerow(["code", "expected_yield_hl_ha", "provenance"])
-        for code in sorted(table):
-            ey = table[code]
-            writer.writerow([code, repr(ey.value), ey.provenance.value])
+    write_rows(
+        path, ["code", "expected_yield_hl_ha", "provenance"],
+        ([code, repr(ey.value), ey.provenance.value] for code, ey in sorted(table.items())),
+    )
 
 
 def read_expected_yields(path: str | Path) -> dict[str, ExpectedYield]:
-    table: dict[str, ExpectedYield] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=";")
-        next(reader)
-        for row in reader:
-            table[row[0]] = ExpectedYield(row[0], float(row[1]), YieldProvenance(row[2]))
-    return table
+    return {
+        code: ExpectedYield(code, float(value), YieldProvenance(provenance))
+        for code, value, provenance in read_rows(path)
+    }

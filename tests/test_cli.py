@@ -348,6 +348,52 @@ class TestOptionalInputs:
             report["total_value_eur"] / 1000000
         )
 
+    def test_duplicated_supplemental_cell_rows_are_summed(self, extended_config, tmp_path):
+        (extended_config.parent / "data" / "champagne.csv").write_text(
+            "appellation;insee;surface_ha;name\n"
+            "7C001M;68001;3.5;Champagne test\n"
+            "7C001M;68001;1.5;Champagne test\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(extended_config), "--output-dir", str(out)) == 0
+        # The appellation's marginal and its merged cell carry both rows.
+        assert "7C001M;Champagne test;AOP;UNKNOWN;5.0;" in (
+            out / "appellations.csv").read_text(encoding="utf-8")
+        assert allocator.read_solution(out / SOLUTION_CSV)[("7C001M", "68001")] == 5.0
+
+    def test_reference_table_with_trailing_blank_line(self, extended_config, tmp_path):
+        reference = extended_config.parent / "data" / "reference.csv"
+        reference.write_text(reference.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(extended_config), "--output-dir", str(out)) == 0
+        comparison = json.loads((out / COMPARISON_JSON).read_text(encoding="utf-8"))
+        assert comparison["aggregates"]["pair_count"] == 3
+
+    @pytest.mark.parametrize("key", ["ra_map", "region_map"])
+    def test_one_field_map_row_is_a_stage_error(self, extended_config, tmp_path, key):
+        (extended_config.parent / "data" / "map.csv").write_text(
+            "key;value\n67003\n", encoding="utf-8"
+        )
+        extended_config.write_text(
+            extended_config.read_text(encoding="utf-8").replace(
+                "[inputs]\n", f"[inputs]\n{key} = data/map.csv\n"
+            ),
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(extended_config), "--output-dir", str(out)) == 2
+
+
+def test_relative_output_dir_is_under_working_directory(
+    alsace_config, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    rc = run_cli("ingest", "--config", str(alsace_config), "--output-dir", "art/x")
+    assert rc == 0
+    assert (tmp_path / "art" / "x" / "appellations.csv").exists()
+    assert not (alsace_config.parent / "art").exists()
+
 
 class TestErrors:
     def test_missing_config_is_config_error(self, tmp_path):

@@ -19,6 +19,7 @@ from vinevalue.ingest import (
     parse_inao_authorizations,
     parse_key_value_map,
     parse_price_scale,
+    parse_reference_aggregates,
     read_appellations,
     read_counties,
     read_mask,
@@ -336,6 +337,15 @@ class TestAuxiliaryParsers:
 
     def test_key_value_map(self):
         assert parse_key_value_map(_src("insee;ra\n67003;RA-1\n")) == {"67003": "RA-1"}
+
+    def test_key_value_map_short_row(self):
+        with pytest.raises(ConfigError, match="line 3"):
+            parse_key_value_map(_src("insee;ra\n67003;RA-1\n67051\n"))
+
+    @pytest.mark.parametrize("row", ["67;AOP", "67;AOP;lots"])
+    def test_reference_aggregates_malformed_row(self, row):
+        with pytest.raises(ConfigError, match="line 2"):
+            parse_reference_aggregates(_src(f"department;wine_type;surface_ha\n{row}\n"))
 
 
 def test_check_referential_integrity():

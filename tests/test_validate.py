@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from vinevalue.ingest import parse_reference_aggregates
 from vinevalue.model import Category
 from vinevalue.validate import (
     ComparisonReport,
@@ -12,7 +13,6 @@ from vinevalue.validate import (
     compare_aggregates,
     compare_solutions,
     kendall_tau,
-    load_reference_aggregates,
     write_scatter_csv,
 )
 
@@ -159,8 +159,9 @@ class TestCompareAggregates:
 
     def test_reference_file_loader(self, tmp_path):
         path = tmp_path / "ref.csv"
-        path.write_text("department;wine_type;surface_ha\n67;AOP;120.5\n", encoding="utf-8")
-        assert load_reference_aggregates(path) == {("67", "AOP"): 120.5}
+        path.write_text("department;wine_type;surface_ha\n67;AOP;120.5\n\n68;PGI;3\n\n",
+                        encoding="utf-8")
+        assert parse_reference_aggregates(path) == {("67", "AOP"): 120.5, ("68", "PGI"): 3.0}
 
 
 def test_report_json_is_stable():
