@@ -15,7 +15,6 @@ from .allocator import (
     AllocationMatrix,
     AllocationProblem,
     build_problem,
-    brute_force_optimum,
     multi_start_average,
     random_init,
     solve,
@@ -46,7 +45,6 @@ __all__ = [
     "__version__",
     "build_portfolio",
     "build_problem",
-    "brute_force_optimum",
     "compare_aggregates",
     "compare_solutions",
     "edit_distance",

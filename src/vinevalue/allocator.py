@@ -49,10 +49,6 @@ _HIGHS_OPTIONS = {
     "dual_feasibility_tolerance": 1e-9,
 }
 
-BRUTE_FORCE_MAX_CELLS = 9
-BRUTE_FORCE_MAX_LEVELS = 12
-
-
 class SolveError(Exception):
     """Raised when the LP solver fails."""
 
@@ -276,71 +272,6 @@ def solve(
     return _matrix_from_vector(problem, x)
 
 
-def brute_force_optimum(problem: AllocationProblem, grid_step: float) -> AllocationMatrix:
-    """Exhaustive oracle over the discretized feasible set.
-
-    Refuses instances with more than 9 active cells or more than 12 grid
-    levels per cell. With integer caps and an integer step the constraint
-    matrix is totally unimodular, so the grid contains a true LP optimum.
-    """
-    m = problem.n_cells
-    if m > BRUTE_FORCE_MAX_CELLS:
-        raise ValueError(f"instance too large for brute force: {m} cells > {BRUTE_FORCE_MAX_CELLS}")
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
-    levels = [int(math.floor(ub / grid_step + 1e-9)) for ub in problem.upper_bounds]
-    if any(lv > BRUTE_FORCE_MAX_LEVELS for lv in levels):
-        raise ValueError(
-            f"instance too large for brute force: more than {BRUTE_FORCE_MAX_LEVELS} grid levels"
-        )
-    order = sorted(range(m), key=lambda k: (-problem.alpha[k], problem.cells[k]))
-    row_res = dict(problem.appellation_caps)
-    col_res = dict(problem.county_caps)
-    values = [0.0] * m
-    best_obj = -math.inf
-    best_values: list[float] = [0.0] * m
-
-    def residual_bound(pos: int) -> float:
-        bound = 0.0
-        for k in order[pos:]:
-            code, insee = problem.cells[k]
-            bound += problem.alpha[k] * min(
-                problem.upper_bounds[k], row_res[code], col_res[insee]
-            )
-        return bound
-
-    def descend(pos: int, acc: float) -> None:
-        nonlocal best_obj, best_values
-        if acc + residual_bound(pos) <= best_obj + 1e-12:
-            return
-        if pos == m:
-            best_obj = acc
-            best_values = values.copy()
-            return
-        k = order[pos]
-        code, insee = problem.cells[k]
-        max_units = int(
-            math.floor(
-                (min(problem.upper_bounds[k], row_res[code], col_res[insee]) + 1e-9)
-                / grid_step
-            )
-        )
-        for units in range(max_units, -1, -1):
-            value = units * grid_step
-            values[k] = value
-            row_res[code] -= value
-            col_res[insee] -= value
-            descend(pos + 1, acc + problem.alpha[k] * value)
-            row_res[code] += value
-            col_res[insee] += value
-            values[k] = 0.0
-
-    descend(0, 0.0)
-    cells = {problem.cells[k]: v for k, v in enumerate(best_values) if v > 0}
-    obj = math.fsum(problem.weights[code] * v for (code, _), v in cells.items())
-    return AllocationMatrix(cells=cells, objective_value=obj)
-
-
 @dataclass(eq=False)
 class MultiStartResult:
     """Averaged allocation plus the per-start solutions and the failed
@@ -429,12 +360,8 @@ def feasibility_violations(
     return violations
 
 
-def assert_feasible(
-    problem: AllocationProblem,
-    cells: Mapping[Cell, float],
-    rel_tol: float = 1e-6,
-) -> None:
-    violations = feasibility_violations(problem, cells, rel_tol=rel_tol)
+def assert_feasible(problem: AllocationProblem, cells: Mapping[Cell, float]) -> None:
+    violations = feasibility_violations(problem, cells)
     if violations:
         raise FeasibilityError("; ".join(violations[:10]))
 
@@ -473,12 +400,12 @@ def load_problem(directory: str | Path) -> AllocationProblem:
     return problem_from_caps(appellation_caps, county_caps, weights, cells)
 
 
-def write_solution(cells: Mapping[Cell, float], path: str | Path, min_cell: float = 1e-9) -> None:
+def write_solution(cells: Mapping[Cell, float], path: str | Path) -> None:
     """Sparse allocation CSV in cell order, values by ``repr`` so they read
-    back bit-exact; cells at or below ``min_cell`` are omitted."""
+    back bit-exact; cells at or below 1e-9 ha are omitted."""
     write_rows(
         path, ["appellation", "insee", "surface_ha"],
-        ([*cell, repr(cells[cell])] for cell in sorted(cells) if cells[cell] > min_cell),
+        ([*cell, repr(cells[cell])] for cell in sorted(cells) if cells[cell] > 1e-9),
     )
 
 

@@ -176,7 +176,6 @@ def stage_link(cfg: PipelineConfig) -> None:
     matches = linkage.match_labels(
         prices,
         appellations,
-        threshold=cfg.threshold,
         threshold_fraction=cfg.threshold_fraction,
         region_filter=region_filter,
         **_normalize_kwargs(cfg),
@@ -210,7 +209,7 @@ def stage_solve(cfg: PipelineConfig) -> None:
     allocator.dump_problem(problem, out / PROBLEM_DIR)
 
     result = allocator.multi_start_average(problem, k_starts=cfg.k_starts, seed_base=cfg.seed)
-    allocator.assert_feasible(problem, result.average.cells, rel_tol=cfg.feasibility_tol)
+    allocator.assert_feasible(problem, result.average.cells)
 
     solutions_dir = out / SOLUTIONS_DIR
     solutions_dir.mkdir(parents=True, exist_ok=True)
@@ -344,7 +343,7 @@ def stage_synth(cfg: PipelineConfig) -> None:
         instance.problem, k_starts=cfg.k_starts, seed_base=cfg.seed
     )
     average = result.average.cells
-    allocator.assert_feasible(instance.problem, average, rel_tol=cfg.feasibility_tol)
+    allocator.assert_feasible(instance.problem, average)
     allocator.write_solution(average, out / SOLUTION_CSV)
 
     score = synth.score_recovery(instance.truth.cells, average)

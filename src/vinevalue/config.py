@@ -1,15 +1,16 @@
 """Declarative pipeline configuration.
 
 One INI-style file with a section per stage; command-line flags override
-individual keys. Paths are resolved relative to the configuration file and
-checked eagerly so a bad path fails before any stage runs.
+individual keys. Values are taken literally (no ``%`` interpolation). Paths
+are resolved relative to the configuration file and checked eagerly so a bad
+path fails before any stage runs.
 """
 from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .ingest import ConfigError
 from .model import Category, DEFAULT_WEIGHTS
@@ -76,11 +77,9 @@ class PipelineConfig:
     default_category: Category = Category.AOP
     weights: dict[Category, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
     threshold_fraction: float = 0.10
-    threshold: float | None = None
     harvest_year: int = 2023
     k_starts: int = 20
     seed: int = 20230601
-    feasibility_tol: float = 1e-6
     restrict_min_hectares: float = 100.0
     reference_min_hectares: float = 1000.0
     reference_total_eur: float | None = None
@@ -104,26 +103,61 @@ class PipelineConfig:
                 raise ConfigError(f"input path for {name} does not exist: {path}")
         if self.k_starts < 1:
             raise ConfigError("k_starts must be >= 1")
-        for name in ("feasibility_tol", "threshold_fraction"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
+        if self.threshold_fraction <= 0:
+            raise ConfigError("threshold_fraction must be > 0")
 
 
-def _get(parser: configparser.ConfigParser, section: str, key: str, fallback=None):
+def _truncation(text: str) -> int | None:
+    return None if text == "letter" else int(text)
+
+
+def _category(text: str) -> Category:
+    return Category(text.upper())
+
+
+#: Every fixed key as (section, key, attribute of PipelineConfig, cast). A
+#: dotted attribute names a field of a nested settings object; a ``Path``
+#: is resolved against the configuration file.
+_KEYS: tuple[tuple[str, str, str, Callable], ...] = (
+    *(("inputs", name, name, Path) for name in INPUT_NAMES),
+    ("columns.appellations", "code", "columns.appellation_code", str),
+    ("columns.appellations", "surface", "columns.appellation_surface", str),
+    ("columns.appellations", "name", "columns.appellation_name", str),
+    ("columns.appellations", "color", "columns.appellation_color", str),
+    ("columns.appellations", "category", "columns.appellation_category", str),
+    ("columns.counties", "insee", "columns.county_insee", str),
+    ("columns.counties", "surface", "columns.county_surface", str),
+    ("columns.counties", "ra", "columns.county_ra", str),
+    ("columns.mask", "appellation", "columns.mask_appellation", str),
+    ("columns.mask", "insee", "columns.mask_insee", str),
+    ("columns.mask", "weight", "columns.mask_weight", str),
+    ("columns.prices", "label", "columns.price_label", str),
+    ("columns.prices", "price", "columns.price_value", str),
+    ("columns.prices", "region", "columns.price_region", str),
+    ("ingest", "delimiter", "delimiter", str),
+    ("ingest", "truncation", "truncation", _truncation),
+    ("ingest", "default_category", "default_category", _category),
+    ("linkage", "threshold_fraction", "threshold_fraction", float),
+    ("yields", "harvest_year", "harvest_year", int),
+    ("solver", "k_starts", "k_starts", int),
+    ("solver", "seed", "seed", int),
+    ("solver", "restrict_min_hectares", "restrict_min_hectares", float),
+    ("validate", "reference_min_hectares", "reference_min_hectares", float),
+    ("validate", "reference_total_eur", "reference_total_eur", float),
+    ("synth", "appellations", "synth.appellations", int),
+    ("synth", "counties", "synth.counties", int),
+    ("synth", "density", "synth.density", float),
+    ("synth", "extra_mask_factor", "synth.extra_mask_factor", float),
+    ("synth", "counties_per_department", "synth.counties_per_department", int),
+    ("output", "directory", "output_dir", Path),
+)
+
+
+def _cast(cast: Callable, text: str, section: str, key: str):
     try:
-        value = parser.get(section, key)
-    except (configparser.NoSectionError, configparser.NoOptionError):
-        return fallback
-    value = value.strip()
-    return value if value else fallback
-
-
-def _get_path(parser, section, key, base: Path) -> Path | None:
-    value = _get(parser, section, key)
-    if value is None:
-        return None
-    path = Path(value)
-    return path if path.is_absolute() else base / path
+        return cast(text)
+    except ValueError:
+        raise ConfigError(f"{section}.{key}: invalid value {text!r}") from None
 
 
 def load_config(path: str | Path, overrides: Mapping[str, str] | None = None) -> PipelineConfig:
@@ -131,107 +165,44 @@ def load_config(path: str | Path, overrides: Mapping[str, str] | None = None) ->
 
     ``overrides`` maps flat keys (``solver.seed``, ``solver.k_starts``,
     ``output.directory``) to replacement values, mirroring CLI flags.
+    Unknown keys are ignored; a value that does not parse is a
+    :class:`ConfigError` naming its ``section.key``.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    if overrides:
-        for flat_key, value in overrides.items():
-            if value is None:
-                continue
-            section, _, key = flat_key.partition(".")
-            if not parser.has_section(section):
-                parser.add_section(section)
-            parser.set(section, key, str(value))
-    base = path.parent
+    for flat_key, value in (overrides or {}).items():
+        if value is None:
+            continue
+        section, _, key = flat_key.partition(".")
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, str(value))
 
     cfg = PipelineConfig()
-    for name in INPUT_NAMES:
-        setattr(cfg, name, _get_path(parser, "inputs", name, base))
+    for section, key, attribute, cast in _KEYS:
+        text = parser.get(section, key, fallback="").strip()
+        if not text:
+            continue
+        owner, _, name = attribute.rpartition(".")
+        value = path.parent / text if cast is Path else _cast(cast, text, section, key)
+        setattr(getattr(cfg, owner) if owner else cfg, name, value)
 
-    columns = cfg.columns
-    columns.appellation_code = _get(parser, "columns.appellations", "code", columns.appellation_code)
-    columns.appellation_surface = _get(parser, "columns.appellations", "surface", columns.appellation_surface)
-    columns.appellation_name = _get(parser, "columns.appellations", "name")
-    columns.appellation_color = _get(parser, "columns.appellations", "color")
-    columns.appellation_category = _get(parser, "columns.appellations", "category")
-    if parser.has_section("columns.appellations"):
-        for key, value in parser.items("columns.appellations"):
-            if key.startswith("yield."):
-                columns.yield_cols[int(key.split(".", 1)[1])] = value.strip()
-            elif key.startswith("volume."):
-                columns.volume_cols[int(key.split(".", 1)[1])] = value.strip()
-    columns.county_insee = _get(parser, "columns.counties", "insee", columns.county_insee)
-    columns.county_surface = _get(parser, "columns.counties", "surface", columns.county_surface)
-    columns.county_ra = _get(parser, "columns.counties", "ra")
-    columns.mask_appellation = _get(parser, "columns.mask", "appellation", columns.mask_appellation)
-    columns.mask_insee = _get(parser, "columns.mask", "insee", columns.mask_insee)
-    columns.mask_weight = _get(parser, "columns.mask", "weight")
-    columns.price_label = _get(parser, "columns.prices", "label", columns.price_label)
-    columns.price_value = _get(parser, "columns.prices", "price", columns.price_value)
-    columns.price_region = _get(parser, "columns.prices", "region")
-
-    cfg.delimiter = _get(parser, "ingest", "delimiter", cfg.delimiter)
-    truncation = _get(parser, "ingest", "truncation")
-    if truncation is not None and truncation != "letter":
-        try:
-            cfg.truncation = int(truncation)
-        except ValueError:
-            raise ConfigError(f"ingest.truncation must be 'letter' or an integer, got {truncation!r}")
-    category = _get(parser, "ingest", "default_category")
-    if category is not None:
-        try:
-            cfg.default_category = Category(category.upper())
-        except ValueError:
-            raise ConfigError(f"unknown default_category {category!r}")
-
-    for category_enum in Category:
-        value = _get(parser, "weights", category_enum.value.lower())
-        if value is not None:
-            cfg.weights[category_enum] = float(value)
-
-    value = _get(parser, "linkage", "threshold_fraction")
-    if value is not None:
-        cfg.threshold_fraction = float(value)
-    value = _get(parser, "linkage", "threshold")
-    if value is not None:
-        cfg.threshold = float(value)
-
-    value = _get(parser, "yields", "harvest_year")
-    if value is not None:
-        cfg.harvest_year = int(value)
-
-    for name, caster in (
-        ("k_starts", int), ("seed", int), ("feasibility_tol", float),
-        ("restrict_min_hectares", float),
-    ):
-        value = _get(parser, "solver", name)
-        if value is not None:
-            setattr(cfg, name, caster(value))
-
-    value = _get(parser, "validate", "reference_min_hectares")
-    if value is not None:
-        cfg.reference_min_hectares = float(value)
-    value = _get(parser, "validate", "reference_total_eur")
-    if value is not None:
-        cfg.reference_total_eur = float(value)
-
-    synth = cfg.synth
-    for name, caster in (
-        ("appellations", int), ("counties", int), ("density", float),
-        ("extra_mask_factor", float), ("counties_per_department", int),
-    ):
-        value = _get(parser, "synth", name)
-        if value is not None:
-            setattr(synth, name, caster(value))
-
-    value = _get(parser, "output", "directory")
-    if value is not None:
-        out = Path(value)
-        cfg.output_dir = out if out.is_absolute() else base / out
+    section = "columns.appellations"
+    families = {"yield": cfg.columns.yield_cols, "volume": cfg.columns.volume_cols}
+    if parser.has_section(section):
+        for key, text in parser.items(section):
+            family, dot, year = key.partition(".")
+            if dot and family in families:
+                families[family][_cast(int, year, section, key)] = text.strip()
+    for category in Category:
+        key = category.value.lower()
+        text = parser.get("weights", key, fallback="").strip()
+        if text:
+            cfg.weights[category] = _cast(float, text, "weights", key)
     return cfg

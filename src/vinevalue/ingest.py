@@ -15,7 +15,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from . import linkage
 from .model import (
@@ -37,7 +37,7 @@ from .model import (
 logger = logging.getLogger(__name__)
 
 #: Surface cell values treated as secretized (absent, not zero).
-DEFAULT_SECRET_VALUES = ("", "s", "S", "n/a", "N/A")
+SECRET_VALUES = ("", "s", "S", "n/a", "N/A")
 
 #: Mask weights are snapped to these canonical priorities when a file value
 #: is within SNAP_TOLERANCE (the source files carry rounded values such as
@@ -173,7 +173,6 @@ def parse_customs_by_appellation(
     default_category: Category = Category.AOP,
     truncation: int | None = None,
     delimiter: str = ";",
-    secret_values: Sequence[str] = DEFAULT_SECRET_VALUES,
 ) -> tuple[list[AppellationRecord], IngestReport]:
     """Parse the customs per-appellation statistics.
 
@@ -204,7 +203,7 @@ def parse_customs_by_appellation(
             report.add_error(line, str(exc))
             continue
         surface_text = row.get(surface_col, "")
-        if surface_text in secret_values:
+        if surface_text in SECRET_VALUES:
             report.secretized += 1
             surface = None
         else:
@@ -236,7 +235,7 @@ def parse_customs_by_appellation(
                 group["category"] = _CATEGORY_ALIASES[alias]
         for year, col in yield_cols.items():
             text = row.get(col, "")
-            if text in secret_values:
+            if text in SECRET_VALUES:
                 continue
             try:
                 value = _parse_float(text)
@@ -249,7 +248,7 @@ def parse_customs_by_appellation(
             vol_col = volume_cols.get(year)
             if vol_col:
                 vol_text = row.get(vol_col, "")
-                if vol_text not in secret_values:
+                if vol_text not in SECRET_VALUES:
                     try:
                         weight = max(_parse_float(vol_text), 0.0)
                     except ValueError:
@@ -290,7 +289,6 @@ def parse_customs_by_county(
     surface_col: str = "surface_ha",
     ra_col: str | None = None,
     delimiter: str = ";",
-    secret_values: Sequence[str] = DEFAULT_SECRET_VALUES,
 ) -> tuple[list[CountyRecord], IngestReport]:
     """Parse the customs per-county statistics. Codes are read as text so
     leading zeros survive; a duplicated county is a fatal error."""
@@ -308,7 +306,7 @@ def parse_customs_by_county(
         if insee in records:
             raise IntegrityError(f"duplicate insee code {insee!r} at line {line}")
         surface_text = row.get(surface_col, "")
-        if surface_text in secret_values:
+        if surface_text in SECRET_VALUES:
             report.secretized += 1
             continue
         try:
@@ -330,11 +328,11 @@ def parse_customs_by_county(
     return out, report
 
 
-def snap_weight(value: float, tolerance: float = SNAP_TOLERANCE) -> float:
+def snap_weight(value: float) -> float:
     """Snap a file-supplied weight to the nearest canonical priority when it
-    is within ``tolerance`` (0.33 becomes exactly one third)."""
+    is within ``SNAP_TOLERANCE`` (0.33 becomes exactly one third)."""
     for canonical in CANONICAL_WEIGHTS:
-        if abs(value - canonical) <= tolerance:
+        if abs(value - canonical) <= SNAP_TOLERANCE:
             return canonical
     return value
 
@@ -404,14 +402,14 @@ def inject_pseudo_appellations(
     non_pgi_surface_by_department: Mapping[str, float],
     *,
     weight: float = 0.25,
-    code_prefix: str = "NONPGI",
 ) -> tuple[list[AppellationRecord], AuthorizationMask]:
     """Add one non-PGI pseudo-appellation per department.
 
     Non-PGI wine is absent from the per-appellation statistics, so each
-    department with positive non-PGI surface gets a synthetic appellation
-    authorized in exactly its counties. Inputs are never modified; new lists
-    are returned. Departments without counties are skipped with a warning.
+    department with positive non-PGI surface gets a synthetic appellation,
+    coded ``NONPGI<department>``, authorized in exactly its counties. Inputs
+    are never modified; new lists are returned. Departments without counties
+    are skipped with a warning.
     """
     counties_by_department: dict[str, list[str]] = {}
     for county in counties:
@@ -431,7 +429,7 @@ def inject_pseudo_appellations(
                 department, surface,
             )
             continue
-        code = f"{code_prefix}{department}"
+        code = f"NONPGI{department}"
         if code in existing:
             raise IntegrityError(f"pseudo-appellation code {code} collides with an existing record")
         new_apps.append(
@@ -505,68 +503,69 @@ def parse_price_scale(
     return entries, report
 
 
+def _positional_rows(source, delimiter: str, dataset: str,
+                     columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line, fields) of a headed table read by position; ``columns`` names
+    the leading fields every row must have. Later fields are optional."""
+    header, rows = _read_table(source, delimiter, dataset)
+    if len(header) < len(columns):
+        raise ConfigError(f"{dataset}: need {', '.join(columns)} columns")
+    for line, row in rows:
+        fields = list(row.values())
+        if len(fields) < len(columns):
+            raise ConfigError(f"{dataset}: malformed row at line {line}")
+        yield line, fields
+
+
+def _surface(text: str, dataset: str, line: int) -> float:
+    try:
+        surface = _parse_float(text)
+    except ValueError:
+        raise ConfigError(f"{dataset}: malformed surface {text!r} at line {line}") from None
+    if surface < 0:
+        raise ConfigError(f"{dataset}: negative surface {text!r} at line {line}")
+    return surface
+
+
 def parse_department_surfaces(source, *, delimiter: str = ";") -> dict[str, float]:
     """Two-column file: department; non-PGI surface in hectares."""
-    header, rows = _read_table(source, delimiter, "department_surfaces")
-    if len(header) < 2:
-        raise ConfigError("department_surfaces: need department and surface columns")
-    out: dict[str, float] = {}
-    for line, row in rows:
-        values = list(row.values())
-        try:
-            out[values[0]] = _parse_float(values[1])
-        except (ValueError, IndexError):
-            raise ConfigError(f"department_surfaces: malformed row at line {line}")
-    return out
+    dataset = "department_surfaces"
+    return {
+        fields[0]: _surface(fields[1], dataset, line)
+        for line, fields in _positional_rows(source, delimiter, dataset,
+                                             ("department", "surface"))
+    }
 
 
 def parse_cell_surfaces(source, *, delimiter: str = ";") -> list[tuple[str, str, float, str]]:
     """Supplemental known cells (appellation; insee; surface_ha[; name]), used
     for vineyard area absent from the customs statistics."""
-    header, rows = _read_table(source, delimiter, "cell_surfaces")
-    if len(header) < 3:
-        raise ConfigError("cell_surfaces: need appellation, insee and surface columns")
-    cells = []
-    for line, row in rows:
-        values = list(row.values())
-        try:
-            cells.append(
-                (values[0], values[1], _parse_float(values[2]),
-                 values[3] if len(values) > 3 else "")
-            )
-        except (ValueError, IndexError):
-            raise ConfigError(f"cell_surfaces: malformed row at line {line}")
-    return cells
+    dataset = "cell_surfaces"
+    return [
+        (fields[0], fields[1], _surface(fields[2], dataset, line),
+         fields[3] if len(fields) > 3 else "")
+        for line, fields in _positional_rows(source, delimiter, dataset,
+                                             ("appellation", "insee", "surface"))
+    ]
 
 
 def parse_key_value_map(source, *, delimiter: str = ";") -> dict[str, str]:
     """Generic two-column mapping file (county to agricultural region,
     appellation to region, ...)."""
-    header, rows = _read_table(source, delimiter, "key_value_map")
-    if len(header) < 2:
-        raise ConfigError("key_value_map: need two columns")
-    out: dict[str, str] = {}
-    for line, row in rows:
-        values = list(row.values())
-        if len(values) < 2:
-            raise ConfigError(f"key_value_map: malformed row at line {line}")
-        out[values[0]] = values[1]
-    return out
+    return {
+        fields[0]: fields[1]
+        for _, fields in _positional_rows(source, delimiter, "key_value_map", ("key", "value"))
+    }
 
 
 def parse_reference_aggregates(source, *, delimiter: str = ";") -> dict[tuple[str, str], float]:
     """Reference surfaces: department; wine_type; surface_ha."""
-    header, rows = _read_table(source, delimiter, "reference_aggregates")
-    if len(header) < 3:
-        raise ConfigError("reference_aggregates: need department, wine type and surface columns")
-    out: dict[tuple[str, str], float] = {}
-    for line, row in rows:
-        values = list(row.values())
-        try:
-            out[(values[0], values[1])] = _parse_float(values[2])
-        except (ValueError, IndexError):
-            raise ConfigError(f"reference_aggregates: malformed row at line {line}")
-    return out
+    dataset = "reference_aggregates"
+    return {
+        (fields[0], fields[1]): _surface(fields[2], dataset, line)
+        for line, fields in _positional_rows(source, delimiter, dataset,
+                                             ("department", "wine type", "surface"))
+    }
 
 
 def check_referential_integrity(

@@ -171,7 +171,6 @@ def match_labels(
     prices: Sequence[PriceEntry],
     appellations: Sequence[AppellationRecord],
     *,
-    threshold: float | None = None,
     threshold_fraction: float = 0.10,
     costs: EditCosts = UNIT_COSTS,
     region_filter: Mapping[str, str] | None = None,
@@ -180,11 +179,10 @@ def match_labels(
 ) -> list[LabelMatch]:
     """Match every price label to its minimum-distance appellation.
 
-    A match is accepted when the distance is at or below the threshold
-    (absolute ``threshold``, or ``threshold_fraction`` of the longer
-    normalized string times the substitution cost) and, when
-    ``region_filter`` maps the appellation to a region, the price row's
-    region hint does not contradict it. Ties on distance break to the
+    A match is accepted when the distance is at or below
+    ``threshold_fraction`` of the longer normalized string times the
+    substitution cost and, when ``region_filter`` maps the appellation to a
+    region, the price row's region hint does not contradict it. Ties on distance break to the
     lexicographically smallest appellation code so results are reproducible.
     """
     norm_kwargs = {"acronyms": acronyms, "stopwords": stopwords}
@@ -204,11 +202,7 @@ def match_labels(
             dist = edit_distance(source, name, costs)
             if dist < best_dist:
                 best_code, best_name, best_dist = code, name, dist
-        limit = (
-            threshold
-            if threshold is not None
-            else threshold_fraction * max(len(source), len(best_name)) * costs.substitute
-        )
+        limit = threshold_fraction * max(len(source), len(best_name)) * costs.substitute
         accepted = best_dist <= limit
         if accepted and region_filter is not None:
             expected = region_filter.get(best_code)

@@ -24,7 +24,7 @@ from .model import Category, Cell, DEFAULT_WEIGHTS
 from .validate import kendall_tau
 
 #: Out-of-home-department sampling weight per category (home weight is 1).
-DEFAULT_SPREAD: Mapping[Category, float] = {
+SPREAD: Mapping[Category, float] = {
     Category.AOP: 0.01,
     Category.AOP_BRANDY: 0.01,
     Category.PGI: 0.15,
@@ -32,7 +32,8 @@ DEFAULT_SPREAD: Mapping[Category, float] = {
     Category.PSEUDO_NON_PGI: 0.0,
 }
 
-DEFAULT_CATEGORY_MIX: Mapping[Category, float] = {
+#: Share of the appellations drawn in each category.
+CATEGORY_MIX: Mapping[Category, float] = {
     Category.AOP: 0.5,
     Category.PGI: 0.3,
     Category.NON_PGI: 0.2,
@@ -56,20 +57,17 @@ class RecoveryScore:
 
 def generate(
     shape: tuple[int, int, float],
-    category_mix: Mapping[Category, float] | None = None,
     seed: int = 0,
     *,
     extra_mask_factor: float = 0.5,
     counties_per_department: int = 20,
-    spread: Mapping[Category, float] = DEFAULT_SPREAD,
-    lognormal_mu: float = 2.0,
-    lognormal_sigma: float = 1.0,
     weights: Mapping[Category, float] = DEFAULT_WEIGHTS,
 ) -> SyntheticInstance:
     """Generate an instance with known truth.
 
-    ``shape`` is (appellations, counties, support density). Cell sizes are
-    log-normal (heavy-tailed, like real surfaces). The mask is the truth
+    ``shape`` is (appellations, counties, support density). Categories are
+    drawn with ``CATEGORY_MIX``. Cell sizes are log-normal with mu 2 and
+    sigma 1 (heavy-tailed, like real surfaces). The mask is the truth
     support plus ``extra_mask_factor`` times as many authorized-but-unused
     cells, sampled with the same geographic locality. Marginals are exact
     sums of the truth, so the truth is exactly feasible.
@@ -77,12 +75,10 @@ def generate(
     n_appellations, n_counties, density = shape
     if n_appellations < 1 or n_counties < 1 or not 0 < density <= 1:
         raise ValueError(f"degenerate shape {shape!r}")
-    if category_mix is None:
-        category_mix = DEFAULT_CATEGORY_MIX
     rng = np.random.default_rng(int(seed))
 
-    mix_categories = sorted(category_mix, key=lambda c: c.value)
-    mix_weights = np.array([category_mix[c] for c in mix_categories], dtype=float)
+    mix_categories = sorted(CATEGORY_MIX, key=lambda c: c.value)
+    mix_weights = np.array([CATEGORY_MIX[c] for c in mix_categories], dtype=float)
     mix_weights = mix_weights / mix_weights.sum()
     categories = rng.choice(len(mix_categories), size=n_appellations, p=mix_weights)
 
@@ -103,8 +99,7 @@ def generate(
 
     def county_distribution(app: int) -> np.ndarray:
         category = mix_categories[categories[app]]
-        out_weight = spread.get(category, 0.01)
-        w = np.where(department_of == home[app], 1.0, out_weight)
+        w = np.where(department_of == home[app], 1.0, SPREAD[category])
         return w / w.sum()
 
     support: set[tuple[int, int]] = set()
@@ -119,7 +114,7 @@ def generate(
         for c in chosen:
             support.add((a, int(c)))
     support_list = sorted(support)
-    sizes = np.exp(rng.normal(lognormal_mu, lognormal_sigma, size=len(support_list)))
+    sizes = np.exp(rng.normal(2.0, 1.0, size=len(support_list)))
 
     truth_cells = {
         (appellation_codes[a], insee_codes[c]): float(v)

@@ -82,12 +82,7 @@ def harvest_value(surface: float, expected_yield: float, price: float) -> float:
     return surface * expected_yield * price
 
 
-def resolve_prices(
-    matches: Sequence[LabelMatch],
-    prices: Sequence[PriceEntry],
-    *,
-    prefer_mode: ProductionMode = ProductionMode.CONVENTIONAL,
-) -> dict[str, float]:
+def resolve_prices(matches: Sequence[LabelMatch], prices: Sequence[PriceEntry]) -> dict[str, float]:
     """Price per appellation code from the accepted matches.
 
     When several price rows map to one code the conventional entries win,
@@ -101,7 +96,7 @@ def resolve_prices(
         if not match.accepted or not match.target_code:
             continue
         for entry in by_label.get(match.source_label, []):
-            mode_rank = 0 if entry.production_mode is prefer_mode else 1
+            mode_rank = 0 if entry.production_mode is ProductionMode.CONVENTIONAL else 1
             candidates.setdefault(match.target_code, []).append(
                 (mode_rank, match.distance, entry.price)
             )

@@ -6,6 +6,9 @@ import math
 from vinevalue.allocator import AllocationMatrix, AllocationProblem
 from vinevalue.model import Cell
 
+BRUTE_FORCE_MAX_CELLS = 9
+BRUTE_FORCE_MAX_LEVELS = 12
+
 
 def greedy_baseline(problem: AllocationProblem) -> AllocationMatrix:
     """Fill cells in descending weight order, each to its residual capacity.
@@ -39,3 +42,68 @@ def uniform_spread_baseline(problem: AllocationProblem) -> AllocationMatrix:
     for code, insee in problem.cells:
         cells[(code, insee)] = problem.appellation_caps[code] / per_row[code]
     return AllocationMatrix(cells=cells, objective_value=None)
+
+
+def brute_force_optimum(problem: AllocationProblem, grid_step: float) -> AllocationMatrix:
+    """Exhaustive oracle over the discretized feasible set.
+
+    Refuses instances with more than 9 active cells or more than 12 grid
+    levels per cell. With integer caps and an integer step the constraint
+    matrix is totally unimodular, so the grid contains a true LP optimum.
+    """
+    m = problem.n_cells
+    if m > BRUTE_FORCE_MAX_CELLS:
+        raise ValueError(f"instance too large for brute force: {m} cells > {BRUTE_FORCE_MAX_CELLS}")
+    if grid_step <= 0:
+        raise ValueError("grid_step must be positive")
+    levels = [int(math.floor(ub / grid_step + 1e-9)) for ub in problem.upper_bounds]
+    if any(lv > BRUTE_FORCE_MAX_LEVELS for lv in levels):
+        raise ValueError(
+            f"instance too large for brute force: more than {BRUTE_FORCE_MAX_LEVELS} grid levels"
+        )
+    order = sorted(range(m), key=lambda k: (-problem.alpha[k], problem.cells[k]))
+    row_res = dict(problem.appellation_caps)
+    col_res = dict(problem.county_caps)
+    values = [0.0] * m
+    best_obj = -math.inf
+    best_values: list[float] = [0.0] * m
+
+    def residual_bound(pos: int) -> float:
+        bound = 0.0
+        for k in order[pos:]:
+            code, insee = problem.cells[k]
+            bound += problem.alpha[k] * min(
+                problem.upper_bounds[k], row_res[code], col_res[insee]
+            )
+        return bound
+
+    def descend(pos: int, acc: float) -> None:
+        nonlocal best_obj, best_values
+        if acc + residual_bound(pos) <= best_obj + 1e-12:
+            return
+        if pos == m:
+            best_obj = acc
+            best_values = values.copy()
+            return
+        k = order[pos]
+        code, insee = problem.cells[k]
+        max_units = int(
+            math.floor(
+                (min(problem.upper_bounds[k], row_res[code], col_res[insee]) + 1e-9)
+                / grid_step
+            )
+        )
+        for units in range(max_units, -1, -1):
+            value = units * grid_step
+            values[k] = value
+            row_res[code] -= value
+            col_res[insee] -= value
+            descend(pos + 1, acc + problem.alpha[k] * value)
+            row_res[code] += value
+            col_res[insee] += value
+            values[k] = 0.0
+
+    descend(0, 0.0)
+    cells = {problem.cells[k]: v for k, v in enumerate(best_values) if v > 0}
+    obj = math.fsum(problem.weights[code] * v for (code, _), v in cells.items())
+    return AllocationMatrix(cells=cells, objective_value=obj)

@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from baselines import brute_force_optimum
 from vinevalue import allocator, cli, synth, validate
 from vinevalue.allocator import (
-    brute_force_optimum,
     feasibility_violations,
     multi_start_average,
     problem_from_caps,

@@ -4,10 +4,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from baselines import greedy_baseline
+from baselines import brute_force_optimum, greedy_baseline
 from vinevalue.allocator import (
     assert_feasible,
-    brute_force_optimum,
     build_problem,
     dump_problem,
     feasibility_violations,

@@ -1,9 +1,12 @@
 """The benchmark tracer (``perfbench/tracing.py``) wraps program functions
 by module and attribute name. It records a name it cannot find as missing
 and drops the metrics built on it without an error, so a rename in the
-program must fail here instead."""
+program must fail here instead. The same holds for the configuration
+fields the benchmark scripts read: their self-tests are not collected with
+this suite."""
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -11,7 +14,11 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from vinevalue.config import load_config
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+ALSACE_CONFIG = Path(__file__).parent / "fixtures" / "alsace" / "pipeline.ini"
 
 
 @pytest.fixture(scope="module")
@@ -36,3 +43,18 @@ def test_traced_names_resolve(tracing, table):
         if not callable(getattr(importlib.import_module(f"vinevalue.{module_name}"), attr, None))
     ]
     assert missing == []
+
+
+def test_config_fields_read_by_the_benchmark_exist():
+    cfg = load_config(ALSACE_CONFIG)
+    owners = {"cfg": cfg, "columns": cfg.columns}
+    reads = {
+        (node.value.id, node.attr)
+        for script in PERFBENCH.glob("*.py")
+        for node in ast.walk(ast.parse(script.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in owners
+    }
+    assert reads
+    assert sorted(f"{owner}.{attr}" for owner, attr in reads
+                  if not hasattr(owners[owner], attr)) == []

@@ -370,6 +370,22 @@ class TestOptionalInputs:
         comparison = json.loads((out / COMPARISON_JSON).read_text(encoding="utf-8"))
         assert comparison["aggregates"]["pair_count"] == 3
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("champagne.csv", "appellation;insee;surface_ha\n7C001M;68001;-2.0\n",
+         "cell_surfaces: negative surface '-2.0' at line 2"),
+        ("champagne.csv", "appellation;insee;surface_ha\n1B001M;68001;-2.0\n",
+         "cell_surfaces: negative surface '-2.0' at line 2"),
+        ("nonpgi.csv", "dept;surface_ha\n67;12.0\n68;-5\n",
+         "department_surfaces: negative surface '-5' at line 3"),
+    ], ids=["new-code", "known-code", "department"])
+    def test_negative_supplemental_surface_is_a_stage_error(
+        self, extended_config, tmp_path, caplog, name, text, message
+    ):
+        (extended_config.parent / "data" / name).write_text(text, encoding="utf-8")
+        rc = run_cli("ingest", "--config", str(extended_config), "--output-dir", str(tmp_path / "out"))
+        assert rc == 2
+        assert any(message in record.getMessage() for record in caplog.records)
+
     @pytest.mark.parametrize("key", ["ra_map", "region_map"])
     def test_one_field_map_row_is_a_stage_error(self, extended_config, tmp_path, key):
         (extended_config.parent / "data" / "map.csv").write_text(

@@ -342,6 +342,15 @@ class TestAuxiliaryParsers:
         with pytest.raises(ConfigError, match="line 3"):
             parse_key_value_map(_src("insee;ra\n67003;RA-1\n67051\n"))
 
+    @pytest.mark.parametrize("parse, text", [
+        (parse_department_surfaces, "dept;surface\n67;-0.5\n"),
+        (parse_cell_surfaces, "appellation;insee;surface_ha\n7C001M;51001;-1\n"),
+        (parse_reference_aggregates, "department;wine_type;surface_ha\n67;AOP;-3\n"),
+    ], ids=["department", "cell", "reference"])
+    def test_negative_surface_is_config_error(self, parse, text):
+        with pytest.raises(ConfigError, match="negative surface .* at line 2"):
+            parse(_src(text))
+
     @pytest.mark.parametrize("row", ["67;AOP", "67;AOP;lots"])
     def test_reference_aggregates_malformed_row(self, row):
         with pytest.raises(ConfigError, match="line 2"):

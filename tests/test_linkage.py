@@ -136,7 +136,9 @@ class TestMatchLabels:
         assert matches == [LabelMatch("Côte du Rhône", "3B011", 0.0, True)]
 
     def test_absent_label_zero_threshold_rejected(self):
-        matches = match_labels([_price("Beaujolais")], [_app("3B011", "COTE RHONE")], threshold=0.0)
+        matches = match_labels(
+            [_price("Beaujolais")], [_app("3B011", "COTE RHONE")], threshold_fraction=0.0
+        )
         assert len(matches) == 1
         assert not matches[0].accepted
 

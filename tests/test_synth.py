@@ -7,8 +7,7 @@ import pytest
 
 from baselines import uniform_spread_baseline
 from vinevalue import allocator
-from vinevalue.model import Category
-from vinevalue.synth import SyntheticInstance, generate, score_recovery
+from vinevalue.synth import CATEGORY_MIX, SyntheticInstance, generate, score_recovery
 
 
 class TestGenerate:
@@ -48,9 +47,8 @@ class TestGenerate:
             generate((5, 10, 1.5), seed=0)
 
     def test_category_mix_respected(self):
-        instance = generate((40, 100, 0.1), seed=3,
-                            category_mix={Category.AOP: 1.0})
-        assert set(instance.categories.values()) == {Category.AOP}
+        instance = generate((40, 100, 0.1), seed=3)
+        assert set(instance.categories.values()) == set(CATEGORY_MIX)
 
 
 class TestRecovery:
