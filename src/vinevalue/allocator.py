@@ -62,13 +62,16 @@ class AllocationProblem:
     """Allocation instance: caps, weights and the active masked cells.
 
     ``cells`` is sorted lexicographically and fixed; random starts draw one
-    uniform value per cell in this order, which makes seeds portable.
+    uniform value per cell in this order, which makes seeds portable. Known
+    cells are columns with ``lower_bounds`` equal to ``upper_bounds``; every
+    other lower bound is zero.
     """
 
     appellation_caps: dict[str, float]
     county_caps: dict[str, float]
     weights: dict[str, float]
     cells: tuple[Cell, ...]
+    lower_bounds: np.ndarray
     upper_bounds: np.ndarray
     row_codes: tuple[str, ...] = field(repr=False)
     col_codes: tuple[str, ...] = field(repr=False)
@@ -98,30 +101,39 @@ def problem_from_caps(
     county_caps: Mapping[str, float],
     weights: Mapping[str, float],
     mask_cells: Iterable[Cell],
+    known: Mapping[Cell, float] = {},
 ) -> AllocationProblem:
-    """Assemble a problem from raw caps. Cells whose upper bound
-    ``min(row cap, column cap)`` is zero are dropped from the active set."""
+    """Assemble a problem from raw caps. A mask cell is bounded by
+    ``min(row cap, column cap)``; a ``known`` cell is fixed at its surface,
+    which counts against its caps (over a cap is an :class:`IntegrityError`).
+    Cells whose upper bound is zero are dropped from the active set."""
     active: list[Cell] = []
-    bounds: list[float] = []
-    for code, insee in sorted(set(mask_cells)):
+    lower: list[float] = []
+    upper: list[float] = []
+    for code, insee in sorted(set(mask_cells) | set(known)):
         if code not in appellation_caps:
-            raise IntegrityError(f"mask cell references unknown appellation {code!r}")
+            raise IntegrityError(f"cell references unknown appellation {code!r}")
         if insee not in county_caps:
-            raise IntegrityError(f"mask cell references unknown county {insee!r}")
-        ub = min(appellation_caps[code], county_caps[insee])
+            raise IntegrityError(f"cell references unknown county {insee!r}")
+        if (code, insee) in known:
+            lb = ub = known[code, insee]
+        else:
+            lb, ub = 0.0, min(appellation_caps[code], county_caps[insee])
         if ub > 0:
             active.append((code, insee))
-            bounds.append(ub)
+            lower.append(lb)
+            upper.append(ub)
     row_codes = tuple(sorted({c for c, _ in active}))
     col_codes = tuple(sorted({i for _, i in active}))
     row_pos = {code: k for k, code in enumerate(row_codes)}
     col_pos = {insee: k for k, insee in enumerate(col_codes)}
-    return AllocationProblem(
+    problem = AllocationProblem(
         appellation_caps=dict(appellation_caps),
         county_caps=dict(county_caps),
         weights=dict(weights),
         cells=tuple(active),
-        upper_bounds=np.asarray(bounds, dtype=float),
+        lower_bounds=np.asarray(lower, dtype=float),
+        upper_bounds=np.asarray(upper, dtype=float),
         row_codes=row_codes,
         col_codes=col_codes,
         row_caps=np.array([appellation_caps[c] for c in row_codes], dtype=float),
@@ -130,23 +142,28 @@ def problem_from_caps(
         col_index=np.array([col_pos[i] for _, i in active], dtype=np.intp),
         alpha=np.array([weights[c] for c, _ in active], dtype=float),
     )
+    over = feasibility_violations(problem, {c: s for c, s in known.items() if s > 0})
+    if over:
+        raise IntegrityError("known cells exceed their caps: " + "; ".join(over[:10]))
+    return problem
 
 
 def build_problem(
     appellations: Sequence[AppellationRecord],
     counties: Sequence[CountyRecord],
     mask: AuthorizationMask,
+    known: Mapping[Cell, float] = {},
 ) -> AllocationProblem:
-    """Build the allocation problem from parsed records. Pseudo-appellations
-    must already be injected. Weights default per category when the mask
-    carries none."""
+    """Build the allocation problem from parsed records and the known cells.
+    Pseudo-appellations and the codes of known cells must already be among
+    the records. Weights default per category when the mask carries none."""
     appellation_caps = {a.code: a.marginal_surface for a in appellations}
     county_caps = {c.insee_code: c.marginal_surface for c in counties}
     categories = {a.code: a.category for a in appellations}
     weights = {}
     for code in appellation_caps:
         weights[code] = mask.weight.get(code, DEFAULT_WEIGHTS[categories[code]])
-    return problem_from_caps(appellation_caps, county_caps, weights, mask.cells)
+    return problem_from_caps(appellation_caps, county_caps, weights, mask.cells, known)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,26 +194,31 @@ def _constraints(problem: AllocationProblem):
 
 
 def project_feasible(problem: AllocationProblem, point: np.ndarray) -> np.ndarray:
-    """Restore feasibility by clipping to the box and downscaling violated
-    rows then columns. Downscaling never breaks an already-satisfied
+    """Restore feasibility by clipping to the box and downscaling the part
+    above the lower bounds in violated rows then columns, so known cells
+    keep their surface. Downscaling never breaks an already-satisfied
     constraint, so one pass suffices."""
-    x = np.clip(np.asarray(point, dtype=float), 0.0, problem.upper_bounds)
+    lower = problem.lower_bounds
+    free = np.clip(np.asarray(point, dtype=float), lower, problem.upper_bounds) - lower
     for index, cap in (
         (problem.row_index, problem.row_caps),
         (problem.col_index, problem.col_caps),
     ):
-        sums = np.bincount(index, weights=x, minlength=len(cap))
+        fixed = np.bincount(index, weights=lower, minlength=len(cap))
+        sums = np.bincount(index, weights=free, minlength=len(cap))
+        room = np.maximum(cap - fixed, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            factor = np.where(sums > cap, np.where(sums > 0, cap / sums, 1.0), 1.0)
-        x = x * factor[index]
-    return x
+            factor = np.where(fixed + sums > cap, np.where(sums > 0, room / sums, 1.0), 1.0)
+        free = free * factor[index]
+    return lower + free
 
 
 def random_init(problem: AllocationProblem, seed: int) -> np.ndarray:
-    """Independent uniform draw in [0, upper_bound] per active cell,
-    deterministic for a fixed seed and the fixed cell ordering."""
+    """Independent uniform draw in [lower_bound, upper_bound] per active
+    cell, deterministic for a fixed seed and the fixed cell ordering."""
     rng = np.random.default_rng(int(seed))
-    return rng.random(problem.n_cells) * problem.upper_bounds
+    lower = problem.lower_bounds
+    return lower + rng.random(problem.n_cells) * (problem.upper_bounds - lower)
 
 
 def _matrix_from_vector(problem: AllocationProblem, x: np.ndarray) -> AllocationMatrix:
@@ -217,7 +239,7 @@ def optimal_value(problem: AllocationProblem) -> OptimalFace:
     """
     m = problem.n_cells
     matrix, rhs = _constraints(problem)
-    bounds = np.column_stack([np.zeros(m), problem.upper_bounds])
+    bounds = np.column_stack([problem.lower_bounds, problem.upper_bounds])
     if m == 0:
         return OptimalFace(0.0, matrix, rhs, matrix, rhs, bounds)
     res = linprog(
@@ -229,8 +251,9 @@ def optimal_value(problem: AllocationProblem) -> OptimalFace:
     tol = _HIGHS_OPTIONS["dual_feasibility_tolerance"]
     tight = np.abs(res.ineqlin.marginals) > tol
     at_cap = np.abs(res.upper.marginals) > tol
+    at_floor = np.abs(res.lower.marginals) > tol
     bounds[at_cap, 0] = bounds[at_cap, 1]
-    bounds[np.abs(res.lower.marginals) > tol, 1] = 0.0
+    bounds[at_floor, 1] = bounds[at_floor, 0]
     return OptimalFace(
         float(-res.fun), matrix[tight], rhs[tight], matrix[~tight], rhs[~tight], bounds
     )
@@ -366,11 +389,12 @@ def assert_feasible(problem: AllocationProblem, cells: Mapping[Cell, float]) -> 
         raise FeasibilityError("; ".join(violations[:10]))
 
 
-# Canonical CSV triple so instances can be dumped, shared and reloaded.
+# Canonical CSV triple (plus known cells) so instances can be dumped, shared and reloaded.
 
 CAPS_APPELLATIONS_FILE = "caps_appellations.csv"
 CAPS_COUNTIES_FILE = "caps_counties.csv"
 MASK_CELLS_FILE = "mask_cells.csv"
+KNOWN_CELLS_FILE = "known_cells.csv"
 
 
 def dump_problem(problem: AllocationProblem, directory: str | Path) -> None:
@@ -386,6 +410,11 @@ def dump_problem(problem: AllocationProblem, directory: str | Path) -> None:
         ([insee, repr(cap)] for insee, cap in sorted(problem.county_caps.items())),
     )
     write_rows(directory / MASK_CELLS_FILE, ["appellation", "insee"], problem.cells)
+    known = {cell: lb for cell, lb in zip(problem.cells, problem.lower_bounds.tolist()) if lb > 0}
+    if known:
+        write_solution(known, directory / KNOWN_CELLS_FILE)
+    else:
+        (directory / KNOWN_CELLS_FILE).unlink(missing_ok=True)
 
 
 def load_problem(directory: str | Path) -> AllocationProblem:
@@ -397,7 +426,9 @@ def load_problem(directory: str | Path) -> AllocationProblem:
         weights[code] = float(alpha)
     county_caps = {insee: float(cap) for insee, cap in read_rows(directory / CAPS_COUNTIES_FILE)}
     cells = [(code, insee) for code, insee in read_rows(directory / MASK_CELLS_FILE)]
-    return problem_from_caps(appellation_caps, county_caps, weights, cells)
+    known_path = directory / KNOWN_CELLS_FILE
+    known = read_solution(known_path) if known_path.exists() else {}
+    return problem_from_caps(appellation_caps, county_caps, weights, cells, known)
 
 
 def write_solution(cells: Mapping[Cell, float], path: str | Path) -> None:

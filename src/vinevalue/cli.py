@@ -25,7 +25,6 @@ APPELLATIONS_CSV = "appellations.csv"
 COUNTIES_CSV = "counties.csv"
 MASK_CSV = "mask.csv"
 PRICES_CSV = "prices.csv"
-CHAMPAGNE_CSV = "champagne_cells.csv"
 INGEST_REPORT = "ingest_report.jsonl"
 MATCHES_CSV = "matches.csv"
 YIELDS_CSV = "expected_yields.csv"
@@ -130,36 +129,35 @@ def stage_ingest(cfg: PipelineConfig) -> None:
         pseudo_report.records_out = len(appellations) - before
         reports.append(pseudo_report)
 
+    known: dict[Cell, float] = {}
     if cfg.champagne_cells:
         cells = ingest.parse_cell_surfaces(cfg.champagne_cells, delimiter=cfg.delimiter)
-        by_code: dict[str, list[float]] = {}
         by_cell: dict[Cell, list[float]] = {}
         names: dict[str, str] = {}
         for code, insee, surface, name in cells:
-            by_code.setdefault(code, []).append(surface)
             by_cell.setdefault((code, insee), []).append(surface)
             names.setdefault(code, name)
-        added = sorted(set(by_code) - {a.code for a in appellations})
+        known = {cell: math.fsum(surfaces) for cell, surfaces in by_cell.items()}
+        added = sorted(set(names) - {a.code for a in appellations})
         appellations = [*appellations, *(
-            AppellationRecord(code=code, name=names[code], category=Category.AOP,
-                              marginal_surface=math.fsum(by_code[code]))
+            AppellationRecord(
+                code=code, name=names[code], category=Category.AOP,
+                marginal_surface=math.fsum(s for (c, _), s in known.items() if c == code),
+            )
             for code in added
         )]
-        allocator.write_solution(
-            {cell: math.fsum(surfaces) for cell, surfaces in by_cell.items()},
-            out / CHAMPAGNE_CSV,
-        )
         supplemental = IngestReport(dataset="champagne_cells")
         supplemental.rows_read = len(cells)
         supplemental.records_out = len(added)
         reports.append(supplemental)
 
-    ingest.check_referential_integrity(appellations, counties, mask)
+    problem = allocator.build_problem(appellations, counties, mask, known)
     ingest.write_appellations(appellations, out / APPELLATIONS_CSV)
     ingest.write_counties(counties, out / COUNTIES_CSV)
     ingest.write_mask(mask, out / MASK_CSV)
     ingest.write_prices(prices, out / PRICES_CSV)
     ingest.write_reports_jsonl(reports, out / INGEST_REPORT)
+    allocator.dump_problem(problem, out / PROBLEM_DIR)
     logger.info(
         "ingest: %d appellations, %d counties, %d mask cells, %d prices",
         len(appellations), len(counties), len(mask.cells), len(prices),
@@ -195,19 +193,7 @@ def stage_yields(cfg: PipelineConfig) -> None:
 
 def stage_solve(cfg: PipelineConfig) -> None:
     out = cfg.output_dir
-    if (out / APPELLATIONS_CSV).exists():
-        appellations = ingest.read_appellations(out / APPELLATIONS_CSV)
-        counties = ingest.read_counties(_require(out / COUNTIES_CSV, "solve", "ingest"))
-        mask = ingest.read_mask(_require(out / MASK_CSV, "solve", "ingest"))
-        problem = allocator.build_problem(appellations, counties, mask)
-    elif (out / PROBLEM_DIR).exists():
-        # A dumped problem triple is a complete instance of its own; this
-        # lets shared instances be solved without the ingest artifacts.
-        problem = allocator.load_problem(out / PROBLEM_DIR)
-    else:
-        raise StageError("solve", f"missing {APPELLATIONS_CSV}; run the 'ingest' stage first")
-    allocator.dump_problem(problem, out / PROBLEM_DIR)
-
+    problem = allocator.load_problem(_require(out / PROBLEM_DIR, "solve", "ingest"))
     result = allocator.multi_start_average(problem, k_starts=cfg.k_starts, seed_base=cfg.seed)
     allocator.assert_feasible(problem, result.average.cells)
 
@@ -220,14 +206,7 @@ def stage_solve(cfg: PipelineConfig) -> None:
     for i, solution in enumerate(result.solutions):
         allocator.write_solution(solution.cells, solutions_dir / f"start_{i:03d}.csv")
 
-    average = result.average.cells
-    champagne_merged = 0
-    champagne_path = out / CHAMPAGNE_CSV
-    if champagne_path.exists():
-        for cell, value in allocator.read_solution(champagne_path).items():
-            average[cell] = average.get(cell, 0.0) + value
-            champagne_merged += 1
-    allocator.write_solution(average, out / SOLUTION_CSV)
+    allocator.write_solution(result.average.cells, out / SOLUTION_CSV)
 
     report = {
         "n_active_cells": problem.n_cells,
@@ -236,7 +215,6 @@ def stage_solve(cfg: PipelineConfig) -> None:
         "failures": [{"seed": seed, "error": message} for seed, message in result.failures],
         "optimal_value": result.optimal_value,
         "average_objective": result.average.objective_value,
-        "supplemental_cells_merged": champagne_merged,
     }
     (out / SOLVE_REPORT).write_text(json.dumps(report, sort_keys=True) + "\n", encoding="utf-8")
     logger.info(

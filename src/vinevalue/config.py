@@ -105,6 +105,13 @@ class PipelineConfig:
             raise ConfigError("k_starts must be >= 1")
         if self.threshold_fraction <= 0:
             raise ConfigError("threshold_fraction must be > 0")
+        for key in ("appellations", "counties", "counties_per_department"):
+            if getattr(self.synth, key) < 1:
+                raise ConfigError(f"synth.{key} must be >= 1")
+        if not 0 < self.synth.density <= 1:
+            raise ConfigError("synth.density must be in (0, 1]")
+        if not self.synth.extra_mask_factor >= 0:
+            raise ConfigError("synth.extra_mask_factor must be >= 0")
 
 
 def _truncation(text: str) -> int | None:

@@ -568,21 +568,6 @@ def parse_reference_aggregates(source, *, delimiter: str = ";") -> dict[tuple[st
     }
 
 
-def check_referential_integrity(
-    appellations: Sequence[AppellationRecord],
-    counties: Sequence[CountyRecord],
-    mask: AuthorizationMask,
-) -> None:
-    """Exhaustive scan: every mask cell must reference existing records."""
-    app_codes = {a.code for a in appellations}
-    insee_codes = {c.insee_code for c in counties}
-    for code, insee in mask.cells:
-        if code not in app_codes:
-            raise IntegrityError(f"mask references unknown appellation {code!r}")
-        if insee not in insee_codes:
-            raise IntegrityError(f"mask references unknown county {insee!r}")
-
-
 # Canonical round-trip serialization. Floats are written with repr so a
 # write/read cycle reproduces records bit for bit.
 

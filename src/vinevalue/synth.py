@@ -97,17 +97,26 @@ def generate(
     home = rng.integers(0, n_departments, size=n_appellations)
     per_appellation = max(1, int(round(density * n_counties)))
 
-    def county_distribution(app: int) -> np.ndarray:
-        category = mix_categories[categories[app]]
-        w = np.where(department_of == home[app], 1.0, SPREAD[category])
-        return w / w.sum()
+    # One county distribution, with its normalized CDF, per (home department,
+    # spread). A draw is ``searchsorted`` of one ``rng.random()`` in the CDF,
+    # which is exactly how ``rng.choice(n, p=p)`` draws.
+    distributions: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
+
+    def county_distribution(app: int) -> tuple[np.ndarray, np.ndarray]:
+        key = (int(home[app]), SPREAD[mix_categories[categories[app]]])
+        if key not in distributions:
+            w = np.where(department_of == key[0], 1.0, key[1])
+            p = w / w.sum()
+            cdf = p.cumsum()
+            distributions[key] = p, cdf / cdf[-1]
+        return distributions[key]
 
     support: set[tuple[int, int]] = set()
     for a in range(n_appellations):
         if density >= 1.0:
             chosen = range(n_counties)
         else:
-            p = county_distribution(a)
+            p, _ = county_distribution(a)
             available = int((p > 0).sum())
             count = int(min(available, max(1, rng.poisson(per_appellation))))
             chosen = rng.choice(n_counties, size=count, replace=False, p=p)
@@ -126,7 +135,8 @@ def generate(
     attempts = 0
     while len(extras) < target_extras and attempts < 50 * max(target_extras, 1):
         a = int(rng.integers(0, n_appellations))
-        c = int(rng.choice(n_counties, p=county_distribution(a)))
+        _, cdf = county_distribution(a)
+        c = int(cdf.searchsorted(rng.random(), side="right"))
         if (a, c) not in support:
             extras.add((a, c))
         attempts += 1

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 
 import numpy as np
 import pytest
@@ -93,8 +94,13 @@ class TestBuildProblem:
         assert problem.cells == (("A", "00002"),)
 
     def test_unknown_reference_fatal(self):
-        with pytest.raises(IntegrityError):
-            _simple({"A": 1.0}, {"00001": 1.0}, {"A": 1.0}, [("B", "00001")])
+        for cells, known, name in (
+            ([("B", "00001")], {}, "appellation 'B'"),
+            ([("A", "00002")], {}, "county '00002'"),
+            ([("A", "00001")], {("A", "00002"): 0.5}, "county '00002'"),
+        ):
+            with pytest.raises(IntegrityError, match=f"unknown {name}"):
+                problem_from_caps({"A": 1.0}, {"00001": 1.0}, {"A": 1.0}, cells, known)
 
     def test_from_records(self):
         apps = [AppellationRecord(code="A", category=Category.AOP, marginal_surface=5.0)]
@@ -111,6 +117,68 @@ class TestBuildProblem:
             [("B", "00002"), ("A", "00002"), ("B", "00001"), ("A", "00001")],
         )
         assert list(problem.cells) == sorted(problem.cells)
+
+
+def known_cell_problem():
+    """AOP1 and the known cell of K1 compete for county 01001. K1 is fixed
+    at 3 ha although its weight is the lowest, so the phase-1 duals press
+    its column against its lower bound."""
+    return problem_from_caps(
+        {"AOP1": 20.0, "K1": 3.0},
+        {"01001": 10.0, "01002": 3.0},
+        {"AOP1": 1.0, "K1": 0.25},
+        [("AOP1", "01001"), ("AOP1", "01002")],
+        {("K1", "01001"): 3.0},
+    )
+
+
+class TestKnownCells:
+    def test_bounds(self):
+        problem = known_cell_problem()
+        assert problem.cells == (("AOP1", "01001"), ("AOP1", "01002"), ("K1", "01001"))
+        assert problem.lower_bounds.tolist() == [0.0, 0.0, 3.0]
+        assert problem.upper_bounds.tolist() == [10.0, 3.0, 3.0]
+        for seed in range(5):
+            draw = random_init(problem, seed)
+            assert draw[2] == 3.0
+            assert np.all(draw[:2] <= problem.upper_bounds[:2])
+
+    def test_fixed_surface_takes_capacity_in_the_lp(self):
+        problem = known_cell_problem()
+        result = multi_start_average(problem, k_starts=4, seed_base=3)
+        assert result.optimal_value == pytest.approx(10.0 + 0.25 * 3.0, rel=1e-12)
+        for solution in [*result.solutions, result.average]:
+            assert solution.cells[("K1", "01001")] == 3.0
+            assert solution.cells[("AOP1", "01001")] == pytest.approx(7.0, rel=1e-12)
+            assert solution.cells[("AOP1", "01002")] == pytest.approx(3.0, rel=1e-12)
+            assert feasibility_violations(problem, solution.cells) == []
+
+    def test_projection_keeps_known_cells(self):
+        problem = known_cell_problem()
+        projected = project_feasible(problem, np.array([9.0, 4.0, 0.0]))
+        assert projected[2] == 3.0
+        assert feasibility_violations(problem, dict(zip(problem.cells, projected))) == []
+
+    @pytest.mark.parametrize("known, message", [
+        ({("K1", "01001"): 3.0, ("K1", "01002"): 1.5}, "appellation K1 over cap"),
+        ({("AOP1", "01002"): 4.5}, "county 01002 over cap"),
+    ], ids=["appellation", "county"])
+    def test_known_surface_over_a_cap_is_fatal(self, known, message):
+        with pytest.raises(IntegrityError, match=message):
+            problem_from_caps(
+                {"AOP1": 10.0, "K1": 3.0}, {"01001": 10.0, "01002": 3.0},
+                {"AOP1": 1.0, "K1": 0.25}, [("AOP1", "01001")], known,
+            )
+
+    def test_new_code_capped_at_the_sum_of_its_cells(self):
+        # 0.1 + 0.2 + 0.3 adds up to 0.6000000000000001 in float order, one
+        # ulp over the exactly rounded cap.
+        known = {("K1", "01001"): 0.1, ("K1", "01002"): 0.2, ("K1", "01003"): 0.3}
+        problem = problem_from_caps(
+            {"K1": math.fsum(known.values())}, dict.fromkeys(("01001", "01002", "01003"), 1.0),
+            {"K1": 1.0}, [], known,
+        )
+        assert multi_start_average(problem, k_starts=2).average.cells == known
 
 
 class TestRandomInit:
@@ -340,6 +408,22 @@ class TestPersistence:
         assert loaded.weights == problem.weights
         assert loaded.cells == problem.cells
         assert np.array_equal(loaded.upper_bounds, problem.upper_bounds)
+
+    def test_known_cells_round_trip(self, tmp_path):
+        problem = known_cell_problem()
+        dump_problem(problem, tmp_path)
+        assert read_solution(tmp_path / "known_cells.csv") == {("K1", "01001"): 3.0}
+        loaded = load_problem(tmp_path)
+        assert loaded.appellation_caps == problem.appellation_caps
+        assert loaded.county_caps == problem.county_caps
+        assert loaded.weights == problem.weights
+        assert loaded.cells == problem.cells
+        assert np.array_equal(loaded.lower_bounds, problem.lower_bounds)
+        assert np.array_equal(loaded.upper_bounds, problem.upper_bounds)
+        # A problem without known cells dumped over it leaves no stale file.
+        dump_problem(priority_problem(), tmp_path)
+        assert not (tmp_path / "known_cells.csv").exists()
+        assert not load_problem(tmp_path).lower_bounds.any()
 
     def test_solution_round_trip(self, tmp_path):
         cells = {("A", "00001"): 1.2345678901234567, ("B", "00002"): 1e-12}

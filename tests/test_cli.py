@@ -78,7 +78,7 @@ class TestEndToEnd:
         # Agreement between starts is recorded only in comparison.json.
         assert set(report) == {
             "n_active_cells", "k_starts", "n_solved", "failures", "optimal_value",
-            "average_objective", "supplemental_cells_merged",
+            "average_objective",
         }
         assert report["n_solved"] == 20
         assert report["average_objective"] == pytest.approx(report["optimal_value"], rel=1e-12)
@@ -179,20 +179,11 @@ class TestSolutionAgreement:
 class TestStageIsolation:
     def test_missing_intermediate_names_prior_stage(self, alsace_config, tmp_path, caplog):
         out = tmp_path / "empty"
-        rc = run_cli("value", "--config", str(alsace_config), "--output-dir", str(out))
-        assert rc == 2
-        assert any("solve" in record.message for record in caplog.records)
-
-    def test_solve_from_dumped_problem(self, alsace_config, pipeline_out, tmp_path):
-        # Re-running only the solve stage on copied ingest artifacts
-        # reproduces the solution exactly.
-        out = tmp_path / "resolve"
-        out.mkdir()
-        for name in ("appellations.csv", "counties.csv", "mask.csv"):
-            shutil.copy(pipeline_out / name, out / name)
-        rc = run_cli("solve", "--config", str(alsace_config), "--output-dir", str(out))
-        assert rc == 0
-        assert (out / SOLUTION_CSV).read_bytes() == (pipeline_out / SOLUTION_CSV).read_bytes()
+        for stage, prior in (("value", "solve"), ("solve", "ingest")):
+            caplog.clear()
+            rc = run_cli(stage, "--config", str(alsace_config), "--output-dir", str(out))
+            assert rc == 2
+            assert any(f"run the '{prior}' stage" in r.message for r in caplog.records)
 
     def test_solve_from_problem_triple_only(self, alsace_config, pipeline_out, tmp_path):
         # A dumped problem triple alone is enough to run the solve stage.
@@ -305,14 +296,14 @@ class TestOptionalInputs:
         assert "NONPGI67" in apps
         assert "PSEUDO_NON_PGI" in apps
 
-        # The supplemental champagne cell bypasses the solver and lands in
-        # the merged solution and in the valued portfolio.
+        # The supplemental champagne cell is a column of the problem fixed at
+        # its surface, and lands in the solution and the valued portfolio.
+        known = allocator.read_solution(out / "problem" / "known_cells.csv")
+        assert known == {("7C001M", "68001"): 3.5}
         solution = (out / SOLUTION_CSV).read_text(encoding="utf-8")
         assert "7C001M;68001;3.5" in solution
         portfolio = (out / PORTFOLIO_CSV).read_text(encoding="utf-8")
         assert "7C001M Champagne test" in portfolio
-        report = json.loads((out / SOLVE_REPORT).read_text(encoding="utf-8"))
-        assert report["supplemental_cells_merged"] == 1
 
         # Aggregate comparison against the reference table ran and produced
         # scatter rows for every key.
@@ -357,10 +348,52 @@ class TestOptionalInputs:
         )
         out = tmp_path / "out"
         assert run_cli("run", "--config", str(extended_config), "--output-dir", str(out)) == 0
-        # The appellation's marginal and its merged cell carry both rows.
+        # The appellation's marginal and its known cell carry both rows.
         assert "7C001M;Champagne test;AOP;UNKNOWN;5.0;" in (
             out / "appellations.csv").read_text(encoding="utf-8")
         assert allocator.read_solution(out / SOLUTION_CSV)[("7C001M", "68001")] == 5.0
+
+    def test_known_cell_takes_county_capacity(self, extended_config, tmp_path):
+        # With 3B011M authorized only in 68001, the 3.5 ha known cell must
+        # leave 26.5 ha of the county's 30 ha to the solver.
+        (extended_config.parent / "data" / "inao.csv").write_text(
+            "appellation;insee\n1B001M;67003\n1B001M;67051\n3B011M;68001\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(extended_config), "--output-dir", str(out)) == 0
+        problem = allocator.load_problem(out / "problem")
+        solution = allocator.read_solution(out / SOLUTION_CSV)
+        assert allocator.feasibility_violations(problem, solution) == []
+        assert solution[("7C001M", "68001")] == 3.5
+        assert solution[("3B011M", "68001")] == pytest.approx(26.5, rel=1e-12)
+
+    @pytest.mark.parametrize("cells, name", [
+        ("7C001M;68001;31.0\n", "county 68001"),
+        ("1B001M;67003;45.0\n1B001M;67051;20.0\n", "appellation 1B001M"),
+    ], ids=["county", "appellation"])
+    def test_known_cells_over_a_cap_are_a_stage_error(
+        self, extended_config, tmp_path, caplog, cells, name
+    ):
+        (extended_config.parent / "data" / "champagne.csv").write_text(
+            "appellation;insee;surface_ha\n" + cells, encoding="utf-8"
+        )
+        rc = run_cli("ingest", "--config", str(extended_config), "--output-dir", str(tmp_path / "out"))
+        assert rc == 2
+        assert any(f"{name} over cap" in record.getMessage() for record in caplog.records)
+
+    def test_rerun_without_known_cells_drops_them(self, extended_config, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(extended_config), "--output-dir", str(out)) == 0
+        extended_config.write_text(
+            extended_config.read_text(encoding="utf-8").replace(
+                "champagne_cells = data/champagne.csv\n", ""
+            ),
+            encoding="utf-8",
+        )
+        assert run_cli("run", "--config", str(extended_config), "--output-dir", str(out)) == 0
+        assert "7C001M" not in {code for code, _ in allocator.read_solution(out / SOLUTION_CSV)}
+        assert not (out / "problem" / "known_cells.csv").exists()
 
     def test_reference_table_with_trailing_blank_line(self, extended_config, tmp_path):
         reference = extended_config.parent / "data" / "reference.csv"

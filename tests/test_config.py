@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from vinevalue import cli
-from vinevalue.config import load_config
+from vinevalue.config import INPUT_NAMES, load_config
 
 ALSACE = Path(__file__).parent / "fixtures" / "alsace"
 
@@ -92,3 +92,51 @@ def test_removed_keys_are_ignored_like_unknown_keys(alsace_copy, section, key):
     after = load_config(alsace_copy)
     assert after == before
     assert not hasattr(after, key)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("density", "2", "synth.density must be in (0, 1]"),
+    ("density", "0", "synth.density must be in (0, 1]"),
+    ("counties_per_department", "0", "synth.counties_per_department must be >= 1"),
+    ("appellations", "0", "synth.appellations must be >= 1"),
+    ("counties", "-3", "synth.counties must be >= 1"),
+    ("extra_mask_factor", "-0.5", "synth.extra_mask_factor must be >= 0"),
+])
+def test_out_of_range_synth_setting_is_a_config_error(
+    alsace_copy, tmp_path, caplog, key, value, message
+):
+    _set_key(alsace_copy, "synth", key, value)
+    with caplog.at_level(logging.ERROR):
+        rc = cli.main(["synth", "--config", str(alsace_copy), "--output-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
+        f"configuration error: {message}"
+    ]
+
+
+def test_readme_configuration_example_parses(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    config = tmp_path / "pipeline.ini"
+    config.write_text(example, encoding="utf-8")
+    cfg = load_config(config)
+    assert cfg.truncation is None
+    assert cfg.delimiter == ";"
+    assert cfg.columns.appellation_name == "name"
+    assert cfg.columns.yield_cols == {2018: "y2018"}
+    assert cfg.threshold_fraction == 0.10
+    assert cfg.harvest_year == 2023
+    names = {name: getattr(cfg, name) for name in INPUT_NAMES}
+    assert names == {
+        "customs_by_appellation": tmp_path / "appellations.csv",
+        "customs_by_county": tmp_path / "counties.csv",
+        "inao_authorizations": tmp_path / "inao.csv",
+        "price_scale": tmp_path / "prices.csv",
+        "champagne_cells": tmp_path / "champagne.csv",
+        "non_pgi_by_department": tmp_path / "nonpgi.csv",
+        "ra_map": tmp_path / "ra.csv",
+        "region_map": tmp_path / "regions.csv",
+        "reference_aggregates": tmp_path / "reference.csv",
+        "acronyms": tmp_path / "acronyms.txt",
+        "stopwords": tmp_path / "stopwords.txt",
+    }

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from vinevalue.ingest import (
     ConfigError,
     IntegrityError,
-    check_referential_integrity,
     inject_pseudo_appellations,
     parse_cell_surfaces,
     parse_customs_by_appellation,
@@ -355,14 +354,6 @@ class TestAuxiliaryParsers:
     def test_reference_aggregates_malformed_row(self, row):
         with pytest.raises(ConfigError, match="line 2"):
             parse_reference_aggregates(_src(f"department;wine_type;surface_ha\n{row}\n"))
-
-
-def test_check_referential_integrity():
-    mask = AuthorizationMask(cells={("3B011", "01001")})
-    check_referential_integrity(APPS, COUNTIES, mask)
-    bad = AuthorizationMask(cells={("XXXX", "01001")})
-    with pytest.raises(IntegrityError):
-        check_referential_integrity(APPS, COUNTIES, bad)
 
 
 surface_values = st.floats(min_value=0.0, max_value=1e5, allow_nan=False)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -49,6 +50,28 @@ class TestGenerate:
     def test_category_mix_respected(self):
         instance = generate((40, 100, 0.1), seed=3)
         assert set(instance.categories.values()) == set(CATEGORY_MIX)
+
+    # Seeded instances must not move when the generator gets faster: the
+    # digests cover the mask cells, both cap tables and the truth. The third
+    # shape is the first instance of acceptance criterion 2.
+    @pytest.mark.parametrize("shape, seed, per_department, expected", [
+        ((20, 100, 0.1), 20230601, 20,
+         "33ead581889d59c5cef82a5a7a2748599d3a68bff4dffcb49984b7941316dfcd"),
+        ((5, 20, 0.2), 123, 20,
+         "66f2593ccbe9aa48c4473fbdbcb98d31b31063a33ddc2f6d3cfba6f3a82fb630"),
+        ((43, 179, 0.28899914370856117), 3035008728410985601, 35,
+         "9828330b47b436824fcc8093b0ca355ba510f8684dab1f6bdd853641490a23a9"),
+        ((2, 2, 1.0), 0, 2,
+         "311e0016d4e2d8121e4e52122a6b16c0f3cc4710b3d0e1bb1d4dce0d3a97f989"),
+    ])
+    def test_seeded_instances_are_pinned(self, shape, seed, per_department, expected):
+        instance = generate(shape, seed=seed, counties_per_department=per_department)
+        problem = instance.problem
+        digest = hashlib.sha256()
+        for part in (problem.cells, sorted(problem.appellation_caps.items()),
+                     sorted(problem.county_caps.items()), sorted(instance.truth.cells.items())):
+            digest.update(repr(part).encode())
+        assert digest.hexdigest() == expected
 
 
 class TestRecovery:
