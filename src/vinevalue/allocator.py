@@ -90,7 +90,11 @@ class AllocationProblem:
 class AllocationMatrix:
     """Solver output: the sparse nonnegative surfaces (support inside the
     mask) and their weighted objective. Functions that read an allocation
-    take the ``cells`` mapping itself."""
+    take the ``cells`` mapping itself.
+
+    It stays while the benchmark reads ``.cells`` of the per-start solutions
+    and of the synthetic truth; ROADMAP items 3, then 2, replace it with one
+    ``(k, m)`` array over ``AllocationProblem.cells``."""
 
     cells: dict[Cell, float]
     objective_value: float | None = None
@@ -105,8 +109,9 @@ def problem_from_caps(
 ) -> AllocationProblem:
     """Assemble a problem from raw caps. A mask cell is bounded by
     ``min(row cap, column cap)``; a ``known`` cell is fixed at its surface,
-    which counts against its caps (over a cap is an :class:`IntegrityError`).
-    Cells whose upper bound is zero are dropped from the active set."""
+    which counts against its caps (any excess over a cap, however small, is an
+    :class:`IntegrityError`). Cells whose upper bound is zero are dropped
+    from the active set."""
     active: list[Cell] = []
     lower: list[float] = []
     upper: list[float] = []
@@ -142,7 +147,8 @@ def problem_from_caps(
         col_index=np.array([col_pos[i] for _, i in active], dtype=np.intp),
         alpha=np.array([weights[c] for c, _ in active], dtype=float),
     )
-    over = feasibility_violations(problem, {c: s for c, s in known.items() if s > 0})
+    known_positive = {cell: s for cell, s in known.items() if s > 0}
+    over = feasibility_violations(problem, known_positive, rel_tol=0.0, abs_tol=0.0)
     if over:
         raise IntegrityError("known cells exceed their caps: " + "; ".join(over[:10]))
     return problem
@@ -370,16 +376,12 @@ def feasibility_violations(
             violations.append(f"cell ({code}, {insee}) negative: {value!r}")
         row_values.setdefault(code, []).append(value)
         col_values.setdefault(insee, []).append(value)
-    for code, values in sorted(row_values.items()):
-        cap = problem.appellation_caps[code]
-        total = math.fsum(values)
-        if total > cap * (1 + rel_tol) + abs_tol:
-            violations.append(f"appellation {code} over cap: {total!r} > {cap!r}")
-    for insee, values in sorted(col_values.items()):
-        cap = problem.county_caps[insee]
-        total = math.fsum(values)
-        if total > cap * (1 + rel_tol) + abs_tol:
-            violations.append(f"county {insee} over cap: {total!r} > {cap!r}")
+    for family, sums, caps in (("appellation", row_values, problem.appellation_caps),
+                               ("county", col_values, problem.county_caps)):
+        for key, values in sorted(sums.items()):
+            total = math.fsum(values)
+            if total > caps[key] * (1 + rel_tol) + abs_tol:
+                violations.append(f"{family} {key} over cap: {total!r} > {caps[key]!r}")
     return violations
 
 
@@ -410,9 +412,10 @@ def dump_problem(problem: AllocationProblem, directory: str | Path) -> None:
         ([insee, repr(cap)] for insee, cap in sorted(problem.county_caps.items())),
     )
     write_rows(directory / MASK_CELLS_FILE, ["appellation", "insee"], problem.cells)
-    known = {cell: lb for cell, lb in zip(problem.cells, problem.lower_bounds.tolist()) if lb > 0}
+    known = [[*cell, repr(lb)]
+             for cell, lb in zip(problem.cells, problem.lower_bounds.tolist()) if lb > 0]
     if known:
-        write_solution(known, directory / KNOWN_CELLS_FILE)
+        write_rows(directory / KNOWN_CELLS_FILE, ["appellation", "insee", "surface_ha"], known)
     else:
         (directory / KNOWN_CELLS_FILE).unlink(missing_ok=True)
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-#: An (appellation code, INSEE county code) pair. Every allocation (solver
-#: output, synthetic truth, a solution read back from CSV) is a
-#: ``Mapping[Cell, float]`` of surfaces in hectares.
+#: An (appellation code, INSEE county code) pair. Allocation readers take a
+#: ``Mapping[Cell, float]`` of hectares: a solution read back from CSV, or the
+#: ``cells`` of an ``allocator.AllocationMatrix`` (solver output, synthetic truth).
 Cell = tuple[str, str]
 
 

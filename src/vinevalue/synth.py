@@ -21,7 +21,7 @@ import numpy as np
 from . import allocator
 from .allocator import AllocationMatrix, AllocationProblem
 from .model import Category, Cell, DEFAULT_WEIGHTS
-from .validate import kendall_tau
+from .validate import align, kendall_tau
 
 #: Out-of-home-department sampling weight per category (home weight is 1).
 SPREAD: Mapping[Category, float] = {
@@ -175,20 +175,12 @@ def generate(
 def score_recovery(truth: Mapping[Cell, float], recovered: Mapping[Cell, float]) -> RecoveryScore:
     """Tau over the union support plus per-appellation relative error of the
     recovered row sums (zero when the row caps bind at the optimum)."""
-    support = sorted(set(truth) | set(recovered))
-    tau = kendall_tau(
-        [truth.get(cell, 0.0) for cell in support],
-        [recovered.get(cell, 0.0) for cell in support],
-    )
-    truth_rows: dict[str, list[float]] = {}
-    recovered_rows: dict[str, list[float]] = {}
-    for (code, _), value in truth.items():
-        truth_rows.setdefault(code, []).append(value)
-    for (code, _), value in recovered.items():
-        recovered_rows.setdefault(code, []).append(value)
+    cells, values = align([truth, recovered])
+    rows: dict[str, list[list[float]]] = {}
+    for (code, _), pair in zip(cells, values.T.tolist()):
+        rows.setdefault(code, []).append(pair)
     errors = {}
-    for code, values in sorted(truth_rows.items()):
-        expected = math.fsum(values)
-        got = math.fsum(recovered_rows.get(code, []))
+    for code in sorted({code for code, _ in truth}):
+        expected, got = map(math.fsum, zip(*rows[code]))
         errors[code] = abs(got - expected) / expected if expected else abs(got)
-    return RecoveryScore(kendall_tau=tau, row_relative_errors=errors)
+    return RecoveryScore(kendall_tau=kendall_tau(*values), row_relative_errors=errors)

@@ -1,18 +1,21 @@
 """Rank-correlation checks between solutions and against external
 aggregates.
 
-Kendall's tau-b is computed here with exact integer pair counting
-(concordant minus discordant via a merge-sort inversion count, ties
-corrected), so hand-derivable cases come out exact instead of accumulating
-float noise.
+Every statistic lays its value sets out as rows of one array with
+:func:`align`, and one numpy kernel scores row pairs with Kendall's tau-b
+from exact integer pair counts (ties from run lengths, discordant pairs from
+a bottom-up merge over integer ranks), so hand-derivable cases come out
+exact instead of accumulating float noise.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .model import Category, Cell, department_of_insee, write_rows
 
@@ -37,103 +40,119 @@ class ComparisonReport:
     notes: dict[str, int] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "pair_count": self.pair_count,
-            "kendall_tau": self.kendall_tau,
-            "kendall_tau_min": self.kendall_tau_min,
-            "restricted_tau": self.restricted_tau,
-            "restricted_tau_min": self.restricted_tau_min,
-            "restricted_count": self.restricted_count,
-            "notes": dict(sorted(self.notes.items())),
-        }
+        payload = {k: v for k, v in asdict(self).items() if k != "scatter_rows"}
         return json.dumps(payload, sort_keys=True)
 
 
-def _tie_pairs(sorted_values) -> int:
-    pairs = 0
-    run = 1
-    for i in range(1, len(sorted_values)):
-        if sorted_values[i] == sorted_values[i - 1]:
-            run += 1
-        else:
-            pairs += run * (run - 1) // 2
-            run = 1
-    return pairs + run * (run - 1) // 2
+def align(mappings: Sequence[Mapping]) -> tuple[list, np.ndarray]:
+    """The sorted union of the mappings' keys, and a ``(k, n)`` array of
+    each mapping's values over it (zero where a key is absent)."""
+    keys = sorted(set().union(*mappings))
+    position = {key: j for j, key in enumerate(keys)}
+    values = np.zeros((len(mappings), len(keys)))
+    for row, mapping in zip(values, mappings):
+        row[[position[key] for key in mapping]] = list(mapping.values())
+    return keys, values
 
 
-def _count_inversions(values: list) -> int:
-    """Strict inversions (i < j with a[i] > a[j]) by bottom-up merge sort."""
-    a = list(values)
-    n = len(a)
-    buffer = [a[0]] * n if n else []
-    inversions = 0
+def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat index of the first element and length of each run of equal
+    neighbours along the rows of a 2-D array, and the runs in each row."""
+    starts = np.ones(rows.shape, dtype=bool)
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
+    first = np.flatnonzero(starts)
+    return first, np.diff(first, append=rows.size), starts.sum(axis=-1)
+
+
+def _discordant(sequences: np.ndarray) -> list[int]:
+    """Strict inversions (``i < j`` with ``s[i] > s[j]``) in each row of a
+    2-D array of nonnegative integers.
+
+    A run of equal neighbours holds no inversion, so it enters as one value
+    weighted by its length. A bottom-up merge sort of all rows then sorts
+    each pair of adjacent blocks as one, the right block flagged so that
+    ties put left values first: the left weight after a right value is the
+    weight of the left values greater than it."""
+    r, n = sequences.shape
+    first, length, runs = _runs(sequences)
+    size = 1 << int(runs.max() - 1).bit_length()
+    shift = n.bit_length()
+    flag = 1 << shift
+    # One sortable key per run: value, right-block flag, length; padding weighs 0.
+    keys = np.zeros((r, size), dtype=np.int64)
+    column = np.arange(first.size) - np.repeat(np.cumsum(runs) - runs, runs)
+    keys[first // n, column] = (sequences.ravel()[first] << (shift + 1)) | length
+    discordant = np.zeros(r, dtype=np.int64)
     width = 1
-    while width < n:
-        for lo in range(0, n, 2 * width):
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if a[i] <= a[j]:
-                    buffer[k] = a[i]
-                    i += 1
-                else:
-                    buffer[k] = a[j]
-                    j += 1
-                    inversions += mid - i
-                k += 1
-            while i < mid:
-                buffer[k] = a[i]
-                i += 1
-                k += 1
-            while j < hi:
-                buffer[k] = a[j]
-                j += 1
-                k += 1
-        a, buffer = buffer, a
+    while width < size:
+        keys.reshape(-1, 2, width)[:, 1] |= flag
+        keys = np.sort(keys.reshape(-1, 2 * width), axis=-1)
+        weight = keys & (flag - 1)
+        right_weight = weight * ((keys >> shift) & 1)
+        left_before = np.cumsum(weight - right_weight).reshape(keys.shape)
+        left_after = (left_before[:, -1:] - left_before) * right_weight
+        discordant += left_after.reshape(r, -1).sum(axis=-1)
+        keys &= ~flag
         width *= 2
-    return inversions
+    return discordant.tolist()
+
+
+#: Rank cells held by one batch of pairs in :func:`_taus` (one pair at least).
+_BATCH_CELLS = 1 << 18
+
+
+def _taus(values: np.ndarray, first: np.ndarray, second: np.ndarray) -> list[float | None]:
+    """Tau-b of rows ``first[p]`` and ``second[p]`` of a ``(k, n)`` array for
+    each ``p`` (None where a side is entirely tied), from exact int counts.
+    Sorting the joint rank key ``x << bits | y`` orders a pair by x, then y:
+    equal keys are the joint ties, and the y ranks in that order hold one
+    inversion per discordant pair (Knight, 1966)."""
+    n = values.shape[1]
+    if n < 2:
+        return [None] * len(first)
+    ranks = np.empty(values.shape, dtype=np.int64)
+    ties = []
+    for row, row_ranks in zip(values, ranks):
+        _, row_ranks[:], counts = np.unique(row, return_inverse=True, return_counts=True)
+        ties.append(int((counts * (counts - 1) // 2).sum()))
+    shift = n.bit_length()
+    n0 = n * (n - 1) // 2
+    batch = max(1, _BATCH_CELLS // n)
+    taus: list[float | None] = []
+    for lo in range(0, len(first), batch):
+        i, j = first[lo:lo + batch], second[lo:lo + batch]
+        joint = np.sort(ranks[i] << shift | ranks[j], axis=-1)
+        _, length, runs = _runs(joint)
+        joint_ties = np.add.reduceat(length * (length - 1) // 2, np.cumsum(runs) - runs)
+        counts = zip(i, j, joint_ties.tolist(), _discordant(joint & ((1 << shift) - 1)))
+        taus += [
+            None if ties[a] == n0 or ties[b] == n0 else
+            (n0 - ties[a] - ties[b] + txy - 2 * dis) / math.sqrt((n0 - ties[a]) * (n0 - ties[b]))
+            for a, b, txy, dis in counts
+        ]
+    return taus
 
 
 def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
-    """Tie-corrected Kendall rank correlation (tau-b) in [-1, 1].
-
-    Raises ValueError on length mismatch, fewer than two points, or when
-    either side is entirely tied (tau undefined).
-    """
+    """Tie-corrected Kendall rank correlation (tau-b) in [-1, 1]. Raises
+    ValueError on length mismatch, fewer than two points, or when either
+    side is entirely tied (tau undefined)."""
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    n = len(x)
-    if n < 2:
-        raise ValueError("kendall tau needs at least two points")
-    pairs = sorted(zip(x, y))
-    xs = [p[0] for p in pairs]
-    ys = [p[1] for p in pairs]
-    n0 = n * (n - 1) // 2
-    ties_x = _tie_pairs(xs)
-    ties_joint = _tie_pairs(pairs)
-    ties_y = _tie_pairs(sorted(ys))
-    if ties_x == n0 or ties_y == n0:
-        raise ValueError("kendall tau undefined: one side is entirely tied")
-    discordant = _count_inversions(ys)
-    con_minus_dis = n0 - ties_x - ties_y + ties_joint - 2 * discordant
-    return con_minus_dis / math.sqrt((n0 - ties_x) * (n0 - ties_y))
+    tau = _taus(np.array([x, y], dtype=float), [0], [1])[0]
+    if tau is None:
+        raise ValueError("kendall tau undefined: fewer than two points or a side entirely tied")
+    return tau
 
 
-def _pairwise_taus(vectors: list[list[float]]) -> list[float]:
-    taus = []
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            # Identical vectors agree perfectly even when tau is otherwise
-            # undefined (tiny or fully tied supports).
-            if vectors[i] == vectors[j]:
-                taus.append(1.0)
-                continue
-            try:
-                taus.append(kendall_tau(vectors[i], vectors[j]))
-            except ValueError:
-                continue
-    return taus
+def _pairwise_taus(values: np.ndarray) -> list[float]:
+    """Tau-b of every pair of rows. Identical rows agree perfectly even when
+    tau is otherwise undefined (tiny or fully tied supports); other
+    undefined pairs are skipped."""
+    first, second = np.triu_indices(len(values), 1)
+    taus = [1.0 if np.array_equal(values[a], values[b]) else tau
+            for a, b, tau in zip(first, second, _taus(values, first, second))]
+    return [tau for tau in taus if tau is not None]
 
 
 def compare_solutions(
@@ -145,21 +164,19 @@ def compare_solutions(
     to cells whose maximum across solutions reaches the threshold."""
     if len(solutions) < 2:
         raise ValueError("need at least two solutions to compare")
-    support = sorted(set().union(*solutions))
-    vectors = [[s.get(cell, 0.0) for cell in support] for s in solutions]
-    taus = _pairwise_taus(vectors)
+    support, values = align(solutions)
+    taus = _pairwise_taus(values)
     if not taus:
         raise ValueError("pairwise tau undefined for every solution pair")
-    maxima = [max(v[k] for v in vectors) for k in range(len(support))]
-    keep = [k for k, mx in enumerate(maxima) if mx >= restrict_min_hectares]
-    restricted = _pairwise_taus([[v[k] for k in keep] for v in vectors]) if keep else []
+    keep = values.max(axis=0) >= restrict_min_hectares
+    restricted = _pairwise_taus(values[:, keep]) if keep.any() else []
     return ComparisonReport(
         pair_count=len(support),
         kendall_tau=math.fsum(taus) / len(taus),
         kendall_tau_min=min(taus),
         restricted_tau=math.fsum(restricted) / len(restricted) if restricted else None,
         restricted_tau_min=min(restricted) if restricted else None,
-        restricted_count=len(keep),
+        restricted_count=int(keep.sum()),
         notes={"solution_count": len(solutions), "tau_pairs": len(taus)},
     )
 
@@ -173,10 +190,8 @@ def aggregate_allocation(
     sums: dict[tuple[str, str], list[float]] = {}
     for (code, insee), value in cells.items():
         category = categories_by_code.get(code, Category.NON_PGI)
-        if category is Category.PSEUDO_NON_PGI:
-            category = Category.NON_PGI
-        key = (department_of_insee(insee), category.value)
-        sums.setdefault(key, []).append(value)
+        wine_type = Category.NON_PGI if category is Category.PSEUDO_NON_PGI else category
+        sums.setdefault((department_of_insee(insee), wine_type.value), []).append(value)
     return {key: math.fsum(values) for key, values in sums.items()}
 
 
@@ -190,34 +205,21 @@ def compare_aggregates(
     independent reference table over the same keys. Keys present on one side
     only enter with zero on the other and are counted."""
     model = aggregate_allocation(cells, categories_by_code)
-    keys = sorted(set(model) | set(reference))
+    keys, values = align([model, reference])
     if len(keys) < 2:
         raise ValueError("need at least two aggregate keys to compare")
-    model_values = [model.get(key, 0.0) for key in keys]
-    reference_values = [reference.get(key, 0.0) for key in keys]
-    tau = kendall_tau(model_values, reference_values)
-    keep = [k for k, key in enumerate(keys) if reference.get(key, 0.0) >= restrict_min_hectares]
-    restricted = None
-    if len(keep) >= 2:
-        try:
-            restricted = kendall_tau(
-                [model_values[k] for k in keep], [reference_values[k] for k in keep]
-            )
-        except ValueError:
-            restricted = None
+    keep = values[1] >= restrict_min_hectares
     return ComparisonReport(
         pair_count=len(keys),
-        kendall_tau=tau,
-        restricted_tau=restricted,
-        restricted_count=len(keep),
+        kendall_tau=kendall_tau(*values),
+        restricted_tau=_taus(values[:, keep], [0], [1])[0],
+        restricted_count=int(keep.sum()),
         scatter_rows=[
-            (f"{dept}|{wtype}", model.get((dept, wtype), 0.0), reference.get((dept, wtype), 0.0))
-            for dept, wtype in keys
+            (f"{dept}|{wtype}", model_value, reference_value)
+            for (dept, wtype), model_value, reference_value in zip(keys, *values.tolist())
         ],
-        notes={
-            "model_only_keys": sum(1 for key in keys if key not in reference),
-            "reference_only_keys": sum(1 for key in keys if key not in model),
-        },
+        notes={"model_only_keys": len(model.keys() - reference.keys()),
+               "reference_only_keys": len(reference.keys() - model.keys())},
     )
 
 

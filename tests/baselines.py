@@ -1,4 +1,4 @@
-"""Reference allocations the tests compare the solver against."""
+"""Reference allocations and statistics the tests compare the program against."""
 from __future__ import annotations
 
 import math
@@ -107,3 +107,23 @@ def brute_force_optimum(problem: AllocationProblem, grid_step: float) -> Allocat
     cells = {problem.cells[k]: v for k, v in enumerate(best_values) if v > 0}
     obj = math.fsum(problem.weights[code] * v for (code, _), v in cells.items())
     return AllocationMatrix(cells=cells, objective_value=obj)
+
+
+def kendall_tau_oracle(x, y) -> float:
+    """Tau-b from an O(n^2) pass over every pair, with the final formula of
+    ``validate.kendall_tau``. Raises ValueError where tau is undefined."""
+    n = len(x)
+    n0 = n * (n - 1) // 2
+    ties_x = ties_y = ties_joint = discordant = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx = (x[i] > x[j]) - (x[i] < x[j])
+            dy = (y[i] > y[j]) - (y[i] < y[j])
+            ties_x += dx == 0
+            ties_y += dy == 0
+            ties_joint += dx == 0 and dy == 0
+            discordant += dx * dy < 0
+    if n < 2 or ties_x == n0 or ties_y == n0:
+        raise ValueError("tau undefined")
+    con_minus_dis = n0 - ties_x - ties_y + ties_joint - 2 * discordant
+    return con_minus_dis / math.sqrt((n0 - ties_x) * (n0 - ties_y))

@@ -170,6 +170,15 @@ class TestKnownCells:
                 {"AOP1": 1.0, "K1": 0.25}, [("AOP1", "01001")], known,
             )
 
+    def test_known_surface_over_a_cap_by_a_hair_is_fatal(self):
+        # 30.00001 is within the 1e-6 relative tolerance of the post-solve
+        # check, but no LP point can hold it under a cap of 30.0.
+        with pytest.raises(IntegrityError, match="county 01 over cap"):
+            problem_from_caps(
+                {"A": 10.0, "K": 31.0}, {"01": 30.0}, {"A": 1.0, "K": 1.0},
+                [("A", "01")], {("K", "01"): 30.00001},
+            )
+
     def test_new_code_capped_at_the_sum_of_its_cells(self):
         # 0.1 + 0.2 + 0.3 adds up to 0.6000000000000001 in float order, one
         # ulp over the exactly rounded cap.
@@ -424,6 +433,17 @@ class TestPersistence:
         dump_problem(priority_problem(), tmp_path)
         assert not (tmp_path / "known_cells.csv").exists()
         assert not load_problem(tmp_path).lower_bounds.any()
+
+    def test_tiny_known_cells_round_trip(self, tmp_path):
+        problem = problem_from_caps(
+            {"A": 1.0, "K": 1.0}, {"01": 1.0, "02": 1.0}, {"A": 1.0, "K": 1.0},
+            [("A", "01")], {("K", "01"): 5e-10, ("K", "02"): 1e-9},
+        )
+        dump_problem(problem, tmp_path)
+        loaded = load_problem(tmp_path)
+        assert loaded.cells == problem.cells
+        assert loaded.lower_bounds.tolist() == [0.0, 5e-10, 1e-9]
+        assert loaded.upper_bounds.tolist() == [1.0, 5e-10, 1e-9]
 
     def test_solution_round_trip(self, tmp_path):
         cells = {("A", "00001"): 1.2345678901234567, ("B", "00002"): 1e-12}

@@ -1,19 +1,22 @@
 """The benchmark tracer (``perfbench/tracing.py``) wraps program functions
 by module and attribute name. It records a name it cannot find as missing
 and drops the metrics built on it without an error, so a rename in the
-program must fail here instead. The same holds for the configuration
-fields the benchmark scripts read: their self-tests are not collected with
-this suite."""
+program must fail here instead. The same holds for the result fields the
+tracer and the input writer read, and for the configuration fields the
+benchmark scripts read: their self-tests are not collected with this
+suite."""
 from __future__ import annotations
 
 import ast
 import importlib
 import importlib.util
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
 
+from vinevalue import cli, synth
 from vinevalue.config import load_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -58,3 +61,24 @@ def test_config_fields_read_by_the_benchmark_exist():
     assert reads
     assert sorted(f"{owner}.{attr}" for owner, attr in reads
                   if not hasattr(owners[owner], attr)) == []
+
+
+def test_traced_run_reads_every_result(tracing, monkeypatch, tmp_path):
+    # The tracer replaces module attributes; monkeypatch puts them back.
+    for table in (tracing.WRAPPED, tracing.COUNTED):
+        for module_name, attrs in table.items():
+            module = importlib.import_module(f"vinevalue.{module_name}")
+            for attr in attrs:
+                monkeypatch.setattr(module, attr, getattr(module, attr))
+    tracer = tracing.install()
+    cfg = load_config(ALSACE_CONFIG, overrides={"output.directory": str(tmp_path)})
+    cli.run_pipeline(cfg)
+    names = {span.name for span in tracer.spans}
+    assert {"allocator.multi_start_average", "validate.compare_solutions"} <= names
+    assert [span.name for span in tracer.spans if span.attrs.get("unreadable")] == []
+
+
+def test_synthetic_truth_cells_are_a_mapping():
+    # The benchmark's input writer iterates over ``truth.cells.items()``.
+    instance = synth.generate((4, 10, 0.5), seed=0)
+    assert isinstance(instance.truth.cells, Mapping)

@@ -94,6 +94,18 @@ class TestEndToEnd:
         for solution in [*result.solutions, result.average]:
             assert solution.objective_value == pytest.approx(result.optimal_value, rel=1e-12)
 
+    def test_start_agreement_is_pinned(self, pipeline_out):
+        comparison = json.loads((pipeline_out / COMPARISON_JSON).read_text(encoding="utf-8"))
+        assert comparison["solutions"] == {
+            "kendall_tau": 0.24358776223344678,
+            "kendall_tau_min": -0.2777777777777778,
+            "restricted_tau": -0.042105263157894736,
+            "restricted_tau_min": -1.0,
+            "pair_count": 19,
+            "restricted_count": 2,
+            "notes": {"solution_count": 20, "tau_pairs": 190},
+        }
+
     def test_category_summary_single_category(self, pipeline_out):
         lines = (pipeline_out / CATEGORY_CSV).read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) == 2

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import json
+import math
 
 import pytest
 from hypothesis import assume, given, strategies as st
+
+from baselines import kendall_tau_oracle
 
 from vinevalue.ingest import parse_reference_aggregates
 from vinevalue.model import Category
@@ -19,6 +23,8 @@ from vinevalue.validate import (
 value_lists = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=2, max_size=30
 )
+#: Few distinct values with both signed zeros, like sparse allocations.
+tied_values = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 100.0, 250.0])
 
 
 class TestKendallTau:
@@ -79,6 +85,18 @@ class TestKendallTau:
         assume(len(set(transformed)) == len(set(x)))
         assert kendall_tau(transformed, y) == kendall_tau(x, y)
 
+    @given(st.lists(st.tuples(tied_values, tied_values), max_size=60))
+    def test_equals_brute_force_oracle(self, pairs):
+        x = [p[0] for p in pairs]
+        y = [p[1] for p in pairs]
+        try:
+            expected = kendall_tau_oracle(x, y)
+        except ValueError:
+            with pytest.raises(ValueError):
+                kendall_tau(x, y)
+            return
+        assert kendall_tau(x, y) == expected
+
     @given(value_lists, value_lists)
     def test_range(self, x, y):
         n = min(len(x), len(y))
@@ -111,9 +129,58 @@ class TestCompareSolutions:
         assert report.restricted_count == 2
         assert report.restricted_tau == 1.0
 
+    @given(
+        st.lists(st.lists(st.one_of(st.none(), tied_values), min_size=60, max_size=60),
+                 min_size=2, max_size=5),
+        st.integers(min_value=0, max_value=60),
+        st.sampled_from([1.0, 100.0]),
+    )
+    def test_equals_brute_force_oracle(self, rows, n, threshold):
+        cells = [(f"A{c % 3}", f"{c:05d}") for c in range(n)]
+        solutions = [
+            {cell: value for cell, value in zip(cells, row) if value is not None}
+            for row in rows
+        ]
+        support = sorted(set().union(*solutions))
+        vectors = [[s.get(cell, 0.0) for cell in support] for s in solutions]
+        keep = [c for c in range(len(support)) if max(v[c] for v in vectors) >= threshold]
+        taus = oracle_pairwise_taus(vectors)
+        restricted = oracle_pairwise_taus([[v[c] for c in keep] for v in vectors]) if keep else []
+        if not taus:
+            with pytest.raises(ValueError):
+                compare_solutions(solutions, restrict_min_hectares=threshold)
+            return
+        report = compare_solutions(solutions, restrict_min_hectares=threshold)
+        assert report.pair_count == len(support)
+        assert report.kendall_tau == math.fsum(taus) / len(taus)
+        assert report.kendall_tau_min == min(taus)
+        assert report.notes["tau_pairs"] == len(taus)
+        assert report.restricted_count == len(keep)
+        if restricted:
+            assert report.restricted_tau == math.fsum(restricted) / len(restricted)
+            assert report.restricted_tau_min == min(restricted)
+        else:
+            assert report.restricted_tau is None
+            assert report.restricted_tau_min is None
+
     def test_needs_two_solutions(self):
         with pytest.raises(ValueError):
             compare_solutions([{("A", "00001"): 1.0}])
+
+
+def oracle_pairwise_taus(vectors: list[list[float]]) -> list[float]:
+    """Pairwise taus by the oracle: identical vectors score 1.0, and
+    undefined pairs are skipped."""
+    taus = []
+    for a, b in itertools.combinations(vectors, 2):
+        if a == b:
+            taus.append(1.0)
+            continue
+        try:
+            taus.append(kendall_tau_oracle(a, b))
+        except ValueError:
+            continue
+    return taus
 
 
 CATEGORIES = {
@@ -146,6 +213,16 @@ class TestCompareAggregates:
         assert report.notes["reference_only_keys"] == 1
         keys = [row[0] for row in report.scatter_rows]
         assert "99|AOP" in keys
+
+    def test_restriction_by_reference_surface(self):
+        alloc = {("A", "67003"): 10.0, ("A", "68001"): 2000.0,
+                 ("A", "69001"): 3000.0, ("A", "70001"): 1.0}
+        reference = {("67", "AOP"): 1500.0, ("68", "AOP"): 1200.0,
+                     ("69", "AOP"): 1100.0, ("70", "AOP"): 5.0}
+        report = compare_aggregates(alloc, CATEGORIES, reference, restrict_min_hectares=1000.0)
+        assert report.kendall_tau == 0.0
+        assert report.restricted_count == 3
+        assert report.restricted_tau == -1.0
 
     def test_scatter_round_trip(self, tmp_path):
         alloc = {("A", "67003"): 5.0, ("B", "68001"): 1.0}
