@@ -30,9 +30,11 @@ from scipy.optimize import linprog
 from .model import (
     AppellationRecord,
     AuthorizationMask,
+    Category,
     Cell,
     CountyRecord,
     DEFAULT_WEIGHTS,
+    exact_sums,
     read_rows,
     write_rows,
 )
@@ -89,8 +91,8 @@ class AllocationProblem:
 @dataclass(eq=False)
 class AllocationMatrix:
     """Solver output: the sparse nonnegative surfaces (support inside the
-    mask) and their weighted objective. Functions that read an allocation
-    take the ``cells`` mapping itself.
+    mask) and their weighted objective, as :func:`objective` computes it.
+    Functions that read an allocation take the ``cells`` mapping itself.
 
     It stays while the benchmark reads ``.cells`` of the per-start solutions
     and of the synthetic truth; ROADMAP items 3, then 2, replace it with one
@@ -159,16 +161,16 @@ def build_problem(
     counties: Sequence[CountyRecord],
     mask: AuthorizationMask,
     known: Mapping[Cell, float] = {},
+    category_weights: Mapping[Category, float] = DEFAULT_WEIGHTS,
 ) -> AllocationProblem:
     """Build the allocation problem from parsed records and the known cells.
     Pseudo-appellations and the codes of known cells must already be among
-    the records. Weights default per category when the mask carries none."""
+    the records. A code the mask carries no weight for takes the weight of
+    its category in ``category_weights``."""
     appellation_caps = {a.code: a.marginal_surface for a in appellations}
     county_caps = {c.insee_code: c.marginal_surface for c in counties}
-    categories = {a.code: a.category for a in appellations}
-    weights = {}
-    for code in appellation_caps:
-        weights[code] = mask.weight.get(code, DEFAULT_WEIGHTS[categories[code]])
+    weights = {a.code: mask.weight.get(a.code, category_weights[a.category])
+               for a in appellations}
     return problem_from_caps(appellation_caps, county_caps, weights, mask.cells, known)
 
 
@@ -227,12 +229,14 @@ def random_init(problem: AllocationProblem, seed: int) -> np.ndarray:
     return lower + rng.random(problem.n_cells) * (problem.upper_bounds - lower)
 
 
+def objective(weights: Mapping[str, float], cells: Mapping[Cell, float]) -> float:
+    """The weighted total ``sum(alpha_a * s_ac)`` of an allocation, exactly rounded."""
+    return math.fsum(weights[code] * v for (code, _), v in cells.items())
+
+
 def _matrix_from_vector(problem: AllocationProblem, x: np.ndarray) -> AllocationMatrix:
-    cells = {
-        cell: float(v) for cell, v in zip(problem.cells, x) if v > 0.0
-    }
-    obj = math.fsum(problem.weights[code] * v for (code, _), v in cells.items())
-    return AllocationMatrix(cells=cells, objective_value=obj)
+    cells = {cell: float(v) for cell, v in zip(problem.cells, x) if v > 0.0}
+    return AllocationMatrix(cells=cells, objective_value=objective(problem.weights, cells))
 
 
 def optimal_value(problem: AllocationProblem) -> OptimalFace:
@@ -366,20 +370,17 @@ def feasibility_violations(
     nonnegativity, row sums, column sums. Sums use exact summation."""
     known = set(problem.cells)
     violations = []
-    row_values: dict[str, list[float]] = {}
-    col_values: dict[str, list[float]] = {}
+    inside = []
     for (code, insee), value in cells.items():
         if (code, insee) not in known:
             violations.append(f"cell ({code}, {insee}) outside the mask")
             continue
         if value < -abs_tol:
             violations.append(f"cell ({code}, {insee}) negative: {value!r}")
-        row_values.setdefault(code, []).append(value)
-        col_values.setdefault(insee, []).append(value)
-    for family, sums, caps in (("appellation", row_values, problem.appellation_caps),
-                               ("county", col_values, problem.county_caps)):
-        for key, values in sorted(sums.items()):
-            total = math.fsum(values)
+        inside.append(((code, insee), value))
+    for family, side, caps in (("appellation", 0, problem.appellation_caps),
+                               ("county", 1, problem.county_caps)):
+        for key, total in sorted(exact_sums((cell[side], v) for cell, v in inside).items()):
             if total > caps[key] * (1 + rel_tol) + abs_tol:
                 violations.append(f"{family} {key} over cap: {total!r} > {caps[key]!r}")
     return violations

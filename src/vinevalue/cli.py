@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 from pathlib import Path
 
 from . import allocator, ingest, linkage, synth, validate, valuation, yields
 from .config import PipelineConfig, load_config
 from .ingest import ConfigError, IngestReport, IntegrityError
-from .model import AppellationRecord, Category, Cell
+from .model import AppellationRecord, Category, Cell, exact_sums
 
 logger = logging.getLogger(__name__)
 
@@ -132,18 +131,15 @@ def stage_ingest(cfg: PipelineConfig) -> None:
     known: dict[Cell, float] = {}
     if cfg.champagne_cells:
         cells = ingest.parse_cell_surfaces(cfg.champagne_cells, delimiter=cfg.delimiter)
-        by_cell: dict[Cell, list[float]] = {}
+        known = exact_sums(((code, insee), surface) for code, insee, surface, _ in cells)
+        caps = exact_sums((code, surface) for (code, _), surface in known.items())
         names: dict[str, str] = {}
-        for code, insee, surface, name in cells:
-            by_cell.setdefault((code, insee), []).append(surface)
+        for code, _, _, name in cells:
             names.setdefault(code, name)
-        known = {cell: math.fsum(surfaces) for cell, surfaces in by_cell.items()}
-        added = sorted(set(names) - {a.code for a in appellations})
+        added = sorted(caps.keys() - {a.code for a in appellations})
         appellations = [*appellations, *(
-            AppellationRecord(
-                code=code, name=names[code], category=Category.AOP,
-                marginal_surface=math.fsum(s for (c, _), s in known.items() if c == code),
-            )
+            AppellationRecord(code=code, name=names[code], category=Category.AOP,
+                              marginal_surface=caps[code])
             for code in added
         )]
         supplemental = IngestReport(dataset="champagne_cells")
@@ -151,7 +147,7 @@ def stage_ingest(cfg: PipelineConfig) -> None:
         supplemental.records_out = len(added)
         reports.append(supplemental)
 
-    problem = allocator.build_problem(appellations, counties, mask, known)
+    problem = allocator.build_problem(appellations, counties, mask, known, cfg.weights)
     ingest.write_appellations(appellations, out / APPELLATIONS_CSV)
     ingest.write_counties(counties, out / COUNTIES_CSV)
     ingest.write_mask(mask, out / MASK_CSV)
@@ -388,11 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None, help="override solver seed")
         cmd.add_argument("--k-starts", type=int, default=None, help="override start count")
         cmd.add_argument("--output-dir", default=None, help="override output directory")
-        if name == "run":
-            cmd.add_argument(
-                "--synth", action="store_true", dest="synth_mode",
-                help="run the synthetic generate/recover/score mode instead of ingesting",
-            )
     return parser
 
 
@@ -411,11 +402,9 @@ def main(argv: list[str] | None = None) -> int:
         "output.directory": args.output_dir and Path(args.output_dir).absolute(),
     }
     command = args.command
-    if command == "run" and getattr(args, "synth_mode", False):
-        command = "synth"
     try:
         cfg = load_config(args.config, overrides=overrides)
-        cfg.validate(require_inputs=command not in ("synth",))
+        cfg.validate(require_inputs=command != "synth")
     except ConfigError as exc:
         logger.error("configuration error: %s", exc)
         return 1

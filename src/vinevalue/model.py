@@ -5,20 +5,25 @@ appellation and by county, the list of counties where each appellation is
 authorized, and the crop-insurance price scale. Everything downstream (the
 surface allocator, yield estimation, valuation) works on the types below.
 The stages hand them to each other as artifact tables in one CSV dialect,
-written and read by :func:`write_rows` and :func:`read_rows` only.
+written and read by :func:`write_rows` and :func:`read_rows` only. Every
+per-key total (caps, marginals, aggregates, summaries) is taken by
+:func:`exact_sums`, and every report folds categories with
+:func:`reporting_category`.
 """
 from __future__ import annotations
 
 import csv
 import enum
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 #: An (appellation code, INSEE county code) pair. Allocation readers take a
 #: ``Mapping[Cell, float]`` of hectares: a solution read back from CSV, or the
-#: ``cells`` of an ``allocator.AllocationMatrix`` (solver output, synthetic truth).
+#: ``cells`` of an ``allocator.AllocationMatrix`` (solver output, synthetic truth),
+#: whose weighted objective ``allocator.objective`` computes.
 Cell = tuple[str, str]
 
 
@@ -54,6 +59,25 @@ DEFAULT_WEIGHTS: Mapping[Category, float] = {
     Category.NON_PGI: 0.25,
     Category.PSEUDO_NON_PGI: 0.25,
 }
+
+
+def reporting_category(category: Category | None) -> Category:
+    """The category a code reports under: pseudo non-PGI appellations and
+    codes of unknown category count as non-PGI."""
+    if category is None or category is Category.PSEUDO_NON_PGI:
+        return Category.NON_PGI
+    return category
+
+
+def exact_sums(pairs: Iterable[tuple[Hashable, float]]) -> dict[Hashable, float]:
+    """Total of the values per key, keys in first-seen order. Each total is
+    ``math.fsum`` of its values, exactly rounded, so the order of the pairs
+    never changes a bit."""
+    groups: dict[Hashable, list[float]] = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    return {key: math.fsum(values) for key, values in groups.items()}
+
 
 _INSEE_RE = re.compile(r"^[0-9][0-9AB][0-9]{3}$")
 _LAST_LETTER_RE = re.compile(r"^(.*[A-Za-z])")

@@ -12,7 +12,6 @@ non-PGI pseudo-appellations are strictly departmental).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import allocator
 from .allocator import AllocationMatrix, AllocationProblem
-from .model import Category, Cell, DEFAULT_WEIGHTS
+from .model import Category, Cell, DEFAULT_WEIGHTS, exact_sums
 from .validate import align, kendall_tau
 
 #: Out-of-home-department sampling weight per category (home weight is 1).
@@ -145,13 +144,10 @@ def generate(
         (appellation_codes[a], insee_codes[c]) for a, c in sorted(support | extras)
     }
 
-    row_values: dict[str, list[float]] = {code: [] for code in appellation_codes}
-    col_values: dict[str, list[float]] = {insee: [] for insee in insee_codes}
-    for (code, insee), value in truth_cells.items():
-        row_values[code].append(value)
-        col_values[insee].append(value)
-    appellation_caps = {code: math.fsum(vs) for code, vs in row_values.items()}
-    county_caps = {insee: math.fsum(vs) for insee, vs in col_values.items()}
+    appellation_caps = dict.fromkeys(appellation_codes, 0.0) | exact_sums(
+        (code, v) for (code, _), v in truth_cells.items())
+    county_caps = dict.fromkeys(insee_codes, 0.0) | exact_sums(
+        (insee, v) for (_, insee), v in truth_cells.items())
 
     categories_by_code = {
         appellation_codes[a]: mix_categories[categories[a]] for a in range(n_appellations)
@@ -159,10 +155,7 @@ def generate(
     alpha = {code: weights[cat] for code, cat in categories_by_code.items()}
 
     problem = allocator.problem_from_caps(appellation_caps, county_caps, alpha, mask_cells)
-    truth = AllocationMatrix(
-        cells=truth_cells,
-        objective_value=math.fsum(alpha[code] * v for (code, _), v in truth_cells.items()),
-    )
+    truth = AllocationMatrix(truth_cells, allocator.objective(alpha, truth_cells))
     return SyntheticInstance(
         truth=truth,
         problem=problem,
@@ -176,11 +169,9 @@ def score_recovery(truth: Mapping[Cell, float], recovered: Mapping[Cell, float])
     """Tau over the union support plus per-appellation relative error of the
     recovered row sums (zero when the row caps bind at the optimum)."""
     cells, values = align([truth, recovered])
-    rows: dict[str, list[list[float]]] = {}
-    for (code, _), pair in zip(cells, values.T.tolist()):
-        rows.setdefault(code, []).append(pair)
-    errors = {}
-    for code in sorted({code for code, _ in truth}):
-        expected, got = map(math.fsum, zip(*rows[code]))
-        errors[code] = abs(got - expected) / expected if expected else abs(got)
+    expected, got = (exact_sums(zip((code for code, _ in cells), row)) for row in values.tolist())
+    errors = {
+        code: abs(got[code] - expected[code]) / expected[code] if expected[code] else abs(got[code])
+        for code in sorted({code for code, _ in truth})
+    }
     return RecoveryScore(kendall_tau=kendall_tau(*values), row_relative_errors=errors)

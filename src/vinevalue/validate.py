@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import Category, Cell, department_of_insee, write_rows
+from .model import Category, Cell, department_of_insee, exact_sums, reporting_category, write_rows
 
 
 @dataclass
@@ -187,12 +187,10 @@ def aggregate_allocation(
 ) -> dict[tuple[str, str], float]:
     """Aggregate cell surfaces to (department, wine type). Pseudo
     non-PGI appellations count as non-PGI."""
-    sums: dict[tuple[str, str], list[float]] = {}
-    for (code, insee), value in cells.items():
-        category = categories_by_code.get(code, Category.NON_PGI)
-        wine_type = Category.NON_PGI if category is Category.PSEUDO_NON_PGI else category
-        sums.setdefault((department_of_insee(insee), wine_type.value), []).append(value)
-    return {key: math.fsum(values) for key, values in sums.items()}
+    return exact_sums(
+        ((department_of_insee(insee), reporting_category(categories_by_code.get(code)).value), v)
+        for (code, insee), v in cells.items()
+    )
 
 
 def compare_aggregates(

@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .linkage import LabelMatch
 from .model import AppellationRecord, Category, Cell, PriceEntry, ProductionMode, write_rows
+from .model import exact_sums, reporting_category
 from .yields import ExpectedYield
 
 #: Presentation order of the category summary.
@@ -172,22 +173,16 @@ def summarize_by_category(
     Pseudo non-PGI appellations are reported as non-PGI."""
     if not portfolio:
         raise ValueError("empty portfolio")
-    values: dict[Category, list[float]] = {}
-    surfaces: dict[Category, list[float]] = {}
-    for record in portfolio:
-        category = categories_by_code.get(record.appellation_code, Category.NON_PGI)
-        if category is Category.PSEUDO_NON_PGI:
-            category = Category.NON_PGI
-        values.setdefault(category, []).append(record.value)
-        surfaces.setdefault(category, []).append(record.surface)
-    total_value = math.fsum(v for vs in values.values() for v in vs)
-    total_surface = math.fsum(s for ss in surfaces.values() for s in ss)
+    keys = [reporting_category(categories_by_code.get(r.appellation_code)) for r in portfolio]
+    values = exact_sums(zip(keys, (r.value for r in portfolio)))
+    surfaces = exact_sums(zip(keys, (r.surface for r in portfolio)))
+    total_value = math.fsum(r.value for r in portfolio)
+    total_surface = math.fsum(r.surface for r in portfolio)
     summaries = []
     for category in CATEGORY_ORDER:
         if category not in values:
             continue
-        value = math.fsum(values[category])
-        surface = math.fsum(surfaces[category])
+        value, surface = values[category], surfaces[category]
         summaries.append(
             CategorySummary(
                 category=category,
@@ -207,20 +202,13 @@ def summarize_by_region(
     """Value and surface totals per agricultural region, with the mean value
     per hectare. Counties without a mapping group under UNKNOWN; regions with
     zero surface are omitted."""
-    values: dict[str, list[float]] = {}
-    surfaces: dict[str, list[float]] = {}
-    for record in portfolio:
-        region = region_by_county.get(record.insee_code) or "UNKNOWN"
-        values.setdefault(region, []).append(record.value)
-        surfaces.setdefault(region, []).append(record.surface)
-    summaries = []
-    for region in sorted(values):
-        surface = math.fsum(surfaces[region])
-        if surface <= 0:
-            continue
-        value = math.fsum(values[region])
-        summaries.append(RegionSummary(region, value, surface, value / surface))
-    return summaries
+    keys = [region_by_county.get(r.insee_code) or "UNKNOWN" for r in portfolio]
+    values = exact_sums(zip(keys, (r.value for r in portfolio)))
+    surfaces = exact_sums(zip(keys, (r.surface for r in portfolio)))
+    return [
+        RegionSummary(region, values[region], surfaces[region], values[region] / surfaces[region])
+        for region in sorted(values) if surfaces[region] > 0
+    ]
 
 
 def write_portfolio(portfolio: Iterable[HarvestValueRecord], path: str | Path) -> None:

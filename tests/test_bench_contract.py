@@ -3,13 +3,16 @@ by module and attribute name. It records a name it cannot find as missing
 and drops the metrics built on it without an error, so a rename in the
 program must fail here instead. The same holds for the result fields the
 tracer and the input writer read, and for the configuration fields the
-benchmark scripts read: their self-tests are not collected with this
-suite."""
+benchmark scripts read. The benchmark's own self-tests
+(``perfbench/selftest.py``, which check the input writer and the output
+checks against the program) run here in a subprocess, since their file name
+keeps them out of collection."""
 from __future__ import annotations
 
 import ast
 import importlib
 import importlib.util
+import subprocess
 import sys
 from collections.abc import Mapping
 from pathlib import Path
@@ -19,7 +22,8 @@ import pytest
 from vinevalue import cli, synth
 from vinevalue.config import load_config
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 ALSACE_CONFIG = Path(__file__).parent / "fixtures" / "alsace" / "pipeline.ini"
 
@@ -82,3 +86,11 @@ def test_synthetic_truth_cells_are_a_mapping():
     # The benchmark's input writer iterates over ``truth.cells.items()``.
     instance = synth.generate((4, 10, 0.5), seed=0)
     assert isinstance(instance.truth.cells, Mapping)
+
+
+def test_benchmark_self_tests_pass():
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench/selftest.py"],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -221,7 +222,7 @@ class TestSynthMode:
     def test_run_with_synth_flag(self, alsace_config, tmp_path):
         out = tmp_path / "synth"
         rc = run_cli(
-            "run", "--synth", "--config", str(alsace_config),
+            "synth", "--config", str(alsace_config),
             "--output-dir", str(out), "--k-starts", "3",
         )
         assert rc == 0
@@ -241,6 +242,12 @@ class TestSynthMode:
             )
             assert rc == 0
         assert artifact_bytes(a) == artifact_bytes(b)
+
+    def test_run_has_no_synth_flag(self, alsace_config, tmp_path):
+        # ``vinevalue synth`` is the one way to run the synthetic mode.
+        with pytest.raises(SystemExit):
+            run_cli("run", "--synth", "--config", str(alsace_config),
+                    "--output-dir", str(tmp_path / "out"))
 
 
 @pytest.fixture
@@ -351,6 +358,22 @@ class TestOptionalInputs:
             report["total_value_eur"] / 1000000
         )
 
+    def test_weights_override_reaches_codes_without_mask_rows(self, extended_config, tmp_path):
+        # 7C001M exists only through its known cell, so the mask carries no
+        # weight for it: it takes the configured AOP weight like the others.
+        extended_config.write_text(
+            extended_config.read_text(encoding="utf-8") + "[weights]\naop = 0.5\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(extended_config), "--output-dir", str(out)) == 0
+        assert (out / "problem" / "caps_appellations.csv").read_text(encoding="utf-8") == (
+            "code;cap_ha;alpha\n"
+            "1B001M;60.0;0.5\n3B011M;30.0;0.5\n7C001M;3.5;0.5\nNONPGI67;12.0;0.25\n"
+        )
+        report = json.loads((out / SOLVE_REPORT).read_text(encoding="utf-8"))
+        assert report["optimal_value"] == 49.75
+
     def test_duplicated_supplemental_cell_rows_are_summed(self, extended_config, tmp_path):
         (extended_config.parent / "data" / "champagne.csv").write_text(
             "appellation;insee;surface_ha;name\n"
@@ -444,6 +467,70 @@ class TestOptionalInputs:
         )
         out = tmp_path / "out"
         assert run_cli("run", "--config", str(extended_config), "--output-dir", str(out)) == 2
+
+
+class TestPinnedTotals:
+    """Every per-key total is an exactly rounded ``math.fsum``, so the
+    artifacts built from them are pinned to the byte."""
+
+    def test_alsace_run(self, pipeline_out):
+        assert {name: (pipeline_out / name).read_bytes() for name in (
+            SOLVE_REPORT, CATEGORY_CSV, REGION_CSV, VALUE_REPORT,
+        )} == {
+            SOLVE_REPORT: b'{"average_objective": 281.2, "failures": [], "k_starts": 20, '
+                          b'"n_active_cells": 19, "n_solved": 20, "optimal_value": 281.2}\n',
+            CATEGORY_CSV: b"category;value_eur;value_share;surface_ha;surface_share\r\n"
+                          b"AOP;4789837.09;1.0;281.2;1.0\r\n",
+            REGION_CSV: b"agricultural_region;value_eur;surface_ha;value_eur_per_ha\r\n"
+                        b"RA-6701;811418.3725;48.7;16661.5682238193\r\n"
+                        b"RA-6702;3978418.7175;232.5;17111.47835483871\r\n",
+            VALUE_REPORT: b'{"fallback_codes": [], "price_fallbacks": 0, "records": 19, '
+                          b'"total_surface_ha": 281.2, "total_value_eur": 4789837.09}\n',
+        }
+
+    def test_synth_run(self, alsace_config, tmp_path):
+        out = tmp_path / "synth"
+        rc = run_cli("synth", "--config", str(alsace_config), "--output-dir", str(out),
+                     "--seed", "77", "--k-starts", "2")
+        assert rc == 0
+        assert (out / SYNTH_REPORT).read_bytes() == (
+            b'{"aggregate_tau": 0.9696969696969697, "average_objective": 1592.6749448905134, '
+            b'"cell_tau": 0.07330678315165776, "max_row_relative_error": 3.6172152554755014e-16, '
+            b'"n_active_cells": 265, "seed": 77, "shape": [20, 100, 0.1], '
+            b'"truth_objective": 1592.6749448905134}\n'
+        )
+        digests = {name: hashlib.sha256((out / "problem" / name).read_bytes()).hexdigest()
+                   for name in ("caps_appellations.csv", "caps_counties.csv")}
+        assert digests == {
+            "caps_appellations.csv":
+                "d6752b000aa3e76d155e827888260e79ac0dcad396c0dfd63e5e19265d8f8f3a",
+            "caps_counties.csv":
+                "a0e2c58be04033ddbc7a807d9d97a4c7e02ce531fd873f983a7ed9f37ec22695",
+        }
+
+    def test_extended_run(self, extended_config, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(extended_config), "--output-dir", str(out)) == 0
+        assert {name: (out / name).read_bytes() for name in (
+            "problem/caps_appellations.csv", "problem/known_cells.csv", "scatter.csv",
+        )} == {
+            "problem/caps_appellations.csv":
+                b"code;cap_ha;alpha\r\n1B001M;60.0;1.0\r\n3B011M;30.0;1.0\r\n"
+                b"7C001M;3.5;1.0\r\nNONPGI67;12.0;0.25\r\n",
+            "problem/known_cells.csv": b"appellation;insee;surface_ha\r\n7C001M;68001;3.5\r\n",
+            "scatter.csv": b"key;model_value;reference_value\r\n67|AOP;70.75;55.0\r\n"
+                           b"67|NON_PGI;12.0;12.0\r\n68|AOP;22.75;5.0\r\n",
+        }
+        comparison = json.loads((out / COMPARISON_JSON).read_text(encoding="utf-8"))
+        assert comparison["aggregates"] == {
+            "kendall_tau": 0.3333333333333333,
+            "kendall_tau_min": None,
+            "restricted_tau": 1.0,
+            "restricted_tau_min": None,
+            "pair_count": 3,
+            "restricted_count": 2,
+            "notes": {"model_only_keys": 0, "reference_only_keys": 0},
+        }
 
 
 def test_relative_output_dir_is_under_working_directory(

@@ -1,0 +1,49 @@
+"""The shared statistics ``model`` owns: exact per-key totals and the
+category a code reports under."""
+from __future__ import annotations
+
+import math
+import struct
+
+import pytest
+from hypothesis import given, strategies as st
+
+from vinevalue.model import Category, exact_sums, reporting_category
+
+#: Values whose plain running sum depends on the order: large values that
+#: cancel, ones they absorb, signed zeros and subnormals.
+hard_values = st.sampled_from(
+    [1e16, -1e16, 1.0, 0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1.5e-309]
+) | st.floats(min_value=-1e17, max_value=1e17, allow_nan=False)
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+class TestExactSums:
+    def test_cancellation_keeps_the_small_value(self):
+        pairs = [("a", 1e16), ("b", 2.0), ("a", 1.0), ("a", -1e16)]
+        assert exact_sums(pairs) == {"a": 1.0, "b": 2.0}
+
+    @given(st.lists(st.tuples(st.sampled_from("ab"), hard_values), max_size=30), st.randoms())
+    def test_order_never_changes_a_bit(self, pairs, random):
+        shuffled = random.sample(pairs, len(pairs))
+        sums, again = exact_sums(pairs), exact_sums(shuffled)
+        assert list(sums) == list(dict.fromkeys(key for key, _ in pairs))
+        assert sums.keys() == again.keys()
+        for key, total in sums.items():
+            expected = math.fsum(value for k, value in pairs if k == key)
+            assert bits(total) == bits(again[key]) == bits(expected)
+
+
+@pytest.mark.parametrize("category, reported", [
+    (Category.AOP, Category.AOP),
+    (Category.AOP_BRANDY, Category.AOP_BRANDY),
+    (Category.PGI, Category.PGI),
+    (Category.NON_PGI, Category.NON_PGI),
+    (Category.PSEUDO_NON_PGI, Category.NON_PGI),
+    (None, Category.NON_PGI),
+])
+def test_reporting_category(category, reported):
+    assert reporting_category(category) is reported
