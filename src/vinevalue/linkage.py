@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .model import AppellationRecord, PriceEntry, read_rows, write_rows
 
 #: Recurring French words that carry no meaning in a nomenclature merge.
@@ -184,24 +186,36 @@ def match_labels(
     substitution cost and, when ``region_filter`` maps the appellation to a
     region, the price row's region hint does not contradict it. Ties on distance break to the
     lexicographically smallest appellation code so results are reproducible.
+
+    The result is that of scoring every pair with :func:`edit_distance`, but
+    a target is scored only while its character-count lower bound
+    (:func:`_bag_bounds`) could still beat or tie the best so far.
     """
     norm_kwargs = {"acronyms": acronyms, "stopwords": stopwords}
     targets = sorted(
         (app.code, normalize_label(app.name, **norm_kwargs)) for app in appellations
     )
+    entries = expand_price_entries(prices, **norm_kwargs)
+    if not targets:
+        return [LabelMatch(entry.label, "", float("inf"), False) for entry in entries]
+    sources = [e.normalized_label or normalize_label(e.label, **norm_kwargs) for e in entries]
+    names = [name for _, name in targets]
+    columns = {ch: c for c, ch in enumerate(sorted(set("".join(names + sources))))}
+    bags = np.stack([_bag(name, columns) for name in names])
     matches: list[LabelMatch] = []
-    for entry in expand_price_entries(prices, **norm_kwargs):
-        source = entry.normalized_label or normalize_label(entry.label, **norm_kwargs)
-        if not targets:
-            matches.append(LabelMatch(entry.label, "", float("inf"), False))
-            continue
-        best_code = ""
-        best_name = ""
-        best_dist = float("inf")
-        for code, name in targets:
-            dist = edit_distance(source, name, costs)
-            if dist < best_dist:
-                best_code, best_name, best_dist = code, name, dist
+    for entry, source in zip(entries, sources):
+        bounds = _bag_bounds(_bag(source, columns), bags, costs)
+        # Visit targets by (bound, index). Once a bound reaches the best
+        # (distance, index) so far, that target and every later one can
+        # neither beat it nor tie it at a lower index.
+        best_dist, best = float("inf"), -1
+        for k in np.argsort(bounds, kind="stable").tolist():
+            if (bounds[k], k) > (best_dist, best):
+                break
+            dist = edit_distance(source, names[k], costs)
+            if (dist, k) < (best_dist, best):
+                best_dist, best = dist, k
+        best_code, best_name = targets[best] if best >= 0 else ("", "")
         limit = threshold_fraction * max(len(source), len(best_name)) * costs.substitute
         accepted = best_dist <= limit
         if accepted and region_filter is not None:
@@ -210,6 +224,36 @@ def match_labels(
                 accepted = expected == entry.region_hint
         matches.append(LabelMatch(entry.label, best_code, best_dist, accepted))
     return matches
+
+
+def _bag(text: str, columns: Mapping[str, int]) -> np.ndarray:
+    """Character counts of ``text``, one entry per column."""
+    indices = np.array([columns[ch] for ch in text], dtype=np.intp)
+    return np.bincount(indices, minlength=len(columns))
+
+
+def _bag_bounds(source: np.ndarray, targets: np.ndarray, costs: EditCosts) -> np.ndarray:
+    """Lower bound on ``edit_distance`` from the source to every target, from
+    character counts alone (Bartolini, Ciaccia & Patella, SPIRE 2002).
+
+    With ``p`` characters of the source missing from a target and ``q`` of
+    the target missing from the source, counted as multisets, an insert,
+    delete or substitution lowers ``p`` or ``q`` by at most one each and a
+    transposition lowers neither, so the cheapest way to clear both is one
+    of three mixes of operations. Bounds are shrunk by a relative 1e-9 so
+    that float rounding can only add DP calls, and a non-finite bound (an
+    infinite cost times a zero count) prunes nothing.
+    """
+    p = np.maximum(source - targets, 0).sum(axis=1)
+    q = np.maximum(targets - source, 0).sum(axis=1)
+    both = np.minimum(p, q)
+    with np.errstate(invalid="ignore"):
+        bound = np.minimum.reduce([
+            costs.delete * p + costs.insert * q,
+            costs.substitute * both + costs.delete * (p - both) + costs.insert * (q - both),
+            costs.substitute * np.maximum(p, q),
+        ]) * (1.0 - 1e-9)
+    return np.where(np.isfinite(bound), bound, -np.inf)
 
 
 def load_wordlist(path: str | Path) -> frozenset[str]:

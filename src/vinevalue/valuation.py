@@ -115,15 +115,16 @@ def build_portfolio(
     """One valued record per positive allocation cell.
 
     Cells whose appellation has no accepted price use the median price of
-    matched appellations in the same category (any matched price as a last
-    resort) and are flagged.
+    matched appellations in the same reporting category (a pseudo non-PGI
+    code takes the non-PGI prices; any matched price as a last resort) and
+    are flagged.
     """
     report = ValueReport()
     prices_by_category: dict[Category, list[float]] = {}
     for code, price in price_by_code.items():
         app = appellations.get(code)
         if app is not None:
-            prices_by_category.setdefault(app.category, []).append(price)
+            prices_by_category.setdefault(reporting_category(app.category), []).append(price)
     if not price_by_code:
         raise ValueError("no resolved prices; cannot value the portfolio")
     overall_median = statistics.median(price_by_code.values())
@@ -141,7 +142,7 @@ def build_portfolio(
         ey = expected_yields[code].value
         fallback = code not in price_by_code
         if fallback:
-            in_category = prices_by_category.get(app.category)
+            in_category = prices_by_category.get(reporting_category(app.category))
             price = statistics.median(in_category) if in_category else overall_median
             report.price_fallbacks += 1
             report.fallback_codes.append(code)

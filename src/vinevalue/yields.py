@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .model import AppellationRecord, Category, read_rows, write_rows
+from .model import AppellationRecord, Category, exact_sums, read_rows, write_rows
 
 #: Flat fallback when neither the appellation nor its category has a usable
 #: five-year history.
@@ -94,30 +94,23 @@ def type_level_histories(
     appellations: Iterable[AppellationRecord], harvest_year: int
 ) -> dict[Category, list[float]]:
     """Surface-weighted yearly yields per category, kept only for categories
-    covering the full five-year window."""
-    sums: dict[Category, dict[int, float]] = {}
-    weights: dict[Category, dict[int, float]] = {}
-    for app in appellations:
-        w = app.marginal_surface
-        if w <= 0:
-            continue
-        category_sums = sums.setdefault(app.category, {})
-        category_weights = weights.setdefault(app.category, {})
-        for year, value in app.yield_history.items():
-            if value <= 0:
-                continue
-            category_sums[year] = category_sums.get(year, 0.0) + w * value
-            category_weights[year] = category_weights.get(year, 0.0) + w
-    histories: dict[Category, list[float]] = {}
-    for category, by_year in sums.items():
-        values = []
-        for year in range(harvest_year - WINDOW_YEARS, harvest_year):
-            if year not in by_year or weights[category][year] <= 0:
-                break
-            values.append(by_year[year] / weights[category][year])
-        else:
-            histories[category] = values
-    return histories
+    covering the full five-year window. Both sums are exact, so the order of
+    the appellations never changes a bit."""
+    terms = [
+        ((app.category, year), app.marginal_surface * value, app.marginal_surface)
+        for app in appellations
+        if app.marginal_surface > 0
+        for year, value in app.yield_history.items()
+        if value > 0
+    ]
+    sums = exact_sums((key, weighted) for key, weighted, _ in terms)
+    weights = exact_sums((key, w) for key, _, w in terms)
+    years = range(harvest_year - WINDOW_YEARS, harvest_year)
+    return {
+        category: [sums[(category, year)] / weights[(category, year)] for year in years]
+        for category in dict.fromkeys(category for category, _ in sums)
+        if all((category, year) in sums for year in years)
+    }
 
 
 def expected_yield_table(

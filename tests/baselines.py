@@ -1,10 +1,19 @@
-"""Reference allocations and statistics the tests compare the program against."""
+"""Reference allocations, statistics and label matches the tests compare the program against."""
 from __future__ import annotations
 
 import math
+from typing import Mapping, Sequence
 
 from vinevalue.allocator import AllocationMatrix, AllocationProblem
-from vinevalue.model import Cell
+from vinevalue.linkage import (
+    UNIT_COSTS,
+    EditCosts,
+    LabelMatch,
+    edit_distance,
+    expand_price_entries,
+    normalize_label,
+)
+from vinevalue.model import AppellationRecord, Cell, PriceEntry
 
 BRUTE_FORCE_MAX_CELLS = 9
 BRUTE_FORCE_MAX_LEVELS = 12
@@ -127,3 +136,42 @@ def kendall_tau_oracle(x, y) -> float:
         raise ValueError("tau undefined")
     con_minus_dis = n0 - ties_x - ties_y + ties_joint - 2 * discordant
     return con_minus_dis / math.sqrt((n0 - ties_x) * (n0 - ties_y))
+
+
+def match_labels_oracle(
+    prices: Sequence[PriceEntry],
+    appellations: Sequence[AppellationRecord],
+    *,
+    threshold_fraction: float = 0.10,
+    costs: EditCosts = UNIT_COSTS,
+    region_filter: Mapping[str, str] | None = None,
+    acronyms: Mapping[str, str] | None = None,
+    stopwords: frozenset[str] | set[str] | None = None,
+) -> list[LabelMatch]:
+    """``linkage.match_labels`` without pruning: every label is scored
+    against every appellation, and the first minimum in code order wins."""
+    norm_kwargs = {"acronyms": acronyms, "stopwords": stopwords}
+    targets = sorted(
+        (app.code, normalize_label(app.name, **norm_kwargs)) for app in appellations
+    )
+    matches: list[LabelMatch] = []
+    for entry in expand_price_entries(prices, **norm_kwargs):
+        source = entry.normalized_label or normalize_label(entry.label, **norm_kwargs)
+        if not targets:
+            matches.append(LabelMatch(entry.label, "", float("inf"), False))
+            continue
+        best_code = ""
+        best_name = ""
+        best_dist = float("inf")
+        for code, name in targets:
+            dist = edit_distance(source, name, costs)
+            if dist < best_dist:
+                best_code, best_name, best_dist = code, name, dist
+        limit = threshold_fraction * max(len(source), len(best_name)) * costs.substitute
+        accepted = best_dist <= limit
+        if accepted and region_filter is not None:
+            expected = region_filter.get(best_code)
+            if expected is not None and entry.region_hint is not None:
+                accepted = expected == entry.region_hint
+        matches.append(LabelMatch(entry.label, best_code, best_dist, accepted))
+    return matches

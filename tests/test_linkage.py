@@ -6,6 +6,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from baselines import match_labels_oracle
+from vinevalue import linkage
 from vinevalue.linkage import (
     EditCosts,
     LabelMatch,
@@ -194,6 +196,79 @@ class TestMatchLabels:
     def test_no_targets(self):
         matches = match_labels([_price("rouge")], [])
         assert not matches[0].accepted
+
+
+_COSTS = st.sampled_from([0.0, 0.1, 0.5, 1.0, 1.3, 2.0])
+_EDIT_COSTS = st.builds(
+    EditCosts, insert=_COSTS, delete=_COSTS, substitute=_COSTS, transpose=_COSTS
+)
+
+
+class TestPrunedMatching:
+    """``match_labels`` skips targets by a lower bound; the all-pairs loop in
+    ``baselines`` is the reference it must agree with."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        labels=st.lists(st.text(alphabet="ABC ", max_size=6), min_size=1, max_size=4),
+        names=st.lists(st.text(alphabet="ABC", max_size=5), min_size=1, max_size=4),
+        codes=st.lists(st.sampled_from(["A1", "B2", "C3", "D4", "E5"]), min_size=1, max_size=12),
+        costs=_EDIT_COSTS,
+        threshold_fraction=st.sampled_from([0.0, 0.1, 0.5]),
+    )
+    def test_equals_all_pairs_oracle(self, labels, names, codes, costs, threshold_fraction):
+        # Few distinct names over many codes: the same name appears under
+        # several codes, and ties on distance are common.
+        targets = [_app(code, names[k % len(names)]) for k, code in enumerate(codes)]
+        prices = [_price(label) for label in labels]
+        kwargs = {"costs": costs, "threshold_fraction": threshold_fraction}
+        expected = match_labels_oracle(prices, targets, **kwargs)
+        assert match_labels(prices, targets, **kwargs) == expected
+
+    def test_zero_substitute_cost_tie_goes_to_lowest_code(self):
+        # With free substitutions every equal-length name is at distance 0,
+        # so the exact match under a later code must not win.
+        targets = [_app("B1", "CCC"), _app("A2", "ABC")]
+        prices = [_price("ccc")]
+        costs = EditCosts(substitute=0.0)
+        matches = match_labels(prices, targets, costs=costs)
+        assert matches == [LabelMatch("ccc", "A2", 0.0, True)]
+        assert matches == match_labels_oracle(prices, targets, costs=costs)
+
+    def test_tie_with_a_looser_bound_goes_to_lowest_code(self):
+        # Both names are one edit away, but B2's anagram has the lower
+        # bound and is scored first; A1 must still win the tie.
+        targets = [_app("B2", "BA"), _app("A1", "AC")]
+        matches = match_labels([_price("ab")], targets, threshold_fraction=0.5)
+        assert matches == [LabelMatch("ab", "A1", 1.0, True)]
+        assert matches == match_labels_oracle([_price("ab")], targets, threshold_fraction=0.5)
+
+    def test_distant_targets_are_not_scored(self, monkeypatch):
+        calls = []
+
+        def counted(a, b, costs):
+            calls.append(b)
+            return edit_distance(a, b, costs)
+
+        monkeypatch.setattr(linkage, "edit_distance", counted)
+        targets = [_app("A1", "CHABLIS GRAND CRU"), _app("B2", "ROUGE"), _app("C3", "BLANC")]
+        matches = match_labels([_price("rouge")], targets)
+        assert matches == [LabelMatch("rouge", "B2", 0.0, True)]
+        assert calls == ["ROUGE"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.text(alphabet="ABCD", max_size=7),
+        b=st.text(alphabet="ABCD", max_size=7),
+        costs=_EDIT_COSTS,
+    )
+    def test_bag_bound_never_exceeds_distance(self, a, b, costs):
+        columns = {ch: c for c, ch in enumerate("ABCD")}
+        bound = linkage._bag_bounds(
+            linkage._bag(a, columns), linkage._bag(b, columns)[None, :], costs
+        )
+        assert bound.shape == (1,)
+        assert bound[0] <= edit_distance(a, b, costs)
 
 
 class TestWordlists:

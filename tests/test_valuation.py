@@ -108,6 +108,26 @@ class TestBuildPortfolio:
         assert flagged[0].price == statistics.median([100.0, 150.0, 300.0])
         assert report.price_fallbacks == 1
 
+    def test_pseudo_non_pgi_falls_back_to_non_pgi_prices(self):
+        # NONPGI<dept> codes never carry a price label; they report as
+        # non-PGI, so their fallback is the non-PGI median, not the overall one.
+        apps = {
+            "A1": AppellationRecord(code="A1", name="Alpha", category=Category.AOP),
+            "A2": AppellationRecord(code="A2", name="Beta", category=Category.AOP),
+            "V1": AppellationRecord(code="V1", name="Vin", category=Category.NON_PGI),
+            "NONPGI67": AppellationRecord(
+                code="NONPGI67", name="Non-PGI 67", category=Category.PSEUDO_NON_PGI
+            ),
+        }
+        yields_ = {code: _ey(code, 50.0) for code in apps}
+        records, report = build_portfolio(
+            {("NONPGI67", "67003"): 2.0}, yields_, {"A1": 1000.0, "A2": 900.0, "V1": 50.0}, apps,
+        )
+        assert [(r.appellation_code, r.price, r.price_fallback) for r in records] == [
+            ("NONPGI67", 50.0, True)
+        ]
+        assert report.fallback_codes == ["NONPGI67"]
+
     def test_surface_conserved(self):
         alloc = self._alloc()
         records, _ = build_portfolio(

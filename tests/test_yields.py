@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -116,6 +117,29 @@ class TestTypeLevelHistories:
             )
         ]
         assert Category.PGI not in type_level_histories(apps, 2023)
+
+    def test_independent_of_record_order(self):
+        rng = random.Random(5)
+        apps = [
+            AppellationRecord(
+                code=f"A{k}", category=rng.choice([Category.AOP, Category.PGI]),
+                marginal_surface=rng.uniform(0.1, 500.0),
+                yield_history={y: rng.uniform(20.0, 90.0) for y in range(2018, 2023)},
+            )
+            for k in range(50)
+        ]
+        expected = {
+            category: [
+                math.fsum(a.marginal_surface * a.yield_history[y] for a in members)
+                / math.fsum(a.marginal_surface for a in members)
+                for y in range(2018, 2023)
+            ]
+            for category in (Category.AOP, Category.PGI)
+            for members in [[a for a in apps if a.category is category]]
+        }
+        for _ in range(20):
+            rng.shuffle(apps)
+            assert type_level_histories(apps, 2023) == expected
 
 
 def test_expected_yield_invariant_value_positive():
