@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -45,8 +48,13 @@ logger = logging.getLogger(__name__)
 #: Tight HiGHS tolerances: a phase-1 dual counts as nonzero, and so pins its
 #: row or column to the optimal face, only beyond the dual feasibility
 #: tolerance, and phase 2 meets the face's equality rows within the primal one.
+#: Presolve is off: on these bound-heavy transportation LPs it costs more time
+#: and memory than it saves, at every scale measured. It can change which dual
+#: HiGHS returns when the phase-1 LP is degenerate, but any optimal dual gives
+#: the exact optimal set by complementary slackness, so phase 2 reaches the
+#: same optimum; values move only by float rounding.
 _HIGHS_OPTIONS = {
-    "presolve": True,
+    "presolve": False,
     "primal_feasibility_tolerance": 1e-9,
     "dual_feasibility_tolerance": 1e-9,
 }
@@ -316,6 +324,14 @@ class MultiStartResult:
     optimal_value: float = 0.0
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def multi_start_average(
     problem: AllocationProblem,
     k_starts: int = 20,
@@ -323,30 +339,56 @@ def multi_start_average(
 ) -> MultiStartResult:
     """Average the solutions of ``k_starts`` random starts cell-wise.
 
+    The starts run on ``min(k_starts, CPUs)`` threads, this one included:
+    HiGHS releases the GIL, and the calling thread reuses the memory phase 1
+    freed, where each helper thread builds its own LP working set. Every
+    thread draws seeds from one queue; outcomes are kept by seed and reduced
+    in seed order, so results are bit-identical whatever the thread count.
     The average is feasible by convexity of the constraint set. Failed starts
-    are excluded and reported; all starts failing is fatal. The reduction
-    runs in seed order so repeated runs are bit-identical. Agreement between
-    the starts is measured by ``validate.compare_solutions``.
+    are excluded and reported; all starts failing is fatal, and any other
+    error in a start propagates. Agreement between the starts is measured by
+    ``validate.compare_solutions``.
     """
     if k_starts < 1:
         raise ValueError("k_starts must be >= 1")
 
     face = optimal_value(problem)
+    seeds = range(seed_base, seed_base + k_starts)
+    pending: queue.SimpleQueue[int] = queue.SimpleQueue()
+    for seed in seeds:
+        pending.put(seed)
+    outcomes: dict[int, AllocationMatrix | SolveError] = {}
+
+    def run_starts() -> None:
+        while True:
+            try:
+                seed = pending.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                outcomes[seed] = solve(problem, random_init(problem, seed), face)
+            except SolveError as exc:
+                outcomes[seed] = exc
+
+    workers = min(k_starts, _cpu_count())
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        helpers = [pool.submit(run_starts) for _ in range(workers - 1)]
+        run_starts()
+        for helper in helpers:
+            helper.result()
+
     solutions: list[AllocationMatrix] = []
     vectors: list[np.ndarray] = []
     failures: list[tuple[int, str]] = []
-    for i in range(k_starts):
-        seed = seed_base + i
-        init = random_init(problem, seed)
-        try:
-            solution = solve(problem, init, face)
-        except SolveError as exc:
-            logger.warning("start %d (seed %d) failed: %s", i, seed, exc)
-            failures.append((seed, str(exc)))
+    for i, seed in enumerate(seeds):
+        outcome = outcomes[seed]
+        if isinstance(outcome, SolveError):
+            logger.warning("start %d (seed %d) failed: %s", i, seed, outcome)
+            failures.append((seed, str(outcome)))
             continue
-        solutions.append(solution)
+        solutions.append(outcome)
         vectors.append(
-            np.array([solution.cells.get(cell, 0.0) for cell in problem.cells])
+            np.array([outcome.cells.get(cell, 0.0) for cell in problem.cells])
         )
     if not solutions:
         raise SolveError(f"all {k_starts} starts failed")

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from baselines import brute_force_optimum, greedy_baseline
+from vinevalue import allocator
 from vinevalue.allocator import (
+    SolveError,
     assert_feasible,
     build_problem,
     dump_problem,
@@ -42,14 +46,30 @@ def priority_problem():
 
 def fixed_columns_problem():
     """Three priorities over three counties, with a unique optimum. The
-    phase-1 duals fix the NP1 cell in county 01002, which PGI1 fills, at
-    zero, and the AOP1 cell and the NP1 cell in 01003 at their caps."""
+    phase-1 LP is degenerate: one optimal dual fixes the NP1 cell in county
+    01002, which PGI1 fills, at zero, another fixes the PGI1 cell there at its
+    cap, and either face holds only the optimum."""
     return _simple(
         {"AOP1": 8.0, "PGI1": 9.0, "NP1": 10.0},
         {"01001": 8.0, "01002": 5.0, "01003": 3.0},
         {"AOP1": 1.0, "PGI1": 1.0 / 3.0, "NP1": 0.25},
         [("AOP1", "01001"), ("PGI1", "01001"), ("PGI1", "01002"),
          ("NP1", "01002"), ("NP1", "01003")],
+    )
+
+
+def stable_face_problem():
+    """Three priorities over two counties, with a unique optimum whose
+    phase-1 face HiGHS reads the same with presolve on or off. AOP1 takes 11
+    of county 01002's 12 ha and PGI1 the last one, strictly inside its bounds,
+    so every optimal dual prices 01002 at 1/3 and fixes the NP1 cell there (1/4)
+    at zero. The AOP1 cell in 01002 and the PGI1 cell in 01001 sit at their
+    caps."""
+    return _simple(
+        {"AOP1": 11.0, "PGI1": 10.0, "NP1": 4.0},
+        {"01001": 2.0, "01002": 12.0},
+        {"AOP1": 1.0, "PGI1": 1.0 / 3.0, "NP1": 0.25},
+        [("AOP1", "01002"), ("PGI1", "01001"), ("PGI1", "01002"), ("NP1", "01002")],
     )
 
 
@@ -321,17 +341,19 @@ class TestSolverAgainstOracles:
                 )
 
     def test_face_with_fixed_columns_matches_brute_force(self):
-        problem = fixed_columns_problem()
+        problem = stable_face_problem()
         low, high = optimal_value(problem).bounds.T
-        assert np.any(high == 0.0)
-        assert np.any((low == high) & (high == problem.upper_bounds))
-        best = brute_force_optimum(problem, 1.0)
-        for seed in range(10):
-            solution = solve(problem, random_init(problem, seed))
-            assert solution.objective_value == pytest.approx(best.objective_value, rel=1e-12)
-            assert solution.cells.keys() == best.cells.keys()
-            for cell, value in best.cells.items():
-                assert solution.cells[cell] == pytest.approx(value, rel=1e-12)
+        assert [cell for cell, h in zip(problem.cells, high) if h == 0.0] == [("NP1", "01002")]
+        assert [cell for cell, lo, hi, ub in zip(problem.cells, low, high, problem.upper_bounds)
+                if lo == hi == ub] == [("AOP1", "01002"), ("PGI1", "01001")]
+        for problem in (fixed_columns_problem(), stable_face_problem()):
+            best = brute_force_optimum(problem, 1.0)
+            for seed in range(10):
+                solution = solve(problem, random_init(problem, seed))
+                assert solution.objective_value == pytest.approx(best.objective_value, rel=1e-12)
+                assert solution.cells.keys() == best.cells.keys()
+                for cell, value in best.cells.items():
+                    assert solution.cells[cell] == pytest.approx(value, rel=1e-12)
 
     def test_at_least_greedy_on_random_instances(self):
         rng = np.random.default_rng(13)
@@ -388,6 +410,108 @@ class TestMultiStart:
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
             multi_start_average(priority_problem(), k_starts=0)
+
+    @pytest.mark.parametrize("cpus", [3, 8])
+    def test_same_result_for_any_worker_count(self, monkeypatch, cpus):
+        """8 workers exceed the cores here; a thread switch every microsecond
+        must still lose no start."""
+        problem = random_small_problem(np.random.default_rng(37), max_rows=6, max_cols=8,
+                                       integer_caps=False)
+        fail_starts(monkeypatch, problem, [3, 20, 42])
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, cpus):
+                monkeypatch.setattr(allocator, "_cpu_count", lambda: workers)
+                results.append(multi_start_average(problem, k_starts=40, seed_base=3))
+        finally:
+            sys.setswitchinterval(interval)
+        one, many = results
+        assert len(many.solutions) == 37
+        assert [s.cells for s in one.solutions] == [s.cells for s in many.solutions]
+        assert one.average.cells == many.average.cells
+        assert one.average.objective_value == many.average.objective_value
+        assert one.failures == many.failures == [
+            (seed, f"start {seed} made to fail") for seed in (3, 20, 42)]
+
+    @pytest.mark.parametrize(("k_starts", "most_threads"), [(1, 1), (7, 3)])
+    def test_calling_thread_runs_starts(self, monkeypatch, k_starts, most_threads):
+        real = allocator.solve
+        threads = set()
+
+        def recording_solve(*args):
+            threads.add(threading.current_thread())
+            return real(*args)
+
+        monkeypatch.setattr(allocator, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(allocator, "solve", recording_solve)
+        multi_start_average(priority_problem(), k_starts=k_starts)
+        assert threading.main_thread() in threads
+        assert len(threads) <= most_threads
+
+
+def fail_starts(monkeypatch, problem, seeds):
+    """Make ``allocator.solve`` raise ``SolveError`` on the starts of ``seeds``."""
+    real = allocator.solve
+    doomed = {random_init(problem, seed).tobytes(): seed for seed in seeds}
+
+    def solve_or_fail(problem_, init, face=None):
+        seed = doomed.get(np.asarray(init).tobytes())
+        if seed is not None:
+            raise SolveError(f"start {seed} made to fail")
+        return real(problem_, init, face)
+
+    monkeypatch.setattr(allocator, "solve", solve_or_fail)
+
+
+class TestFailedStarts:
+    @pytest.fixture(autouse=True)
+    def three_workers(self, monkeypatch):
+        monkeypatch.setattr(allocator, "_cpu_count", lambda: 3)
+
+    def problem(self):
+        return random_small_problem(np.random.default_rng(41), max_rows=5, max_cols=6,
+                                    integer_caps=False)
+
+    def test_failures_reported_in_seed_order(self, monkeypatch):
+        problem = self.problem()
+        fail_starts(monkeypatch, problem, [15, 11, 13])
+        result = multi_start_average(problem, k_starts=6, seed_base=10)
+        assert result.failures == [(11, "start 11 made to fail"), (13, "start 13 made to fail"),
+                                   (15, "start 15 made to fail")]
+        assert len(result.solutions) == 3
+
+    def test_average_over_the_starts_that_succeeded(self, monkeypatch):
+        problem = self.problem()
+        survivors = multi_start_average(problem, k_starts=4, seed_base=12)
+        fail_starts(monkeypatch, problem, [10, 11])
+        result = multi_start_average(problem, k_starts=6, seed_base=10)
+        assert [s.cells for s in result.solutions] == [s.cells for s in survivors.solutions]
+        assert result.average.cells == survivors.average.cells
+        assert result.average.objective_value == survivors.average.objective_value
+
+    def test_all_starts_failing_is_fatal(self, monkeypatch):
+        problem = self.problem()
+        fail_starts(monkeypatch, problem, [0, 1, 2])
+        with pytest.raises(SolveError, match="^all 3 starts failed$"):
+            multi_start_average(problem, k_starts=3)
+
+    def test_other_error_on_a_helper_thread_propagates(self, monkeypatch):
+        real = allocator.solve
+        helper_called = threading.Event()
+
+        def solve_off_main(*args):
+            if threading.current_thread() is not threading.main_thread():
+                helper_called.set()
+                raise RuntimeError("helper broke")
+            helper_called.wait(timeout=30)
+            return real(*args)
+
+        monkeypatch.setattr(allocator, "solve", solve_off_main)
+        with pytest.raises(RuntimeError, match="helper broke"):
+            multi_start_average(priority_problem(), k_starts=4)
+        assert helper_called.is_set()
 
 
 class TestProjectFeasible:
