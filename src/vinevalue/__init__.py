@@ -19,7 +19,7 @@ from .allocator import (
     random_init,
     solve,
 )
-from .linkage import EditCosts, LabelMatch, edit_distance, match_labels, normalize_label
+from .linkage import LabelMatch, edit_distance, match_labels, normalize_label
 from .validate import ComparisonReport, compare_aggregates, compare_solutions, kendall_tau
 from .valuation import HarvestValueRecord, build_portfolio, harvest_value
 from .yields import ExpectedYield, expected_yield, olympic_average
@@ -35,7 +35,6 @@ __all__ = [
     "ComparisonReport",
     "CountyRecord",
     "CviCode",
-    "EditCosts",
     "ExpectedYield",
     "HarvestValueRecord",
     "LabelMatch",

@@ -280,15 +280,15 @@ def optimal_value(problem: AllocationProblem) -> OptimalFace:
 def solve(
     problem: AllocationProblem,
     init: np.ndarray,
-    face: OptimalFace | None = None,
+    face: OptimalFace,
 ) -> AllocationMatrix:
     """Solve one start: the vertex of the optimal face that maximizes
     ``init / upper_bounds``.
 
     ``init`` must respect the per-cell bounds (row/column sums need not be
-    feasible). ``face`` is ``optimal_value(problem)``, computed here when not
-    given. The returned matrix is exactly feasible and its objective equals
-    the LP optimum up to float rounding.
+    feasible). ``face`` is ``optimal_value(problem)``. The returned matrix is
+    exactly feasible and its objective equals the LP optimum up to float
+    rounding.
     """
     m = problem.n_cells
     if m == 0:
@@ -299,8 +299,6 @@ def solve(
     if np.any(init < -1e-9) or np.any(init > problem.upper_bounds * (1 + 1e-9) + 1e-9):
         raise ValueError("init violates the per-cell bounds")
 
-    if face is None:
-        face = optimal_value(problem)
     res = linprog(
         -init / problem.upper_bounds,
         A_ub=face.a_ub, b_ub=face.b_ub, A_eq=face.a_eq, b_eq=face.b_eq,
@@ -447,7 +445,7 @@ def dump_problem(problem: AllocationProblem, directory: str | Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     write_rows(
         directory / CAPS_APPELLATIONS_FILE, ["code", "cap_ha", "alpha"],
-        ([code, repr(cap), repr(problem.weights.get(code, 0.25))]
+        ([code, repr(cap), repr(problem.weights[code])]
          for code, cap in sorted(problem.appellation_caps.items())),
     )
     write_rows(

@@ -187,7 +187,7 @@ def stage_yields(cfg: PipelineConfig) -> None:
     logger.info("yields: %d appellations for harvest %d", len(table), cfg.harvest_year)
 
 
-def stage_solve(cfg: PipelineConfig) -> None:
+def stage_solve(cfg: PipelineConfig) -> allocator.MultiStartResult:
     out = cfg.output_dir
     problem = allocator.load_problem(_require(out / PROBLEM_DIR, "solve", "ingest"))
     result = allocator.multi_start_average(problem, k_starts=cfg.k_starts, seed_base=cfg.seed)
@@ -217,6 +217,7 @@ def stage_solve(cfg: PipelineConfig) -> None:
         "solve: %d cells, %d/%d starts, objective %.6g",
         problem.n_cells, len(result.solutions), cfg.k_starts, report["optimal_value"],
     )
+    return result
 
 
 def stage_validate(cfg: PipelineConfig) -> None:
@@ -313,13 +314,8 @@ def stage_synth(cfg: PipelineConfig) -> None:
     allocator.dump_problem(instance.problem, out / PROBLEM_DIR)
     allocator.write_solution(instance.truth.cells, out / TRUTH_CSV)
 
-    result = allocator.multi_start_average(
-        instance.problem, k_starts=cfg.k_starts, seed_base=cfg.seed
-    )
+    result = stage_solve(cfg)
     average = result.average.cells
-    allocator.assert_feasible(instance.problem, average)
-    allocator.write_solution(average, out / SOLUTION_CSV)
-
     score = synth.score_recovery(instance.truth.cells, average)
     truth_aggregates = validate.aggregate_allocation(instance.truth.cells, instance.categories)
     aggregates = validate.compare_aggregates(

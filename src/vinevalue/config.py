@@ -112,6 +112,11 @@ class PipelineConfig:
             raise ConfigError("synth.density must be in (0, 1]")
         if not self.synth.extra_mask_factor >= 0:
             raise ConfigError("synth.extra_mask_factor must be >= 0")
+        for category, weight in self.weights.items():
+            if not 0 < weight <= 1:
+                raise ConfigError(
+                    f"weights.{category.value.lower()} must be in (0, 1], got {weight!r}"
+                )
 
 
 def _truncation(text: str) -> int | None:

@@ -375,7 +375,7 @@ def parse_inao_authorizations(
             report.unmatched += 1
             report.notes["unmatched_county"] = report.notes.get("unmatched_county", 0) + 1
             continue
-        weight = weights.get(app.category, 0.25)
+        weight = weights[app.category]
         if weight_col:
             text = row.get(weight_col, "")
             if text:
@@ -611,7 +611,7 @@ def read_counties(path: str | Path) -> list[CountyRecord]:
 def write_mask(mask: AuthorizationMask, path: str | Path) -> None:
     write_rows(
         path, ["appellation", "insee", "weight"],
-        ([code, insee, repr(mask.weight.get(code, 0.25))] for code, insee in sorted(mask.cells)),
+        ([code, insee, repr(mask.weight[code])] for code, insee in sorted(mask.cells)),
     )
 
 

@@ -2,8 +2,8 @@
 and the appellation nomenclature.
 
 The two nomenclatures share no key, so price labels are matched to
-appellation names by generalized edit distance after a cleaning pass
-(accents stripped, acronyms expanded, French filler words removed).
+appellation names by unit-cost Damerau-Levenshtein distance after a cleaning
+pass (accents stripped, acronyms expanded, French filler words removed).
 """
 from __future__ import annotations
 
@@ -62,47 +62,24 @@ def normalize_label(
     return " ".join(t for t in tokens if t not in stopwords)
 
 
-@dataclass(frozen=True)
-class EditCosts:
-    """Per-operation costs for the generalized edit distance.
-
-    The distance is exact for cost tables satisfying
-    ``2 * transpose >= insert + delete`` (always true for unit costs).
-    """
-
-    insert: float = 1.0
-    delete: float = 1.0
-    substitute: float = 1.0
-    transpose: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("insert", "delete", "substitute", "transpose"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} cost must be >= 0")
-
-
-UNIT_COSTS = EditCosts()
-
-
-def edit_distance(a: str, b: str, costs: EditCosts = UNIT_COSTS) -> float:
-    """Minimal total cost of transforming ``a`` into ``b`` using insertions,
-    deletions, substitutions and transpositions of adjacent characters."""
+def edit_distance(a: str, b: str) -> float:
+    """Unrestricted Damerau-Levenshtein distance: the fewest insertions,
+    deletions, substitutions and transpositions of adjacent characters that
+    turn ``a`` into ``b``."""
     if a == b:
         return 0.0
     la, lb = len(a), len(b)
-    if la == 0:
-        return lb * costs.insert
-    if lb == 0:
-        return la * costs.delete
+    if la == 0 or lb == 0:
+        return float(la + lb)
     inf = float("inf")
     # Lowrance-Wagner: d has two sentinel rows/columns so the transposition
     # lookup d[i1-1][j1-1] is always in range.
     d = [[inf] * (lb + 2) for _ in range(la + 2)]
     d[1][1] = 0.0
     for i in range(1, la + 1):
-        d[i + 1][1] = i * costs.delete
+        d[i + 1][1] = float(i)
     for j in range(1, lb + 1):
-        d[1][j + 1] = j * costs.insert
+        d[1][j + 1] = float(j)
     last_row: dict[str, int] = {}
     for i in range(1, la + 1):
         last_col = 0
@@ -113,19 +90,10 @@ def edit_distance(a: str, b: str, costs: EditCosts = UNIT_COSTS) -> float:
                 sub = 0.0
                 last_col = j
             else:
-                sub = costs.substitute
-            best = min(
-                d[i][j] + sub,
-                d[i][j + 1] + costs.delete,
-                d[i + 1][j] + costs.insert,
-            )
+                sub = 1.0
+            best = min(d[i][j] + sub, d[i][j + 1] + 1.0, d[i + 1][j] + 1.0)
             if i1 > 0 and j1 > 0:
-                trans = (
-                    d[i1][j1]
-                    + (i - i1 - 1) * costs.delete
-                    + costs.transpose
-                    + (j - j1 - 1) * costs.insert
-                )
+                trans = d[i1][j1] + (i - i1 - 1) + 1.0 + (j - j1 - 1)
                 if trans < best:
                     best = trans
             d[i + 1][j + 1] = best
@@ -174,7 +142,6 @@ def match_labels(
     appellations: Sequence[AppellationRecord],
     *,
     threshold_fraction: float = 0.10,
-    costs: EditCosts = UNIT_COSTS,
     region_filter: Mapping[str, str] | None = None,
     acronyms: Mapping[str, str] | None = None,
     stopwords: frozenset[str] | set[str] | None = None,
@@ -182,9 +149,9 @@ def match_labels(
     """Match every price label to its minimum-distance appellation.
 
     A match is accepted when the distance is at or below
-    ``threshold_fraction`` of the longer normalized string times the
-    substitution cost and, when ``region_filter`` maps the appellation to a
-    region, the price row's region hint does not contradict it. Ties on distance break to the
+    ``threshold_fraction`` of the longer normalized string and, when
+    ``region_filter`` maps the appellation to a region, the price row's
+    region hint does not contradict it. Ties on distance break to the
     lexicographically smallest appellation code so results are reproducible.
 
     The result is that of scoring every pair with :func:`edit_distance`, but
@@ -204,7 +171,7 @@ def match_labels(
     bags = np.stack([_bag(name, columns) for name in names])
     matches: list[LabelMatch] = []
     for entry, source in zip(entries, sources):
-        bounds = _bag_bounds(_bag(source, columns), bags, costs)
+        bounds = _bag_bounds(_bag(source, columns), bags)
         # Visit targets by (bound, index). Once a bound reaches the best
         # (distance, index) so far, that target and every later one can
         # neither beat it nor tie it at a lower index.
@@ -212,11 +179,11 @@ def match_labels(
         for k in np.argsort(bounds, kind="stable").tolist():
             if (bounds[k], k) > (best_dist, best):
                 break
-            dist = edit_distance(source, names[k], costs)
+            dist = edit_distance(source, names[k])
             if (dist, k) < (best_dist, best):
                 best_dist, best = dist, k
         best_code, best_name = targets[best] if best >= 0 else ("", "")
-        limit = threshold_fraction * max(len(source), len(best_name)) * costs.substitute
+        limit = threshold_fraction * max(len(source), len(best_name))
         accepted = best_dist <= limit
         if accepted and region_filter is not None:
             expected = region_filter.get(best_code)
@@ -232,28 +199,18 @@ def _bag(text: str, columns: Mapping[str, int]) -> np.ndarray:
     return np.bincount(indices, minlength=len(columns))
 
 
-def _bag_bounds(source: np.ndarray, targets: np.ndarray, costs: EditCosts) -> np.ndarray:
+def _bag_bounds(source: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Lower bound on ``edit_distance`` from the source to every target, from
     character counts alone (Bartolini, Ciaccia & Patella, SPIRE 2002).
 
     With ``p`` characters of the source missing from a target and ``q`` of
     the target missing from the source, counted as multisets, an insert,
     delete or substitution lowers ``p`` or ``q`` by at most one each and a
-    transposition lowers neither, so the cheapest way to clear both is one
-    of three mixes of operations. Bounds are shrunk by a relative 1e-9 so
-    that float rounding can only add DP calls, and a non-finite bound (an
-    infinite cost times a zero count) prunes nothing.
+    transposition lowers neither, so at least ``max(p, q)`` edits are needed.
     """
     p = np.maximum(source - targets, 0).sum(axis=1)
     q = np.maximum(targets - source, 0).sum(axis=1)
-    both = np.minimum(p, q)
-    with np.errstate(invalid="ignore"):
-        bound = np.minimum.reduce([
-            costs.delete * p + costs.insert * q,
-            costs.substitute * both + costs.delete * (p - both) + costs.insert * (q - both),
-            costs.substitute * np.maximum(p, q),
-        ]) * (1.0 - 1e-9)
-    return np.where(np.isfinite(bound), bound, -np.inf)
+    return np.maximum(p, q)
 
 
 def load_wordlist(path: str | Path) -> frozenset[str]:

@@ -184,9 +184,6 @@ class AuthorizationMask:
     cells: set[tuple[str, str]] = field(default_factory=set)
     weight: dict[str, float] = field(default_factory=dict)
 
-    def __len__(self) -> int:
-        return len(self.cells)
-
     def copy(self) -> "AuthorizationMask":
         return AuthorizationMask(cells=set(self.cells), weight=dict(self.weight))
 

@@ -6,8 +6,6 @@ from typing import Mapping, Sequence
 
 from vinevalue.allocator import AllocationMatrix, AllocationProblem
 from vinevalue.linkage import (
-    UNIT_COSTS,
-    EditCosts,
     LabelMatch,
     edit_distance,
     expand_price_entries,
@@ -143,7 +141,6 @@ def match_labels_oracle(
     appellations: Sequence[AppellationRecord],
     *,
     threshold_fraction: float = 0.10,
-    costs: EditCosts = UNIT_COSTS,
     region_filter: Mapping[str, str] | None = None,
     acronyms: Mapping[str, str] | None = None,
     stopwords: frozenset[str] | set[str] | None = None,
@@ -164,10 +161,10 @@ def match_labels_oracle(
         best_name = ""
         best_dist = float("inf")
         for code, name in targets:
-            dist = edit_distance(source, name, costs)
+            dist = edit_distance(source, name)
             if dist < best_dist:
                 best_code, best_name, best_dist = code, name, dist
-        limit = threshold_fraction * max(len(source), len(best_name)) * costs.substitute
+        limit = threshold_fraction * max(len(source), len(best_name))
         accepted = best_dist <= limit
         if accepted and region_filter is not None:
             expected = region_filter.get(best_code)

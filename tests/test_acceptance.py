@@ -19,6 +19,7 @@ from vinevalue import allocator, cli, synth, validate
 from vinevalue.allocator import (
     feasibility_violations,
     multi_start_average,
+    optimal_value,
     problem_from_caps,
     random_init,
     solve,
@@ -60,7 +61,7 @@ def test_criterion_1_solver_matches_brute_force_oracle():
         except ValueError:
             continue
         checked += 1
-        solution = solve(problem, random_init(problem, checked))
+        solution = solve(problem, random_init(problem, checked), optimal_value(problem))
         scale = max(abs(oracle.objective_value), 1.0)
         gap = abs(solution.objective_value - oracle.objective_value) / scale
         worst = max(worst, gap)
@@ -100,10 +101,11 @@ def test_criterion_3_priority_weighting():
         {"AOP1": 1.0, "NP1": 0.25},
         [("AOP1", "01001"), ("NP1", "01001")],
     )
+    face = optimal_value(problem)
     aop_ok = True
     np_ok = True
     for seed in range(10):
-        solution = solve(problem, random_init(problem, seed))
+        solution = solve(problem, random_init(problem, seed), face)
         aop = solution.cells.get(("AOP1", "01001"), 0.0)
         non_pgi = solution.cells.get(("NP1", "01001"), 0.0)
         aop_ok = aop_ok and abs(aop - 10.0) <= 1e-6

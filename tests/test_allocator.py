@@ -230,14 +230,15 @@ class TestRandomInit:
 class TestSolve:
     def test_one_by_one_forced_by_caps(self):
         problem = _simple({"A": 5.0}, {"00001": 3.0}, {"A": 1.0}, [("A", "00001")])
-        solution = solve(problem, random_init(problem, 0))
+        solution = solve(problem, random_init(problem, 0), optimal_value(problem))
         assert solution.cells[("A", "00001")] == pytest.approx(3.0, abs=1e-9)
         assert solution.objective_value == pytest.approx(3.0, abs=1e-9)
 
     def test_priority_weighting(self):
         problem = priority_problem()
+        face = optimal_value(problem)
         for seed in range(5):
-            solution = solve(problem, random_init(problem, seed))
+            solution = solve(problem, random_init(problem, seed), face)
             assert solution.cells.get(("AOP1", "01001"), 0.0) == pytest.approx(10.0, abs=1e-6)
             assert solution.cells.get(("NP1", "01001"), 0.0) == pytest.approx(0.0, abs=1e-6)
 
@@ -245,23 +246,23 @@ class TestSolve:
         rng = np.random.default_rng(5)
         for _ in range(20):
             problem = random_small_problem(rng, max_rows=4, max_cols=4, integer_caps=False)
-            solution = solve(problem, random_init(problem, 1))
+            solution = solve(problem, random_init(problem, 1), optimal_value(problem))
             assert feasibility_violations(problem, solution.cells) == []
 
     def test_init_outside_bounds_rejected(self):
         problem = priority_problem()
         bad = problem.upper_bounds * 2.0
         with pytest.raises(ValueError):
-            solve(problem, bad)
+            solve(problem, bad, optimal_value(problem))
 
     def test_bad_shape_rejected(self):
         problem = priority_problem()
         with pytest.raises(ValueError):
-            solve(problem, np.zeros(5))
+            solve(problem, np.zeros(5), optimal_value(problem))
 
     def test_empty_problem(self):
         problem = _simple({"A": 0.0}, {"00001": 0.0}, {"A": 1.0}, [("A", "00001")])
-        solution = solve(problem, random_init(problem, 0))
+        solution = solve(problem, random_init(problem, 0), optimal_value(problem))
         assert solution.cells == {}
         assert solution.objective_value == 0.0
 
@@ -273,8 +274,9 @@ class TestSolve:
             {"A": 1.0, "B": 1.0},
             [("A", "00001"), ("A", "00002"), ("B", "00001"), ("B", "00002")],
         )
-        first = solve(problem, random_init(problem, 0))
-        second = solve(problem, random_init(problem, 2))
+        face = optimal_value(problem)
+        first = solve(problem, random_init(problem, 0), face)
+        second = solve(problem, random_init(problem, 2), face)
         assert first.cells != second.cells
         assert first.objective_value == pytest.approx(second.objective_value, rel=1e-9)
         assert first.objective_value == pytest.approx(2.0, rel=1e-9)
@@ -348,8 +350,9 @@ class TestSolverAgainstOracles:
                 if lo == hi == ub] == [("AOP1", "01002"), ("PGI1", "01001")]
         for problem in (fixed_columns_problem(), stable_face_problem()):
             best = brute_force_optimum(problem, 1.0)
+            face = optimal_value(problem)
             for seed in range(10):
-                solution = solve(problem, random_init(problem, seed))
+                solution = solve(problem, random_init(problem, seed), face)
                 assert solution.objective_value == pytest.approx(best.objective_value, rel=1e-12)
                 assert solution.cells.keys() == best.cells.keys()
                 for cell, value in best.cells.items():
@@ -361,7 +364,7 @@ class TestSolverAgainstOracles:
             problem = random_small_problem(rng, max_rows=5, max_cols=5, integer_caps=False)
             greedy = greedy_baseline(problem)
             assert feasibility_violations(problem, greedy.cells) == []
-            solution = solve(problem, random_init(problem, 3))
+            solution = solve(problem, random_init(problem, 3), optimal_value(problem))
             # The solver returns a point of the exact optimal face, so it can
             # fall short of greedy by float rounding only.
             slack = 1e-12 * max(1.0, greedy.objective_value)
@@ -377,7 +380,7 @@ class TestMultiStart:
     def test_single_start_equals_solve(self):
         problem = priority_problem()
         result = multi_start_average(problem, k_starts=1, seed_base=5)
-        direct = solve(problem, random_init(problem, 5))
+        direct = solve(problem, random_init(problem, 5), optimal_value(problem))
         assert result.average.cells == direct.cells
 
     def test_average_is_feasible(self):

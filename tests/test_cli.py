@@ -231,6 +231,12 @@ class TestSynthMode:
         assert -1.0 <= report["aggregate_tau"] <= 1.0
         assert (out / "truth.csv").exists()
         assert (out / SOLUTION_CSV).exists()
+        # The solve stage itself runs, so its outputs are written too.
+        solve_report = json.loads((out / SOLVE_REPORT).read_text(encoding="utf-8"))
+        assert solve_report["k_starts"] == solve_report["n_solved"] == 3
+        assert sorted(p.name for p in (out / "solutions").iterdir()) == [
+            "start_000.csv", "start_001.csv", "start_002.csv",
+        ]
 
     def test_synth_subcommand_deterministic(self, alsace_config, tmp_path):
         a = tmp_path / "a"

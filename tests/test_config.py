@@ -55,6 +55,25 @@ def test_malformed_value_names_its_key(alsace_copy, tmp_path, caplog, section, k
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value, shown", [
+    ("aop", "2", "2.0"),
+    ("pgi", "0", "0.0"),
+    ("non_pgi", "-0.25", "-0.25"),
+    ("aop_brandy", "nan", "nan"),
+])
+def test_out_of_range_weight_is_a_config_error(alsace_copy, tmp_path, caplog, key, value, shown):
+    # A weight outside (0, 1] would otherwise turn every mask row of its
+    # category into a row error and leave the mask empty.
+    _set_key(alsace_copy, "weights", key, value)
+    with caplog.at_level(logging.ERROR):
+        rc = cli.main(["run", "--config", str(alsace_copy), "--output-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
+        f"configuration error: weights.{key} must be in (0, 1], got {shown}"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_that_is_not_utf8_is_a_config_error(alsace_copy, tmp_path, caplog):
     alsace_copy.write_bytes(alsace_copy.read_bytes() + "\n[validate]\nnote = caf\xe9\n".encode("latin-1"))
     rc = cli.main(["run", "--config", str(alsace_copy), "--output-dir", str(tmp_path / "out")])

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from baselines import match_labels_oracle
 from vinevalue import linkage
 from vinevalue.linkage import (
-    EditCosts,
     LabelMatch,
     edit_distance,
     expand_price_entries,
@@ -23,10 +22,10 @@ from vinevalue.linkage import (
 from vinevalue.model import AppellationRecord, PriceEntry
 
 
-def oracle_edit_distance(a: str, b: str, costs: EditCosts = EditCosts()) -> float:
-    """Dijkstra over edit sequences: the true minimal cost of turning a into
-    b with single-character inserts, deletes, substitutions and adjacent
-    transpositions. Exponential; only for short strings."""
+def oracle_edit_distance(a: str, b: str) -> float:
+    """Dijkstra over edit sequences: the true fewest single-character
+    inserts, deletes, substitutions and adjacent transpositions that turn a
+    into b. Exponential; only for short strings."""
     alphabet = sorted(set(a) | set(b)) or ["A"]
     max_len = max(len(a), len(b)) + 2
     heap = [(0.0, a)]
@@ -44,17 +43,17 @@ def oracle_edit_distance(a: str, b: str, costs: EditCosts = EditCosts()) -> floa
                 heapq.heappush(heap, (new_cost, t))
 
         for i in range(len(s)):
-            push(cost + costs.delete, s[:i] + s[i + 1:])
+            push(cost + 1.0, s[:i] + s[i + 1:])
             for ch in alphabet:
                 if ch != s[i]:
-                    push(cost + costs.substitute, s[:i] + ch + s[i + 1:])
+                    push(cost + 1.0, s[:i] + ch + s[i + 1:])
         if len(s) < max_len:
             for i in range(len(s) + 1):
                 for ch in alphabet:
-                    push(cost + costs.insert, s[:i] + ch + s[i:])
+                    push(cost + 1.0, s[:i] + ch + s[i:])
         for i in range(len(s) - 1):
             if s[i] != s[i + 1]:
-                push(cost + costs.transpose, s[:i] + s[i + 1] + s[i] + s[i + 2:])
+                push(cost + 1.0, s[:i] + s[i + 1] + s[i] + s[i + 2:])
     raise AssertionError("unreachable")
 
 
@@ -84,29 +83,15 @@ class TestEditDistance:
     def test_transposition(self):
         assert edit_distance("AB", "BA") == 1.0
 
-    def test_forced_deletion_cost(self):
-        assert edit_distance("A", "", EditCosts(delete=2.0)) == 2.0
-
-    def test_negative_cost_rejected(self):
-        with pytest.raises(ValueError):
-            EditCosts(insert=-1.0)
-
-    @pytest.mark.parametrize(
-        "costs",
-        [
-            EditCosts(),
-            EditCosts(insert=1.2, delete=0.8, substitute=1.5, transpose=1.1),
-            EditCosts(insert=2.0, delete=2.0, substitute=1.0, transpose=2.0),
-        ],
-    )
-    def test_matches_exhaustive_search(self, costs):
+    def test_matches_exhaustive_search(self):
         strings = [""]
         for length in (1, 2, 3):
             strings.extend("".join(t) for t in itertools.product("AB", repeat=length))
         strings.extend(["ABC", "CBA", "BCA", "CAB", "ACB"])
         for a, b in itertools.product(strings, repeat=2):
-            expected = oracle_edit_distance(a, b, costs)
-            assert edit_distance(a, b, costs) == pytest.approx(expected, abs=1e-12), (a, b)
+            distance = edit_distance(a, b)
+            assert type(distance) is float
+            assert distance == oracle_edit_distance(a, b), (a, b)
 
     @given(st.text(alphabet="ABC", max_size=5), st.text(alphabet="ABC", max_size=5))
     def test_symmetric_for_symmetric_costs(self, a, b):
@@ -198,12 +183,6 @@ class TestMatchLabels:
         assert not matches[0].accepted
 
 
-_COSTS = st.sampled_from([0.0, 0.1, 0.5, 1.0, 1.3, 2.0])
-_EDIT_COSTS = st.builds(
-    EditCosts, insert=_COSTS, delete=_COSTS, substitute=_COSTS, transpose=_COSTS
-)
-
-
 class TestPrunedMatching:
     """``match_labels`` skips targets by a lower bound; the all-pairs loop in
     ``baselines`` is the reference it must agree with."""
@@ -213,27 +192,15 @@ class TestPrunedMatching:
         labels=st.lists(st.text(alphabet="ABC ", max_size=6), min_size=1, max_size=4),
         names=st.lists(st.text(alphabet="ABC", max_size=5), min_size=1, max_size=4),
         codes=st.lists(st.sampled_from(["A1", "B2", "C3", "D4", "E5"]), min_size=1, max_size=12),
-        costs=_EDIT_COSTS,
         threshold_fraction=st.sampled_from([0.0, 0.1, 0.5]),
     )
-    def test_equals_all_pairs_oracle(self, labels, names, codes, costs, threshold_fraction):
+    def test_equals_all_pairs_oracle(self, labels, names, codes, threshold_fraction):
         # Few distinct names over many codes: the same name appears under
         # several codes, and ties on distance are common.
         targets = [_app(code, names[k % len(names)]) for k, code in enumerate(codes)]
         prices = [_price(label) for label in labels]
-        kwargs = {"costs": costs, "threshold_fraction": threshold_fraction}
-        expected = match_labels_oracle(prices, targets, **kwargs)
-        assert match_labels(prices, targets, **kwargs) == expected
-
-    def test_zero_substitute_cost_tie_goes_to_lowest_code(self):
-        # With free substitutions every equal-length name is at distance 0,
-        # so the exact match under a later code must not win.
-        targets = [_app("B1", "CCC"), _app("A2", "ABC")]
-        prices = [_price("ccc")]
-        costs = EditCosts(substitute=0.0)
-        matches = match_labels(prices, targets, costs=costs)
-        assert matches == [LabelMatch("ccc", "A2", 0.0, True)]
-        assert matches == match_labels_oracle(prices, targets, costs=costs)
+        expected = match_labels_oracle(prices, targets, threshold_fraction=threshold_fraction)
+        assert match_labels(prices, targets, threshold_fraction=threshold_fraction) == expected
 
     def test_tie_with_a_looser_bound_goes_to_lowest_code(self):
         # Both names are one edit away, but B2's anagram has the lower
@@ -243,32 +210,43 @@ class TestPrunedMatching:
         assert matches == [LabelMatch("ab", "A1", 1.0, True)]
         assert matches == match_labels_oracle([_price("ab")], targets, threshold_fraction=0.5)
 
-    def test_distant_targets_are_not_scored(self, monkeypatch):
+    @staticmethod
+    def _scored(monkeypatch) -> list[str]:
         calls = []
 
-        def counted(a, b, costs):
+        def counted(a, b):
             calls.append(b)
-            return edit_distance(a, b, costs)
+            return edit_distance(a, b)
 
         monkeypatch.setattr(linkage, "edit_distance", counted)
+        return calls
+
+    def test_distant_targets_are_not_scored(self, monkeypatch):
+        calls = self._scored(monkeypatch)
         targets = [_app("A1", "CHABLIS GRAND CRU"), _app("B2", "ROUGE"), _app("C3", "BLANC")]
         matches = match_labels([_price("rouge")], targets)
         assert matches == [LabelMatch("rouge", "B2", 0.0, True)]
         assert calls == ["ROUGE"]
 
+    def test_bound_equal_to_the_best_at_a_later_code_is_not_scored(self, monkeypatch):
+        # Both bounds are 1. Once A1 scores 1, B2 could at best tie it and
+        # lose on code, so it is never scored.
+        calls = self._scored(monkeypatch)
+        targets = [_app("A1", "ROUGX"), _app("B2", "ROUGY")]
+        matches = match_labels([_price("rouge")], targets)
+        assert matches == [LabelMatch("rouge", "A1", 1.0, False)]
+        assert calls == ["ROUGX"]
+
     @settings(max_examples=300, deadline=None)
     @given(
         a=st.text(alphabet="ABCD", max_size=7),
         b=st.text(alphabet="ABCD", max_size=7),
-        costs=_EDIT_COSTS,
     )
-    def test_bag_bound_never_exceeds_distance(self, a, b, costs):
+    def test_bag_bound_never_exceeds_distance(self, a, b):
         columns = {ch: c for c, ch in enumerate("ABCD")}
-        bound = linkage._bag_bounds(
-            linkage._bag(a, columns), linkage._bag(b, columns)[None, :], costs
-        )
+        bound = linkage._bag_bounds(linkage._bag(a, columns), linkage._bag(b, columns)[None, :])
         assert bound.shape == (1,)
-        assert bound[0] <= edit_distance(a, b, costs)
+        assert bound[0] <= edit_distance(a, b)
 
 
 class TestWordlists:

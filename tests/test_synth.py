@@ -106,8 +106,9 @@ class TestRecovery:
         for seed in range(30):
             for factor, bucket in ((0.25, low), (2.0, high)):
                 instance = generate((8, 40, 0.12), seed=seed, extra_mask_factor=factor)
+                problem = instance.problem
                 solution = allocator.solve(
-                    instance.problem, allocator.random_init(instance.problem, seed)
+                    problem, allocator.random_init(problem, seed), allocator.optimal_value(problem)
                 )
                 bucket.append(score_recovery(instance.truth.cells, solution.cells).kendall_tau)
         low_mean = np.mean(low)
