@@ -6,14 +6,19 @@ totals, column sums at most the per-county totals, zero outside the
 authorization mask, and per-cell upper bounds ``min(s_a, s_c)``.
 
 The optimum value of this linear program is unique but the optimal point is
-not. Each solve runs two exact LP phases. The first computes the optimal
-value and reads the optimal face from its duals: rows with a nonzero dual
+not. Every start picks the vertex of the optimal face that maximizes a
+random objective derived from the start point, so different starts land on
+different optimal vertices while the objective value itself never depends on
+the start; the retained estimate is the cell-wise average over many starts.
+
+The optimal face is known without solving anything when every appellation
+row can be filled to its cap: every weight is positive, so no allocation
+weighs more than ``sum(alpha_a * s_a)``, and the points that reach it are
+exactly the feasible points with every row sum at its cap. The starts try
+that face first; if HiGHS finds it empty, a phase-1 LP computes the optimal
+value and reads the face from its duals instead: rows with a nonzero dual
 become equalities and columns with a nonzero reduced cost are fixed at the
-bound they press against. The second picks the vertex of that face that
-maximizes a random objective derived from the start point. Different starts
-therefore land on different optimal vertices while the objective value
-itself never depends on the start, and the retained estimate is the
-cell-wise average over many starts.
+bound they press against.
 """
 from __future__ import annotations
 
@@ -21,6 +26,7 @@ import logging
 import math
 import os
 import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,7 +66,12 @@ _HIGHS_OPTIONS = {
 }
 
 class SolveError(Exception):
-    """Raised when the LP solver fails."""
+    """Raised when the LP solver fails; ``status`` is the HiGHS status of the
+    LP that did not solve, if one ran."""
+
+    def __init__(self, message: str, status: int | None = None):
+        super().__init__(message)
+        self.status = status
 
 
 class FeasibilityError(ValueError):
@@ -184,9 +195,11 @@ def build_problem(
 
 @dataclass(frozen=True, eq=False)
 class OptimalFace:
-    """Phase-1 result: the LP optimum ``value`` and the constraints of its
-    optimal face, tight rows as equalities and fixed columns as equal bounds.
-    Every phase-2 start solves over these with its own costs."""
+    """The LP optimum ``value`` and the constraints of its optimal face, tight
+    rows as equalities and fixed columns as equal bounds: either every
+    appellation row filled (:func:`_saturated_face`) or the face read from
+    the phase-1 duals (:func:`optimal_value`). Every start solves over these
+    with its own costs."""
 
     value: float
     a_eq: sparse.csr_matrix
@@ -207,6 +220,24 @@ def _constraints(problem: AllocationProblem):
     )
     matrix = sparse.vstack([a_rows, a_cols]).tocsr()
     return matrix, np.concatenate([problem.row_caps, problem.col_caps])
+
+
+def _saturated_face(problem: AllocationProblem) -> OptimalFace | None:
+    """The face on which every appellation row is filled to its cap, valued
+    at the exactly rounded ``sum(alpha_a * s_a)``. Its feasible points, if
+    any, are exactly the optimal ones. None when a necessary condition
+    already fails: the row caps exceed the county caps in total, a row's
+    cells cannot hold its cap, or a weight is not positive."""
+    rows = len(problem.row_codes)
+    room = np.bincount(problem.row_index, weights=problem.upper_bounds, minlength=rows)
+    if (problem.row_caps.sum() > problem.col_caps.sum() or np.any(room < problem.row_caps)
+            or np.any(problem.alpha <= 0)):
+        return None
+    matrix, rhs = _constraints(problem)
+    value = math.fsum(problem.weights[code] * cap
+                      for code, cap in zip(problem.row_codes, problem.row_caps.tolist()))
+    bounds = np.column_stack([problem.lower_bounds, problem.upper_bounds])
+    return OptimalFace(value, matrix[:rows], rhs[:rows], matrix[rows:], rhs[rows:], bounds)
 
 
 def project_feasible(problem: AllocationProblem, point: np.ndarray) -> np.ndarray:
@@ -265,7 +296,7 @@ def optimal_value(problem: AllocationProblem) -> OptimalFace:
         method="highs", options=_HIGHS_OPTIONS,
     )
     if res.status != 0:
-        raise SolveError(f"phase-1 LP failed (status {res.status}): {res.message}")
+        raise SolveError(f"phase-1 LP failed (status {res.status}): {res.message}", res.status)
     tol = _HIGHS_OPTIONS["dual_feasibility_tolerance"]
     tight = np.abs(res.ineqlin.marginals) > tol
     at_cap = np.abs(res.upper.marginals) > tol
@@ -305,7 +336,7 @@ def solve(
         bounds=face.bounds, method="highs", options=_HIGHS_OPTIONS,
     )
     if res.status != 0:
-        raise SolveError(f"phase-2 LP failed (status {res.status}): {res.message}")
+        raise SolveError(f"phase-2 LP failed (status {res.status}): {res.message}", res.status)
     x = project_feasible(problem, res.x)
     x[x < 1e-12] = 0.0
     return _matrix_from_vector(problem, x)
@@ -330,6 +361,45 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _run_starts(
+    pool: ThreadPoolExecutor,
+    workers: int,
+    problem: AllocationProblem,
+    face: OptimalFace,
+    seeds: Sequence[int],
+    probe: bool,
+) -> dict[int, AllocationMatrix | SolveError] | None:
+    """Solve the start of every seed on ``face``, on ``workers`` threads: this
+    one and ``workers - 1`` of ``pool``. Each thread takes one of the first
+    seeds, then draws from one queue. With ``probe``, the first LP HiGHS does
+    not solve rejects the face: no seed is handed out after it, the starts
+    already running finish, and the result is None."""
+    pending: queue.SimpleQueue[int] = queue.SimpleQueue()
+    for seed in seeds[workers:]:
+        pending.put(seed)
+    outcomes: dict[int, AllocationMatrix | SolveError] = {}
+    rejected = threading.Event()
+
+    def run(seed: int | None) -> None:
+        while seed is not None:
+            try:
+                outcomes[seed] = solve(problem, random_init(problem, seed), face)
+            except SolveError as exc:
+                outcomes[seed] = exc
+                if probe and exc.status is not None:
+                    rejected.set()
+            try:
+                seed = None if rejected.is_set() else pending.get_nowait()
+            except queue.Empty:
+                seed = None
+
+    helpers = [pool.submit(run, seed) for seed in seeds[1:workers]]
+    run(seeds[0])
+    for helper in helpers:
+        helper.result()
+    return None if rejected.is_set() else outcomes
+
+
 def multi_start_average(
     problem: AllocationProblem,
     k_starts: int = 20,
@@ -337,43 +407,30 @@ def multi_start_average(
 ) -> MultiStartResult:
     """Average the solutions of ``k_starts`` random starts cell-wise.
 
-    The starts run on ``min(k_starts, CPUs)`` threads, this one included:
-    HiGHS releases the GIL, and the calling thread reuses the memory phase 1
-    freed, where each helper thread builds its own LP working set. Every
-    thread draws seeds from one queue; outcomes are kept by seed and reduced
-    in seed order, so results are bit-identical whatever the thread count.
-    The average is feasible by convexity of the constraint set. Failed starts
-    are excluded and reported; all starts failing is fatal, and any other
-    error in a start propagates. Agreement between the starts is measured by
+    The starts first run on the face where every appellation row is filled;
+    if one of them finds that face empty, phase 1 computes the optimal face
+    and every start runs again on it, so no start on the rejected face counts
+    as failed. The starts run on ``min(k_starts, CPUs)`` threads, this one
+    included: HiGHS releases the GIL, and each helper thread builds its own
+    LP working set. Outcomes are kept by seed and reduced in seed order, so
+    results are bit-identical whatever the thread count. The average is
+    feasible by convexity of the constraint set. Failed starts are excluded
+    and reported; all starts failing is fatal, and any other error in a start
+    propagates. Agreement between the starts is measured by
     ``validate.compare_solutions``.
     """
     if k_starts < 1:
         raise ValueError("k_starts must be >= 1")
 
-    face = optimal_value(problem)
     seeds = range(seed_base, seed_base + k_starts)
-    pending: queue.SimpleQueue[int] = queue.SimpleQueue()
-    for seed in seeds:
-        pending.put(seed)
-    outcomes: dict[int, AllocationMatrix | SolveError] = {}
-
-    def run_starts() -> None:
-        while True:
-            try:
-                seed = pending.get_nowait()
-            except queue.Empty:
-                return
-            try:
-                outcomes[seed] = solve(problem, random_init(problem, seed), face)
-            except SolveError as exc:
-                outcomes[seed] = exc
-
     workers = min(k_starts, _cpu_count())
     with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
-        helpers = [pool.submit(run_starts) for _ in range(workers - 1)]
-        run_starts()
-        for helper in helpers:
-            helper.result()
+        face = _saturated_face(problem)
+        outcomes = None if face is None else _run_starts(
+            pool, workers, problem, face, seeds, probe=True)
+        if outcomes is None:
+            face = optimal_value(problem)
+            outcomes = _run_starts(pool, workers, problem, face, seeds, probe=False)
 
     solutions: list[AllocationMatrix] = []
     vectors: list[np.ndarray] = []

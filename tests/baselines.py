@@ -4,7 +4,14 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-from vinevalue.allocator import AllocationMatrix, AllocationProblem
+from vinevalue.allocator import (
+    AllocationMatrix,
+    AllocationProblem,
+    OptimalFace,
+    optimal_value,
+    random_init,
+    solve,
+)
 from vinevalue.linkage import (
     LabelMatch,
     edit_distance,
@@ -114,6 +121,17 @@ def brute_force_optimum(problem: AllocationProblem, grid_step: float) -> Allocat
     cells = {problem.cells[k]: v for k, v in enumerate(best_values) if v > 0}
     obj = math.fsum(problem.weights[code] * v for (code, _), v in cells.items())
     return AllocationMatrix(cells=cells, objective_value=obj)
+
+
+def phase1_multi_start(
+    problem: AllocationProblem, k_starts: int, seed_base: int = 0
+) -> tuple[OptimalFace, list[AllocationMatrix]]:
+    """The optimal face and the start solutions of ``multi_start_average``
+    with the face always read from the phase-1 duals, the starts solved one
+    at a time in seed order."""
+    face = optimal_value(problem)
+    return face, [solve(problem, random_init(problem, seed), face)
+                  for seed in range(seed_base, seed_base + k_starts)]
 
 
 def kendall_tau_oracle(x, y) -> float:

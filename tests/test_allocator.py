@@ -6,9 +6,10 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from baselines import brute_force_optimum, greedy_baseline
-from vinevalue import allocator
+from baselines import brute_force_optimum, greedy_baseline, phase1_multi_start
+from vinevalue import allocator, synth
 from vinevalue.allocator import (
     SolveError,
     assert_feasible,
@@ -70,6 +71,18 @@ def stable_face_problem():
         {"01001": 2.0, "01002": 12.0},
         {"AOP1": 1.0, "PGI1": 1.0 / 3.0, "NP1": 0.25},
         [("AOP1", "01002"), ("PGI1", "01001"), ("PGI1", "01002"), ("NP1", "01002")],
+    )
+
+
+def contested_problem():
+    """Both AOP1 and NP1 reach only county 01001, which holds one of them:
+    the caps in total and every row's cells could hold every row, yet the
+    rows cannot all be filled. PGI1 fills its row in county 01002."""
+    return _simple(
+        {"AOP1": 10.0, "NP1": 10.0, "PGI1": 1.0},
+        {"01001": 10.0, "01002": 19.0},
+        {"AOP1": 1.0, "NP1": 0.25, "PGI1": 1.0 / 3.0},
+        [("AOP1", "01001"), ("NP1", "01001"), ("PGI1", "01002")],
     )
 
 
@@ -515,6 +528,152 @@ class TestFailedStarts:
         with pytest.raises(RuntimeError, match="helper broke"):
             multi_start_average(priority_problem(), k_starts=4)
         assert helper_called.is_set()
+
+
+def count_linprog(monkeypatch) -> list[int]:
+    """Record one entry per ``allocator.linprog`` call, from any thread."""
+    real = allocator.linprog
+    calls: list[int] = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(allocator, "linprog", counted)
+    return calls
+
+
+def same_starts(result, oracle_face, oracle_solutions):
+    """``result`` has no failed start, and agrees with the phase-1 oracle
+    on the optimum, on each start's support and on its values within 1e-9 ha."""
+    assert result.failures == []
+    assert result.optimal_value == pytest.approx(oracle_face.value, rel=1e-12)
+    assert len(result.solutions) == len(oracle_solutions)
+    for solution, expected in zip(result.solutions, oracle_solutions):
+        assert solution.cells.keys() == expected.cells.keys()
+        for cell, value in expected.cells.items():
+            assert solution.cells[cell] == pytest.approx(value, rel=0, abs=1e-9)
+
+
+@st.composite
+def small_problems(draw):
+    """Up to 4 x 4 instances in quarter hectares, with the paper's three
+    weights and up to two known cells, plus, in half of them, the overflow of
+    ``contested_problem``: two rows that fit in their one county apart but
+    not together, and a spare county large enough for every row. So some
+    instances can fill every row, some fail a cheap check, and some pass both
+    checks but still cannot fill their rows."""
+    rows = [f"A{i}" for i in range(draw(st.integers(1, 4)))]
+    cols = [f"{j + 1:05d}" for j in range(draw(st.integers(1, 4)))]
+    cells = sorted({(r, c) for r in rows
+                    for c in draw(st.lists(st.sampled_from(cols), min_size=1, max_size=3))})
+    known_cells = draw(st.lists(st.sampled_from(cells), max_size=2, unique=True))
+    known = {cell: draw(st.integers(1, 16)) / 4 for cell in known_cells}
+    caps_r = {r: draw(st.integers(1, 48)) / 4 for r in rows}
+    caps_c = {c: draw(st.integers(1, 48)) * draw(st.sampled_from([4, 1])) / 4 for c in cols}
+    for (r, c), value in known.items():
+        caps_r[r] += value
+        caps_c[c] += value
+    if draw(st.booleans()):
+        caps_r |= dict.fromkeys(("B0", "B1"), draw(st.integers(1, 48)) / 4)
+        caps_r["B2"] = draw(st.integers(1, 48)) / 4
+        caps_c |= {"09001": caps_r["B0"], "09002": sum(caps_r.values())}
+        cells += [("B0", "09001"), ("B1", "09001"), ("B2", "09002")]
+    weights = {r: draw(st.sampled_from([1.0, 1.0 / 3.0, 0.25])) for r in caps_r}
+    mask = [cell for cell in cells if cell not in known]
+    return problem_from_caps(caps_r, caps_c, weights, mask, known)
+
+
+class TestFilledRowsFace:
+    def test_filled_rows_run_no_phase_one(self, monkeypatch):
+        problem = synth.generate((6, 12, 0.4), seed=3, counties_per_department=4).problem
+        calls = count_linprog(monkeypatch)
+        result = multi_start_average(problem, k_starts=3, seed_base=1)
+        assert len(calls) == 3
+        assert result.optimal_value == math.fsum(
+            problem.weights[code] * cap for code, cap in problem.appellation_caps.items())
+        same_starts(result, *phase1_multi_start(problem, 3, 1))
+
+    @pytest.mark.parametrize("problem", [
+        priority_problem(),
+        # Each row fits the counties in total, but A's one cell holds 4 of its 10 ha.
+        _simple({"A": 10.0, "B": 1.0}, {"01": 4.0, "02": 20.0}, {"A": 1.0, "B": 1.0},
+                [("A", "01"), ("B", "02")]),
+    ], ids=["county caps short", "row cells short"])
+    def test_rows_that_clearly_cannot_fill_go_straight_to_phase_one(self, monkeypatch, problem):
+        calls = count_linprog(monkeypatch)
+        result = multi_start_average(problem, k_starts=4, seed_base=2)
+        assert len(calls) == 1 + 4
+        same_starts(result, *phase1_multi_start(problem, 4, 2))
+
+    @pytest.mark.parametrize("cpus", [1, 3, 8])
+    def test_rejected_face_costs_at_most_one_lp_per_thread(self, monkeypatch, cpus):
+        """8 workers exceed the cores here; with a thread switch every
+        microsecond, no thread may start a second LP on the rejected face."""
+        problem = contested_problem()
+        oracle = phase1_multi_start(problem, 6, 4)
+        monkeypatch.setattr(allocator, "_cpu_count", lambda: cpus)
+        calls = count_linprog(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = multi_start_average(problem, k_starts=6, seed_base=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert 1 + 1 + 6 <= len(calls) <= min(cpus, 6) + 1 + 6
+        same_starts(result, *oracle)
+        assert result.average.cells == pytest.approx(
+            {("AOP1", "01001"): 10.0, ("PGI1", "01002"): 1.0}, abs=1e-9)
+
+    def test_rejection_carries_the_highs_status(self):
+        problem = contested_problem()
+        face = allocator._saturated_face(problem)
+        assert face.value == 10.0 + 10.0 * 0.25 + 1.0 / 3.0
+        with pytest.raises(SolveError) as info:
+            solve(problem, random_init(problem, 0), face)
+        assert info.value.status == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=small_problems(), k_starts=st.integers(1, 4),
+           seed_base=st.integers(0, 1000))
+    def test_same_starts_as_the_phase_one_face(self, problem, k_starts, seed_base):
+        result = multi_start_average(problem, k_starts=k_starts, seed_base=seed_base)
+        same_starts(result, *phase1_multi_start(problem, k_starts, seed_base))
+
+    def test_contested_county_caps_at_criterion_2_scale(self, monkeypatch):
+        """Criterion 2's instances with every county cap scaled by 0.8: the
+        rows cannot all be filled, so phase 1 runs, and its faces have tight
+        county rows and fixed columns."""
+        rng = np.random.default_rng(2002)
+        tight_county_faces = fixed_column_faces = 0
+        for i in range(40):
+            n_apps = int(rng.integers(2, 51))
+            n_counties = int(rng.integers(5, 201))
+            density = float(rng.uniform(0.02, 0.3))
+            instance = synth.generate(
+                (n_apps, n_counties, density), seed=int(rng.integers(1 << 62)),
+                counties_per_department=max(2, n_counties // 5),
+            ).problem
+            problem = problem_from_caps(
+                instance.appellation_caps,
+                {insee: 0.8 * cap for insee, cap in instance.county_caps.items()},
+                instance.weights, instance.cells,
+            )
+            face, solutions = phase1_multi_start(problem, 2, i)
+            county_rows = {tuple(np.flatnonzero(problem.col_index == j))
+                           for j in range(len(problem.col_codes))}
+            equalities = {tuple(sorted(face.a_eq[r].indices)) for r in range(face.a_eq.shape[0])}
+            tight_county_faces += bool(equalities & county_rows)
+            low, high = face.bounds.T
+            fixed_column_faces += bool(np.any((low == high) & (problem.lower_bounds == 0)))
+            with monkeypatch.context() as patch:
+                calls = count_linprog(patch)
+                result = multi_start_average(problem, k_starts=2, seed_base=i)
+            assert len(calls) == 1 + 2
+            same_starts(result, face, solutions)
+            for solution in (*result.solutions, result.average):
+                assert feasibility_violations(problem, solution.cells) == []
+        assert tight_county_faces >= 30 and fixed_column_faces >= 25
 
 
 class TestProjectFeasible:
