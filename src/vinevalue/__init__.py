@@ -6,10 +6,8 @@ from .model import (
     AuthorizationMask,
     Category,
     CountyRecord,
-    CviCode,
     PriceEntry,
     ProductionMode,
-    WineColor,
 )
 from .allocator import (
     AllocationMatrix,
@@ -34,13 +32,11 @@ __all__ = [
     "Category",
     "ComparisonReport",
     "CountyRecord",
-    "CviCode",
     "ExpectedYield",
     "HarvestValueRecord",
     "LabelMatch",
     "PriceEntry",
     "ProductionMode",
-    "WineColor",
     "__version__",
     "build_portfolio",
     "build_problem",

@@ -53,6 +53,16 @@ def _require(path: Path, stage: str, produced_by: str) -> Path:
     return path
 
 
+def _in_stage(stage: str, compute, *args, **kwargs):
+    """``compute(*args, **kwargs)``; the ValueError it raises on inputs it
+    cannot use (too few points to rank, an unpriced portfolio) ends the
+    stage with a :class:`StageError`."""
+    try:
+        return compute(*args, **kwargs)
+    except ValueError as exc:
+        raise StageError(stage, str(exc)) from exc
+
+
 def _normalize_kwargs(cfg: PipelineConfig) -> dict:
     kwargs = {}
     if cfg.acronyms:
@@ -73,7 +83,6 @@ def stage_ingest(cfg: PipelineConfig) -> None:
         code_col=columns.appellation_code,
         surface_col=columns.appellation_surface,
         name_col=columns.appellation_name,
-        color_col=columns.appellation_color,
         category_col=columns.appellation_category,
         yield_cols=columns.yield_cols,
         volume_cols=columns.volume_cols,
@@ -227,8 +236,9 @@ def stage_validate(cfg: PipelineConfig) -> None:
     solutions_report = None
     if len(paths) >= 2:
         solutions = [allocator.read_solution(p) for p in paths]
-        solutions_report = validate.compare_solutions(
-            solutions, restrict_min_hectares=cfg.restrict_min_hectares
+        solutions_report = _in_stage(
+            "validate", validate.compare_solutions,
+            solutions, restrict_min_hectares=cfg.restrict_min_hectares,
         )
 
     aggregates_report = None
@@ -241,13 +251,14 @@ def stage_validate(cfg: PipelineConfig) -> None:
         reference = ingest.parse_reference_aggregates(
             cfg.reference_aggregates, delimiter=cfg.delimiter
         )
-        aggregates_report = validate.compare_aggregates(
-            alloc, categories, reference, restrict_min_hectares=cfg.reference_min_hectares
+        aggregates_report = _in_stage(
+            "validate", validate.compare_aggregates,
+            alloc, categories, reference, restrict_min_hectares=cfg.reference_min_hectares,
         )
 
     payload = {
-        "solutions": json.loads(solutions_report.to_json()) if solutions_report else None,
-        "aggregates": json.loads(aggregates_report.to_json()) if aggregates_report else None,
+        "solutions": solutions_report.to_dict() if solutions_report else None,
+        "aggregates": aggregates_report.to_dict() if aggregates_report else None,
     }
     (out / COMPARISON_JSON).write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -270,10 +281,9 @@ def stage_value(cfg: PipelineConfig) -> None:
     expanded = linkage.expand_price_entries(prices, **_normalize_kwargs(cfg))
     price_by_code = valuation.resolve_prices(matches, expanded)
     apps_by_code = {a.code: a for a in appellations}
-    try:
-        portfolio, report = valuation.build_portfolio(alloc, expected, price_by_code, apps_by_code)
-    except ValueError as exc:
-        raise StageError("value", str(exc)) from exc
+    portfolio, report = _in_stage(
+        "value", valuation.build_portfolio, alloc, expected, price_by_code, apps_by_code
+    )
 
     categories = {a.code: a.category for a in appellations}
     by_category = valuation.summarize_by_category(portfolio, categories)
@@ -287,7 +297,7 @@ def stage_value(cfg: PipelineConfig) -> None:
     valuation.write_portfolio(portfolio, out / PORTFOLIO_CSV)
     valuation.write_category_summary(by_category, out / CATEGORY_CSV)
     valuation.write_region_summary(by_region, out / REGION_CSV)
-    payload = json.loads(report.to_json())
+    payload = report.to_dict()
     if cfg.reference_total_eur is not None:
         payload["reference_total_eur"] = cfg.reference_total_eur
         payload["total_over_reference"] = report.total_value / cfg.reference_total_eur
@@ -316,10 +326,10 @@ def stage_synth(cfg: PipelineConfig) -> None:
 
     result = stage_solve(cfg)
     average = result.average.cells
-    score = synth.score_recovery(instance.truth.cells, average)
+    score = _in_stage("synth", synth.score_recovery, instance.truth.cells, average)
     truth_aggregates = validate.aggregate_allocation(instance.truth.cells, instance.categories)
-    aggregates = validate.compare_aggregates(
-        average, instance.categories, truth_aggregates,
+    aggregates = _in_stage(
+        "synth", validate.compare_aggregates, average, instance.categories, truth_aggregates,
         restrict_min_hectares=cfg.reference_min_hectares,
     )
     report = {
@@ -346,15 +356,16 @@ def run_pipeline(cfg: PipelineConfig) -> None:
     stage_value(cfg)
 
 
+#: Every command: the function it runs and its help line.
 STAGES = {
-    "run": run_pipeline,
-    "ingest": stage_ingest,
-    "link": stage_link,
-    "yields": stage_yields,
-    "solve": stage_solve,
-    "validate": stage_validate,
-    "value": stage_value,
-    "synth": stage_synth,
+    "run": (run_pipeline, "run the full pipeline end to end"),
+    "ingest": (stage_ingest, "parse the input files into canonical tables"),
+    "link": (stage_link, "match price-scale labels to appellations"),
+    "yields": (stage_yields, "compute expected yields"),
+    "solve": (stage_solve, "estimate the surface allocation"),
+    "validate": (stage_validate, "rank-correlation checks between solutions and references"),
+    "value": (stage_value, "build the valued portfolio and its summaries"),
+    "synth": (stage_synth, "generate a synthetic instance, recover it and score recovery"),
 }
 
 
@@ -365,16 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run", "run the full pipeline end to end"),
-        ("ingest", "parse the input files into canonical tables"),
-        ("link", "match price-scale labels to appellations"),
-        ("yields", "compute expected yields"),
-        ("solve", "estimate the surface allocation"),
-        ("validate", "rank-correlation checks between solutions and references"),
-        ("value", "build the valued portfolio and its summaries"),
-        ("synth", "generate a synthetic instance, recover it and score recovery"),
-    ):
+    for name, (_, help_text) in STAGES.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="pipeline configuration file")
         cmd.add_argument("--seed", type=int, default=None, help="override solver seed")
@@ -405,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
         logger.error("configuration error: %s", exc)
         return 1
     try:
-        STAGES[command](cfg)
+        STAGES[command][0](cfg)
     except StageError as exc:
         logger.error("%s", exc)
         return 2

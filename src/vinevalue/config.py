@@ -23,7 +23,6 @@ class ColumnSettings:
     appellation_code: str = "cvi"
     appellation_surface: str = "surface_ha"
     appellation_name: str | None = None
-    appellation_color: str | None = None
     appellation_category: str | None = None
     yield_cols: dict[int, str] = field(default_factory=dict)
     volume_cols: dict[int, str] = field(default_factory=dict)
@@ -103,6 +102,8 @@ class PipelineConfig:
                 raise ConfigError(f"input path for {name} does not exist: {path}")
         if self.k_starts < 1:
             raise ConfigError("k_starts must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"solver.seed must be >= 0, got {self.seed}")
         if self.threshold_fraction <= 0:
             raise ConfigError("threshold_fraction must be > 0")
         for key in ("appellations", "counties", "counties_per_department"):
@@ -135,7 +136,6 @@ _KEYS: tuple[tuple[str, str, str, Callable], ...] = (
     ("columns.appellations", "code", "columns.appellation_code", str),
     ("columns.appellations", "surface", "columns.appellation_surface", str),
     ("columns.appellations", "name", "columns.appellation_name", str),
-    ("columns.appellations", "color", "columns.appellation_color", str),
     ("columns.appellations", "category", "columns.appellation_category", str),
     ("columns.counties", "insee", "columns.county_insee", str),
     ("columns.counties", "surface", "columns.county_surface", str),

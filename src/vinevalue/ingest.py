@@ -23,11 +23,10 @@ from .model import (
     AuthorizationMask,
     Category,
     CountyRecord,
-    CviCode,
     DEFAULT_WEIGHTS,
     PriceEntry,
     ProductionMode,
-    WineColor,
+    cvi_prefix,
     department_of_insee,
     is_valid_insee,
     read_rows,
@@ -44,20 +43,6 @@ SECRET_VALUES = ("", "s", "S", "n/a", "N/A")
 #: 0.33 for one third).
 CANONICAL_WEIGHTS = (1.0, 1.0 / 3.0, 0.25)
 SNAP_TOLERANCE = 0.01
-
-_COLOR_ALIASES = {
-    "BLANC": WineColor.WHITE,
-    "WHITE": WineColor.WHITE,
-    "B": WineColor.WHITE,
-    "W": WineColor.WHITE,
-    "ROUGE": WineColor.RED,
-    "RED": WineColor.RED,
-    "R": WineColor.RED,
-    "ROSE": WineColor.ROSE,
-    "RS": WineColor.ROSE,
-    "MIXTE": WineColor.MIXED,
-    "MIXED": WineColor.MIXED,
-}
 
 _CATEGORY_ALIASES = {
     "AOP": Category.AOP,
@@ -160,13 +145,24 @@ def _parse_float(text: str) -> float:
     return float(text.replace(" ", "").replace(" ", ""))
 
 
+def _surface(text: str) -> float:
+    """A published surface cell in hectares. Raises ValueError naming a
+    malformed or negative cell."""
+    try:
+        surface = _parse_float(text)
+    except ValueError:
+        raise ValueError(f"malformed surface {text!r}") from None
+    if surface < 0:
+        raise ValueError(f"negative surface {text!r}")
+    return surface
+
+
 def parse_customs_by_appellation(
     source,
     *,
     code_col: str = "cvi",
     surface_col: str = "surface_ha",
     name_col: str | None = None,
-    color_col: str | None = None,
     category_col: str | None = None,
     yield_cols: Mapping[int, str] | None = None,
     volume_cols: Mapping[int, str] | None = None,
@@ -193,42 +189,24 @@ def parse_customs_by_appellation(
     groups: dict[str, dict] = {}
     for line, row in rows:
         report.rows_read += 1
-        raw_code = row.get(code_col, "")
-        if not raw_code:
-            report.add_error(line, "empty CVI code")
-            continue
+        surface_text = row.get(surface_col, "")
         try:
-            code = CviCode.from_raw(raw_code, truncation=truncation)
+            prefix = cvi_prefix(row.get(code_col, ""), truncation=truncation)
+            surface = None if surface_text in SECRET_VALUES else _surface(surface_text)
         except ValueError as exc:
             report.add_error(line, str(exc))
             continue
-        surface_text = row.get(surface_col, "")
-        if surface_text in SECRET_VALUES:
+        if surface is None:
             report.secretized += 1
-            surface = None
-        else:
-            try:
-                surface = _parse_float(surface_text)
-            except ValueError:
-                report.add_error(line, f"malformed surface {surface_text!r}")
-                continue
-            if surface < 0:
-                report.add_error(line, f"negative surface {surface!r}")
-                continue
 
         group = groups.setdefault(
-            code.prefix,
-            {"surfaces": [], "name": "", "color": WineColor.UNKNOWN,
-             "category": default_category, "yields": {}},
+            prefix,
+            {"surfaces": [], "name": "", "category": default_category, "yields": {}},
         )
         if surface is not None:
             group["surfaces"].append(surface)
         if name_col and not group["name"]:
             group["name"] = row.get(name_col, "")
-        if color_col and group["color"] is WineColor.UNKNOWN:
-            group["color"] = _COLOR_ALIASES.get(
-                linkage.strip_accents(row.get(color_col, "")).upper(), WineColor.UNKNOWN
-            )
         if category_col:
             alias = row.get(category_col, "").upper()
             if alias in _CATEGORY_ALIASES:
@@ -273,7 +251,6 @@ def parse_customs_by_appellation(
                 code=prefix,
                 name=group["name"],
                 category=group["category"],
-                color=group["color"],
                 marginal_surface=math.fsum(group["surfaces"]),
                 yield_history=history,
             )
@@ -310,12 +287,9 @@ def parse_customs_by_county(
             report.secretized += 1
             continue
         try:
-            surface = _parse_float(surface_text)
-        except ValueError:
-            report.add_error(line, f"malformed surface {surface_text!r}")
-            continue
-        if surface < 0:
-            report.add_error(line, f"negative surface {surface!r}")
+            surface = _surface(surface_text)
+        except ValueError as exc:
+            report.add_error(line, str(exc))
             continue
         records[insee] = CountyRecord(
             insee_code=insee,
@@ -517,21 +491,19 @@ def _positional_rows(source, delimiter: str, dataset: str,
         yield line, fields
 
 
-def _surface(text: str, dataset: str, line: int) -> float:
+def _table_surface(text: str, dataset: str, line: int) -> float:
+    """:func:`_surface` for the headed side tables, where a bad cell is fatal."""
     try:
-        surface = _parse_float(text)
-    except ValueError:
-        raise ConfigError(f"{dataset}: malformed surface {text!r} at line {line}") from None
-    if surface < 0:
-        raise ConfigError(f"{dataset}: negative surface {text!r} at line {line}")
-    return surface
+        return _surface(text)
+    except ValueError as exc:
+        raise ConfigError(f"{dataset}: {exc} at line {line}") from None
 
 
 def parse_department_surfaces(source, *, delimiter: str = ";") -> dict[str, float]:
     """Two-column file: department; non-PGI surface in hectares."""
     dataset = "department_surfaces"
     return {
-        fields[0]: _surface(fields[1], dataset, line)
+        fields[0]: _table_surface(fields[1], dataset, line)
         for line, fields in _positional_rows(source, delimiter, dataset,
                                              ("department", "surface"))
     }
@@ -542,7 +514,7 @@ def parse_cell_surfaces(source, *, delimiter: str = ";") -> list[tuple[str, str,
     for vineyard area absent from the customs statistics."""
     dataset = "cell_surfaces"
     return [
-        (fields[0], fields[1], _surface(fields[2], dataset, line),
+        (fields[0], fields[1], _table_surface(fields[2], dataset, line),
          fields[3] if len(fields) > 3 else "")
         for line, fields in _positional_rows(source, delimiter, dataset,
                                              ("appellation", "insee", "surface"))
@@ -562,7 +534,7 @@ def parse_reference_aggregates(source, *, delimiter: str = ";") -> dict[tuple[st
     """Reference surfaces: department; wine_type; surface_ha."""
     dataset = "reference_aggregates"
     return {
-        (fields[0], fields[1]): _surface(fields[2], dataset, line)
+        (fields[0], fields[1]): _table_surface(fields[2], dataset, line)
         for line, fields in _positional_rows(source, delimiter, dataset,
                                              ("department", "wine type", "surface"))
     }
@@ -574,19 +546,19 @@ def parse_reference_aggregates(source, *, delimiter: str = ";") -> dict[tuple[st
 def write_appellations(records: Iterable[AppellationRecord], path: str | Path) -> None:
     def row(rec: AppellationRecord) -> list[str]:
         history = {str(year): repr(value) for year, value in sorted(rec.yield_history.items())}
-        return [rec.code, rec.name, rec.category.value, rec.color.value,
+        return [rec.code, rec.name, rec.category.value,
                 repr(rec.marginal_surface), json.dumps(history, sort_keys=True)]
 
-    write_rows(path, ["code", "name", "category", "color", "surface_ha", "yield_history"],
+    write_rows(path, ["code", "name", "category", "surface_ha", "yield_history"],
                map(row, sorted(records, key=lambda r: r.code)))
 
 
 def read_appellations(path: str | Path) -> list[AppellationRecord]:
     return [
         AppellationRecord(
-            code=row[0], name=row[1], category=Category(row[2]), color=WineColor(row[3]),
-            marginal_surface=float(row[4]),
-            yield_history={int(y): float(v) for y, v in json.loads(row[5]).items()},
+            code=row[0], name=row[1], category=Category(row[2]),
+            marginal_surface=float(row[3]),
+            yield_history={int(y): float(v) for y, v in json.loads(row[4]).items()},
         )
         for row in read_rows(path)
     ]

@@ -37,14 +37,6 @@ class Category(str, enum.Enum):
     PSEUDO_NON_PGI = "PSEUDO_NON_PGI"
 
 
-class WineColor(str, enum.Enum):
-    WHITE = "WHITE"
-    RED = "RED"
-    ROSE = "ROSE"
-    MIXED = "MIXED"
-    UNKNOWN = "UNKNOWN"
-
-
 class ProductionMode(str, enum.Enum):
     CONVENTIONAL = "CONVENTIONAL"
     ORGANIC = "ORGANIC"
@@ -92,44 +84,23 @@ def is_valid_insee(insee_code: str) -> bool:
     return bool(_INSEE_RE.match(insee_code))
 
 
-@dataclass(frozen=True)
-class CviCode:
-    """A vineyard-register product code split into its appellation-level
-    prefix and the trailing numeric product suffix."""
+def cvi_prefix(raw: str, truncation: int | None = None) -> str:
+    """The appellation-level prefix of a vineyard-register product code.
 
-    raw: str
-    prefix: str
-    product_suffix: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.prefix:
-            raise ValueError(f"empty prefix for CVI code {self.raw!r}")
-        if not self.raw.startswith(self.prefix):
-            raise ValueError(
-                f"prefix {self.prefix!r} is not a leading substring of {self.raw!r}"
-            )
-
-    @classmethod
-    def from_raw(cls, raw: str, truncation: int | None = None) -> "CviCode":
-        """Split ``raw`` deterministically.
-
-        With ``truncation=None`` the prefix is the longest leading substring
-        ending in a letter (the trailing numeric product code is dropped);
-        codes without any letter are kept whole. An integer ``truncation``
-        forces a fixed prefix length instead.
-        """
-        raw = raw.strip()
-        if not raw:
-            raise ValueError("empty CVI code")
-        if truncation is not None:
-            if truncation < 1:
-                raise ValueError("truncation length must be >= 1")
-            prefix = raw[: min(truncation, len(raw))]
-        else:
-            m = _LAST_LETTER_RE.match(raw)
-            prefix = m.group(1) if m else raw
-        suffix = raw[len(prefix):] or None
-        return cls(raw=raw, prefix=prefix, product_suffix=suffix)
+    With ``truncation=None`` the prefix is the longest leading substring
+    ending in a letter (the trailing numeric product code is dropped);
+    codes without any letter are kept whole. An integer ``truncation``
+    forces a fixed prefix length instead.
+    """
+    raw = raw.strip()
+    if not raw:
+        raise ValueError("empty CVI code")
+    if truncation is None:
+        m = _LAST_LETTER_RE.match(raw)
+        return m.group(1) if m else raw
+    if truncation < 1:
+        raise ValueError("truncation length must be >= 1")
+    return raw[:truncation]
 
 
 @dataclass(frozen=True)
@@ -140,7 +111,6 @@ class AppellationRecord:
     code: str
     name: str = ""
     category: Category = Category.AOP
-    color: WineColor = WineColor.UNKNOWN
     marginal_surface: float = 0.0
     yield_history: Mapping[int, float] = field(default_factory=dict)
 

@@ -43,7 +43,6 @@ CATEGORY_MIX: Mapping[Category, float] = {
 class SyntheticInstance:
     truth: AllocationMatrix
     problem: AllocationProblem
-    generator_seed: int
     shape: tuple[int, int, float]
     categories: dict[str, Category]
 
@@ -159,7 +158,6 @@ def generate(
     return SyntheticInstance(
         truth=truth,
         problem=problem,
-        generator_seed=int(seed),
         shape=shape,
         categories=categories_by_code,
     )

@@ -9,7 +9,6 @@ exact instead of accumulating float noise.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -39,9 +38,8 @@ class ComparisonReport:
     scatter_rows: list[tuple[str, float, float]] = field(default_factory=list)
     notes: dict[str, int] = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        payload = {k: v for k, v in asdict(self).items() if k != "scatter_rows"}
-        return json.dumps(payload, sort_keys=True)
+    def to_dict(self) -> dict:
+        return {k: v for k, v in asdict(self).items() if k != "scatter_rows"}
 
 
 def align(mappings: Sequence[Mapping]) -> tuple[list, np.ndarray]:

@@ -7,7 +7,6 @@ summation so aggregates are independent of fold order.
 """
 from __future__ import annotations
 
-import json
 import math
 import statistics
 from dataclasses import dataclass, field
@@ -35,7 +34,6 @@ class HarvestValueRecord:
     expected_yield: float
     price: float
     value: float
-    price_fallback: bool = False
 
 
 @dataclass(frozen=True)
@@ -63,17 +61,14 @@ class ValueReport:
     total_value: float = 0.0
     total_surface: float = 0.0
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "records": self.records,
-                "price_fallbacks": self.price_fallbacks,
-                "fallback_codes": sorted(set(self.fallback_codes))[:50],
-                "total_value_eur": self.total_value,
-                "total_surface_ha": self.total_surface,
-            },
-            sort_keys=True,
-        )
+    def to_dict(self) -> dict:
+        return {
+            "records": self.records,
+            "price_fallbacks": self.price_fallbacks,
+            "fallback_codes": sorted(set(self.fallback_codes))[:50],
+            "total_value_eur": self.total_value,
+            "total_surface_ha": self.total_surface,
+        }
 
 
 def harvest_value(surface: float, expected_yield: float, price: float) -> float:
@@ -117,7 +112,7 @@ def build_portfolio(
     Cells whose appellation has no accepted price use the median price of
     matched appellations in the same reporting category (a pseudo non-PGI
     code takes the non-PGI prices; any matched price as a last resort) and
-    are flagged.
+    are counted in the report.
     """
     report = ValueReport()
     prices_by_category: dict[Category, list[float]] = {}
@@ -140,8 +135,7 @@ def build_portfolio(
         if code not in expected_yields:
             raise ValueError(f"no expected yield for appellation {code!r}")
         ey = expected_yields[code].value
-        fallback = code not in price_by_code
-        if fallback:
+        if code not in price_by_code:
             in_category = prices_by_category.get(reporting_category(app.category))
             price = statistics.median(in_category) if in_category else overall_median
             report.price_fallbacks += 1
@@ -157,7 +151,6 @@ def build_portfolio(
                 expected_yield=ey,
                 price=price,
                 value=harvest_value(surface, ey, price),
-                price_fallback=fallback,
             )
         )
     report.records = len(records)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import shutil
 from pathlib import Path
 
@@ -390,7 +391,7 @@ class TestOptionalInputs:
         out = tmp_path / "out"
         assert run_cli("run", "--config", str(extended_config), "--output-dir", str(out)) == 0
         # The appellation's marginal and its known cell carry both rows.
-        assert "7C001M;Champagne test;AOP;UNKNOWN;5.0;" in (
+        assert "7C001M;Champagne test;AOP;5.0;" in (
             out / "appellations.csv").read_text(encoding="utf-8")
         assert allocator.read_solution(out / SOLUTION_CSV)[("7C001M", "68001")] == 5.0
 
@@ -565,3 +566,36 @@ class TestErrors:
             encoding="utf-8",
         )
         assert run_cli("run", "--config", str(config)) == 1
+
+    def test_one_key_reference_table_is_a_stage_error(self, alsace_config, tmp_path, caplog):
+        # Every Alsace cell aggregates to (67, AOP), so a one-row reference
+        # table leaves a single key and no rank to compare.
+        fixture = shutil.copytree(alsace_config.parent, tmp_path / "alsace")
+        (fixture / "reference.csv").write_text(
+            "department;wine_type;surface_ha\n67;AOP;281.2\n", encoding="utf-8"
+        )
+        config = fixture / "pipeline.ini"
+        config.write_text(
+            config.read_text(encoding="utf-8").replace(
+                "[inputs]\n", "[inputs]\nreference_aggregates = reference.csv\n"
+            ),
+            encoding="utf-8",
+        )
+        with caplog.at_level(logging.ERROR):
+            rc = run_cli("run", "--config", str(config), "--output-dir", str(tmp_path / "out"))
+        assert rc == 2
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
+            "[validate] need at least two aggregate keys to compare"
+        ]
+
+    def test_one_appellation_synth_is_a_stage_error(self, tmp_path, caplog):
+        config = tmp_path / "synth.ini"
+        # Seed 1 draws its one appellation's cells in a single department.
+        config.write_text("[solver]\nseed = 1\nk_starts = 2\n\n[synth]\nappellations = 1\n",
+                          encoding="utf-8")
+        with caplog.at_level(logging.ERROR):
+            rc = run_cli("synth", "--config", str(config), "--output-dir", str(tmp_path / "out"))
+        assert rc == 2
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
+            "[synth] need at least two aggregate keys to compare"
+        ]

@@ -74,6 +74,22 @@ def test_out_of_range_weight_is_a_config_error(alsace_copy, tmp_path, caplog, ke
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("from_flag", [False, True])
+def test_negative_seed_is_a_config_error(alsace_copy, tmp_path, caplog, from_flag):
+    # numpy refuses a negative seed only once the solve stage starts.
+    flags = ["--seed", "-3"] if from_flag else []
+    if not from_flag:
+        _set_key(alsace_copy, "solver", "seed", "-3")
+    with caplog.at_level(logging.ERROR):
+        rc = cli.main(["run", "--config", str(alsace_copy),
+                       "--output-dir", str(tmp_path / "out"), *flags])
+    assert rc == 1
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
+        "configuration error: solver.seed must be >= 0, got -3"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_that_is_not_utf8_is_a_config_error(alsace_copy, tmp_path, caplog):
     alsace_copy.write_bytes(alsace_copy.read_bytes() + "\n[validate]\nnote = caf\xe9\n".encode("latin-1"))
     rc = cli.main(["run", "--config", str(alsace_copy), "--output-dir", str(tmp_path / "out")])
@@ -104,6 +120,7 @@ def test_percent_in_input_path_is_literal(alsace_copy):
     ("solver", "feasibility_tol"),
     ("linkage", "threshold"),
     ("solver", "no_such_key"),
+    ("columns.appellations", "color"),
 ])
 def test_removed_keys_are_ignored_like_unknown_keys(alsace_copy, section, key):
     before = load_config(alsace_copy)

@@ -34,10 +34,9 @@ from vinevalue.model import (
     AuthorizationMask,
     Category,
     CountyRecord,
-    CviCode,
     PriceEntry,
     ProductionMode,
-    WineColor,
+    cvi_prefix,
 )
 
 
@@ -47,22 +46,28 @@ def _src(text: str) -> io.StringIO:
 
 class TestCviCode:
     def test_trailing_product_code_removed(self):
-        code = CviCode.from_raw("1B001M01")
-        assert code.prefix == "1B001M"
-        assert code.product_suffix == "01"
+        assert cvi_prefix("1B001M01") == "1B001M"
 
     def test_no_trailing_digits(self):
-        assert CviCode.from_raw("1B001M").prefix == "1B001M"
-        assert CviCode.from_raw("1B001M").product_suffix is None
+        assert cvi_prefix("1B001M") == "1B001M"
 
     def test_all_digits_kept_whole(self):
-        assert CviCode.from_raw("12345").prefix == "12345"
+        assert cvi_prefix("12345") == "12345"
 
     def test_fixed_length_override(self):
-        assert CviCode.from_raw("1B001M01", truncation=5).prefix == "1B001"
+        assert cvi_prefix("1B001M01", truncation=5) == "1B001"
+        assert cvi_prefix("1B0", truncation=5) == "1B0"
 
     def test_deterministic(self):
-        assert CviCode.from_raw("3B011M07") == CviCode.from_raw("3B011M07")
+        assert cvi_prefix(" 3B011M07 ") == cvi_prefix("3B011M07") == "3B011M"
+
+    def test_empty_code_rejected(self):
+        with pytest.raises(ValueError, match="empty CVI code"):
+            cvi_prefix("  ")
+
+    def test_truncation_below_one_rejected(self):
+        with pytest.raises(ValueError, match="truncation length must be >= 1"):
+            cvi_prefix("1B001M01", truncation=0)
 
 
 class TestParseCustomsByAppellation:
@@ -105,6 +110,11 @@ class TestParseCustomsByAppellation:
         )
         assert report.row_errors == [(2, "malformed surface 'abc'")]
 
+    def test_negative_surface_is_row_error_with_line(self):
+        records, report = parse_customs_by_appellation(_src("cvi;surface_ha\n1B001M01;-1\n"))
+        assert records == []
+        assert report.row_errors == [(2, "negative surface '-1'")]
+
     def test_missing_column_fatal(self):
         with pytest.raises(ConfigError):
             parse_customs_by_appellation(_src("code;surface_ha\n"))
@@ -137,13 +147,15 @@ class TestParseCustomsByAppellation:
         assert abs(total - expected) <= 1e-6 * expected
 
     def test_category_and_color_columns(self):
-        records, _ = parse_customs_by_appellation(
+        # The category column is read; a colour column is input no stage
+        # uses, and is ignored.
+        records, report = parse_customs_by_appellation(
             _src("cvi;surface_ha;cat;col\n3B011M01;4.0;IGP;rouge\n"),
             category_col="cat",
-            color_col="col",
         )
-        assert records[0].category is Category.PGI
-        assert records[0].color is WineColor.RED
+        assert records == [AppellationRecord(code="3B011M", category=Category.PGI,
+                                             marginal_surface=4.0)]
+        assert not report.row_errors
 
 
 class TestParseCustomsByCounty:
@@ -162,6 +174,15 @@ class TestParseCustomsByCounty:
         records, report = parse_customs_by_county(_src("insee;surface_ha\n1001;0.2\n"))
         assert records == []
         assert report.row_errors and report.row_errors[0][0] == 2
+
+    def test_bad_surfaces_are_row_errors_with_line(self):
+        records, report = parse_customs_by_county(
+            _src("insee;surface_ha\n01001;abc\n01002;-1.0\n")
+        )
+        assert records == []
+        assert report.row_errors == [
+            (2, "malformed surface 'abc'"), (3, "negative surface '-1.0'")
+        ]
 
     def test_leading_zeros_preserved(self):
         records, _ = parse_customs_by_county(_src("insee;surface_ha\n01001;1.0\n"))

@@ -129,4 +129,3 @@ def test_instance_shape_recorded():
     instance = generate((4, 12, 0.3), seed=41, counties_per_department=6)
     assert isinstance(instance, SyntheticInstance)
     assert instance.shape == (4, 12, 0.3)
-    assert instance.generator_seed == 41

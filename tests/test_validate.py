@@ -243,6 +243,7 @@ class TestCompareAggregates:
 
 def test_report_json_is_stable():
     report = ComparisonReport(pair_count=3, kendall_tau=0.5, restricted_tau=None)
-    payload = json.loads(report.to_json())
+    payload = report.to_dict()
+    assert json.loads(json.dumps(payload)) == payload
     assert payload["pair_count"] == 3
     assert payload["restricted_tau"] is None

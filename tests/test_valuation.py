@@ -102,11 +102,11 @@ class TestBuildPortfolio:
         records, report = build_portfolio(
             self._alloc(), self._yields(), matched_aop_extra, apps,
         )
-        flagged = [r for r in records if r.price_fallback]
-        assert len(flagged) == 1
-        assert flagged[0].appellation_code == "A2"
-        assert flagged[0].price == statistics.median([100.0, 150.0, 300.0])
+        assert report.fallback_codes == ["A2"]
         assert report.price_fallbacks == 1
+        assert {r.appellation_code: r.price for r in records}["A2"] == statistics.median(
+            [100.0, 150.0, 300.0]
+        )
 
     def test_pseudo_non_pgi_falls_back_to_non_pgi_prices(self):
         # NONPGI<dept> codes never carry a price label; they report as
@@ -123,9 +123,7 @@ class TestBuildPortfolio:
         records, report = build_portfolio(
             {("NONPGI67", "67003"): 2.0}, yields_, {"A1": 1000.0, "A2": 900.0, "V1": 50.0}, apps,
         )
-        assert [(r.appellation_code, r.price, r.price_fallback) for r in records] == [
-            ("NONPGI67", 50.0, True)
-        ]
+        assert [(r.appellation_code, r.price) for r in records] == [("NONPGI67", 50.0)]
         assert report.fallback_codes == ["NONPGI67"]
 
     def test_surface_conserved(self):
