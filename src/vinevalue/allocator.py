@@ -114,8 +114,8 @@ class AllocationMatrix:
     Functions that read an allocation take the ``cells`` mapping itself.
 
     It stays while the benchmark reads ``.cells`` of the per-start solutions
-    and of the synthetic truth; ROADMAP items 3, then 2, replace it with one
-    ``(k, m)`` array over ``AllocationProblem.cells``."""
+    and of the synthetic truth; ROADMAP item 5, after item 1, replaces it
+    with one ``(k, m)`` array over ``AllocationProblem.cells``."""
 
     cells: dict[Cell, float]
     objective_value: float | None = None
@@ -495,25 +495,31 @@ CAPS_APPELLATIONS_FILE = "caps_appellations.csv"
 CAPS_COUNTIES_FILE = "caps_counties.csv"
 MASK_CELLS_FILE = "mask_cells.csv"
 KNOWN_CELLS_FILE = "known_cells.csv"
+#: Header rows, each shared by a table's writer and its reader. Known cells
+#: are a solution table.
+CAPS_APPELLATIONS_HEADER = ("code", "cap_ha", "alpha")
+CAPS_COUNTIES_HEADER = ("insee", "cap_ha")
+MASK_CELLS_HEADER = ("appellation", "insee")
+SOLUTION_HEADER = ("appellation", "insee", "surface_ha")
 
 
 def dump_problem(problem: AllocationProblem, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_rows(
-        directory / CAPS_APPELLATIONS_FILE, ["code", "cap_ha", "alpha"],
+        directory / CAPS_APPELLATIONS_FILE, CAPS_APPELLATIONS_HEADER,
         ([code, repr(cap), repr(problem.weights[code])]
          for code, cap in sorted(problem.appellation_caps.items())),
     )
     write_rows(
-        directory / CAPS_COUNTIES_FILE, ["insee", "cap_ha"],
+        directory / CAPS_COUNTIES_FILE, CAPS_COUNTIES_HEADER,
         ([insee, repr(cap)] for insee, cap in sorted(problem.county_caps.items())),
     )
-    write_rows(directory / MASK_CELLS_FILE, ["appellation", "insee"], problem.cells)
+    write_rows(directory / MASK_CELLS_FILE, MASK_CELLS_HEADER, problem.cells)
     known = [[*cell, repr(lb)]
              for cell, lb in zip(problem.cells, problem.lower_bounds.tolist()) if lb > 0]
     if known:
-        write_rows(directory / KNOWN_CELLS_FILE, ["appellation", "insee", "surface_ha"], known)
+        write_rows(directory / KNOWN_CELLS_FILE, SOLUTION_HEADER, known)
     else:
         (directory / KNOWN_CELLS_FILE).unlink(missing_ok=True)
 
@@ -522,11 +528,13 @@ def load_problem(directory: str | Path) -> AllocationProblem:
     directory = Path(directory)
     appellation_caps: dict[str, float] = {}
     weights: dict[str, float] = {}
-    for code, cap, alpha in read_rows(directory / CAPS_APPELLATIONS_FILE):
+    for code, cap, alpha in read_rows(directory / CAPS_APPELLATIONS_FILE, CAPS_APPELLATIONS_HEADER):
         appellation_caps[code] = float(cap)
         weights[code] = float(alpha)
-    county_caps = {insee: float(cap) for insee, cap in read_rows(directory / CAPS_COUNTIES_FILE)}
-    cells = [(code, insee) for code, insee in read_rows(directory / MASK_CELLS_FILE)]
+    county_caps = {insee: float(cap) for insee, cap
+                   in read_rows(directory / CAPS_COUNTIES_FILE, CAPS_COUNTIES_HEADER)}
+    cells = [(code, insee) for code, insee
+             in read_rows(directory / MASK_CELLS_FILE, MASK_CELLS_HEADER)]
     known_path = directory / KNOWN_CELLS_FILE
     known = read_solution(known_path) if known_path.exists() else {}
     return problem_from_caps(appellation_caps, county_caps, weights, cells, known)
@@ -536,10 +544,10 @@ def write_solution(cells: Mapping[Cell, float], path: str | Path) -> None:
     """Sparse allocation CSV in cell order, values by ``repr`` so they read
     back bit-exact; cells at or below 1e-9 ha are omitted."""
     write_rows(
-        path, ["appellation", "insee", "surface_ha"],
+        path, SOLUTION_HEADER,
         ([*cell, repr(cells[cell])] for cell in sorted(cells) if cells[cell] > 1e-9),
     )
 
 
 def read_solution(path: str | Path) -> dict[Cell, float]:
-    return {(code, insee): float(value) for code, insee, value in read_rows(path)}
+    return {(code, insee): float(value) for code, insee, value in read_rows(path, SOLUTION_HEADER)}

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import allocator, ingest, linkage, synth, validate, valuation, yields
 from .config import PipelineConfig, load_config
 from .ingest import ConfigError, IngestReport, IntegrityError
-from .model import AppellationRecord, Category, Cell, exact_sums
+from .model import AppellationRecord, Category, Cell, LayoutError, exact_sums
 
 logger = logging.getLogger(__name__)
 
@@ -61,15 +61,6 @@ def _in_stage(stage: str, compute, *args, **kwargs):
         return compute(*args, **kwargs)
     except ValueError as exc:
         raise StageError(stage, str(exc)) from exc
-
-
-def _normalize_kwargs(cfg: PipelineConfig) -> dict:
-    kwargs = {}
-    if cfg.acronyms:
-        kwargs["acronyms"] = linkage.load_acronyms(cfg.acronyms)
-    if cfg.stopwords:
-        kwargs["stopwords"] = linkage.load_wordlist(cfg.stopwords)
-    return kwargs
 
 
 def stage_ingest(cfg: PipelineConfig) -> None:
@@ -119,7 +110,6 @@ def stage_ingest(cfg: PipelineConfig) -> None:
         price_col=columns.price_value,
         region_col=columns.price_region,
         delimiter=cfg.delimiter,
-        **_normalize_kwargs(cfg),
     )
     reports.append(report)
 
@@ -181,7 +171,8 @@ def stage_link(cfg: PipelineConfig) -> None:
         appellations,
         threshold_fraction=cfg.threshold_fraction,
         region_filter=region_filter,
-        **_normalize_kwargs(cfg),
+        acronyms=linkage.load_acronyms(cfg.acronyms) if cfg.acronyms else None,
+        stopwords=linkage.load_wordlist(cfg.stopwords) if cfg.stopwords else None,
     )
     linkage.write_match_report(matches, out / MATCHES_CSV)
     accepted = sum(1 for m in matches if m.accepted)
@@ -274,12 +265,10 @@ def stage_value(cfg: PipelineConfig) -> None:
     alloc = allocator.read_solution(_require(out / SOLUTION_CSV, "value", "solve"))
     expected = yields.read_expected_yields(_require(out / YIELDS_CSV, "value", "yields"))
     matches = linkage.read_match_report(_require(out / MATCHES_CSV, "value", "link"))
-    prices = ingest.read_prices(_require(out / PRICES_CSV, "value", "ingest"))
     appellations = ingest.read_appellations(_require(out / APPELLATIONS_CSV, "value", "ingest"))
     counties = ingest.read_counties(_require(out / COUNTIES_CSV, "value", "ingest"))
 
-    expanded = linkage.expand_price_entries(prices, **_normalize_kwargs(cfg))
-    price_by_code = valuation.resolve_prices(matches, expanded)
+    price_by_code = valuation.resolve_prices(matches)
     apps_by_code = {a.code: a for a in appellations}
     portfolio, report = _in_stage(
         "value", valuation.build_portfolio, alloc, expected, price_by_code, apps_by_code
@@ -411,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
     except StageError as exc:
         logger.error("%s", exc)
         return 2
-    except (ConfigError, IntegrityError, allocator.SolveError, OSError) as exc:
+    except (ConfigError, IntegrityError, LayoutError, allocator.SolveError, OSError) as exc:
         logger.error("[%s] %s", command, exc)
         return 2
     return 0

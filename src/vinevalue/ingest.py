@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
-from . import linkage
 from .model import (
     AppellationRecord,
     AuthorizationMask,
@@ -117,9 +116,9 @@ def _open_source(source) -> IO[str]:
     return source
 
 
-def _read_table(source, delimiter: str, dataset: str):
-    """Header list plus (line_number, row dict) pairs; the header is
-    mandatory."""
+def _read_fields(source, delimiter: str, dataset: str):
+    """Header list plus (line_number, fields) pairs, fields stripped and
+    blank rows skipped; the header is mandatory."""
     fh = _open_source(source)
     reader = csv.reader(fh, delimiter=delimiter)
     try:
@@ -131,8 +130,14 @@ def _read_table(source, delimiter: str, dataset: str):
     for fields in reader:
         if not fields or all(not f.strip() for f in fields):
             continue
-        rows.append((reader.line_num, dict(zip(header, (f.strip() for f in fields)))))
+        rows.append((reader.line_num, [f.strip() for f in fields]))
     return header, rows
+
+
+def _read_table(source, delimiter: str, dataset: str):
+    """:func:`_read_fields` with each row keyed by the header."""
+    header, rows = _read_fields(source, delimiter, dataset)
+    return header, [(line, dict(zip(header, fields))) for line, fields in rows]
 
 
 def _require_columns(header: Sequence[str], needed: Iterable[str], dataset: str) -> None:
@@ -427,13 +432,11 @@ def parse_price_scale(
     price_col: str = "price_eur_hl",
     region_col: str | None = None,
     delimiter: str = ";",
-    acronyms: Mapping[str, str] | None = None,
-    stopwords: frozenset[str] | set[str] | None = None,
 ) -> tuple[list[PriceEntry], IngestReport]:
     """Parse the insurance price scale.
 
     A trailing "C" or "B" token on the label selects the production mode
-    (conventional when absent); the marker is stripped before normalization.
+    (conventional when absent) and is stripped from the label.
     """
     report = IngestReport(dataset="price_scale")
     header, rows = _read_table(source, delimiter, report.dataset)
@@ -446,13 +449,9 @@ def parse_price_scale(
         if not label:
             report.add_error(line, "empty label")
             continue
-        mode = ProductionMode.CONVENTIONAL
-        tokens = label.split()
-        if tokens and tokens[-1] in ("C", "B"):
-            mode = ProductionMode.ORGANIC if tokens[-1] == "B" else ProductionMode.CONVENTIONAL
-            name = " ".join(tokens[:-1])
-        else:
-            name = label
+        *words, marker = label.split()
+        mode = ProductionMode.ORGANIC if marker == "B" else ProductionMode.CONVENTIONAL
+        name = " ".join(words) if marker in ("C", "B") else label
         price_text = row.get(price_col, "")
         try:
             price = _parse_float(price_text)
@@ -465,9 +464,6 @@ def parse_price_scale(
         entries.append(
             PriceEntry(
                 label=name,
-                normalized_label=linkage.normalize_label(
-                    name, acronyms=acronyms, stopwords=stopwords
-                ),
                 price=price,
                 production_mode=mode,
                 region_hint=(row.get(region_col) or None) if region_col else None,
@@ -481,11 +477,10 @@ def _positional_rows(source, delimiter: str, dataset: str,
                      columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
     """(line, fields) of a headed table read by position; ``columns`` names
     the leading fields every row must have. Later fields are optional."""
-    header, rows = _read_table(source, delimiter, dataset)
+    header, rows = _read_fields(source, delimiter, dataset)
     if len(header) < len(columns):
         raise ConfigError(f"{dataset}: need {', '.join(columns)} columns")
-    for line, row in rows:
-        fields = list(row.values())
+    for line, fields in rows:
         if len(fields) < len(columns):
             raise ConfigError(f"{dataset}: malformed row at line {line}")
         yield line, fields
@@ -541,7 +536,14 @@ def parse_reference_aggregates(source, *, delimiter: str = ";") -> dict[tuple[st
 
 
 # Canonical round-trip serialization. Floats are written with repr so a
-# write/read cycle reproduces records bit for bit.
+# write/read cycle reproduces records bit for bit. Each table's header row is
+# declared once, for its writer and its reader.
+
+APPELLATIONS_HEADER = ("code", "name", "category", "surface_ha", "yield_history")
+COUNTIES_HEADER = ("insee", "department", "agricultural_region", "surface_ha")
+MASK_HEADER = ("appellation", "insee", "weight")
+PRICES_HEADER = ("label", "price_eur_hl", "production_mode", "region")
+
 
 def write_appellations(records: Iterable[AppellationRecord], path: str | Path) -> None:
     def row(rec: AppellationRecord) -> list[str]:
@@ -549,8 +551,7 @@ def write_appellations(records: Iterable[AppellationRecord], path: str | Path) -
         return [rec.code, rec.name, rec.category.value,
                 repr(rec.marginal_surface), json.dumps(history, sort_keys=True)]
 
-    write_rows(path, ["code", "name", "category", "surface_ha", "yield_history"],
-               map(row, sorted(records, key=lambda r: r.code)))
+    write_rows(path, APPELLATIONS_HEADER, map(row, sorted(records, key=lambda r: r.code)))
 
 
 def read_appellations(path: str | Path) -> list[AppellationRecord]:
@@ -560,13 +561,13 @@ def read_appellations(path: str | Path) -> list[AppellationRecord]:
             marginal_surface=float(row[3]),
             yield_history={int(y): float(v) for y, v in json.loads(row[4]).items()},
         )
-        for row in read_rows(path)
+        for row in read_rows(path, APPELLATIONS_HEADER)
     ]
 
 
 def write_counties(records: Iterable[CountyRecord], path: str | Path) -> None:
     write_rows(
-        path, ["insee", "department", "agricultural_region", "surface_ha"],
+        path, COUNTIES_HEADER,
         ([rec.insee_code, rec.department, rec.agricultural_region_id, repr(rec.marginal_surface)]
          for rec in sorted(records, key=lambda r: r.insee_code)),
     )
@@ -576,20 +577,20 @@ def read_counties(path: str | Path) -> list[CountyRecord]:
     return [
         CountyRecord(insee_code=row[0], department=row[1], agricultural_region_id=row[2],
                      marginal_surface=float(row[3]))
-        for row in read_rows(path)
+        for row in read_rows(path, COUNTIES_HEADER)
     ]
 
 
 def write_mask(mask: AuthorizationMask, path: str | Path) -> None:
     write_rows(
-        path, ["appellation", "insee", "weight"],
+        path, MASK_HEADER,
         ([code, insee, repr(mask.weight[code])] for code, insee in sorted(mask.cells)),
     )
 
 
 def read_mask(path: str | Path) -> AuthorizationMask:
     mask = AuthorizationMask()
-    for code, insee, weight in read_rows(path):
+    for code, insee, weight in read_rows(path, MASK_HEADER):
         mask.cells.add((code, insee))
         mask.weight[code] = float(weight)
     return mask
@@ -597,15 +598,15 @@ def read_mask(path: str | Path) -> AuthorizationMask:
 
 def write_prices(entries: Iterable[PriceEntry], path: str | Path) -> None:
     write_rows(
-        path, ["label", "normalized_label", "price_eur_hl", "production_mode", "region"],
-        ([e.label, e.normalized_label, repr(e.price), e.production_mode.value, e.region_hint or ""]
+        path, PRICES_HEADER,
+        ([e.label, repr(e.price), e.production_mode.value, e.region_hint or ""]
          for e in sorted(entries, key=lambda e: (e.label, e.production_mode.value))),
     )
 
 
 def read_prices(path: str | Path) -> list[PriceEntry]:
     return [
-        PriceEntry(label=row[0], normalized_label=row[1], price=float(row[2]),
-                   production_mode=ProductionMode(row[3]), region_hint=row[4] or None)
-        for row in read_rows(path)
+        PriceEntry(label=row[0], price=float(row[1]),
+                   production_mode=ProductionMode(row[2]), region_hint=row[3] or None)
+        for row in read_rows(path, PRICES_HEADER)
     ]

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .model import AppellationRecord, PriceEntry, read_rows, write_rows
+from .model import AppellationRecord, PriceEntry, ProductionMode, read_rows, write_rows
 
 #: Recurring French words that carry no meaning in a nomenclature merge.
 DEFAULT_STOPWORDS = frozenset({"ET", "DE", "DU", "DES", "D", "LA", "LE", "LES"})
@@ -103,18 +103,20 @@ def edit_distance(a: str, b: str) -> float:
 
 @dataclass(frozen=True)
 class LabelMatch:
-    """Best appellation candidate for one price-scale label."""
+    """Best appellation candidate for one price-scale label, priced by that label's row."""
 
     source_label: str
     target_code: str
     distance: float
     accepted: bool
+    price: float
+    production_mode: ProductionMode
 
 
-def expand_price_entries(entries: Iterable[PriceEntry], **normalize_kwargs) -> list[PriceEntry]:
+def expand_price_entries(entries: Iterable[PriceEntry]) -> list[PriceEntry]:
     """Split price rows whose label lists several quoted appellation names
-    into one row per name, replicating the price. Rows without multiple
-    quoted segments pass through unchanged."""
+    into one row per name, replicating the rest of the row. Rows without
+    multiple quoted segments pass through unchanged."""
     quote_chars = "`'‘’“”\""
     out: list[PriceEntry] = []
     for entry in entries:
@@ -124,16 +126,7 @@ def expand_price_entries(entries: Iterable[PriceEntry], **normalize_kwargs) -> l
         if len(segments) < 2 or not entry.label.lstrip().startswith(tuple(quote_chars)):
             out.append(entry)
             continue
-        for segment in segments:
-            out.append(
-                PriceEntry(
-                    label=segment,
-                    normalized_label=normalize_label(segment, **normalize_kwargs),
-                    price=entry.price,
-                    production_mode=entry.production_mode,
-                    region_hint=entry.region_hint,
-                )
-            )
+        out.extend(replace(entry, label=segment) for segment in segments)
     return out
 
 
@@ -148,7 +141,8 @@ def match_labels(
 ) -> list[LabelMatch]:
     """Match every price label to its minimum-distance appellation.
 
-    A match is accepted when the distance is at or below
+    Labels are split by :func:`expand_price_entries` and normalized here. A
+    match is accepted when the distance is at or below
     ``threshold_fraction`` of the longer normalized string and, when
     ``region_filter`` maps the appellation to a region, the price row's
     region hint does not contradict it. Ties on distance break to the
@@ -162,13 +156,12 @@ def match_labels(
     targets = sorted(
         (app.code, normalize_label(app.name, **norm_kwargs)) for app in appellations
     )
-    entries = expand_price_entries(prices, **norm_kwargs)
-    if not targets:
-        return [LabelMatch(entry.label, "", float("inf"), False) for entry in entries]
-    sources = [e.normalized_label or normalize_label(e.label, **norm_kwargs) for e in entries]
+    entries = expand_price_entries(prices)
+    sources = [normalize_label(e.label, **norm_kwargs) for e in entries]
     names = [name for _, name in targets]
     columns = {ch: c for c, ch in enumerate(sorted(set("".join(names + sources))))}
-    bags = np.stack([_bag(name, columns) for name in names])
+    # Shaped so that no appellations leaves every label unmatched.
+    bags = np.array([_bag(name, columns) for name in names]).reshape(len(names), len(columns))
     matches: list[LabelMatch] = []
     for entry, source in zip(entries, sources):
         bounds = _bag_bounds(_bag(source, columns), bags)
@@ -189,7 +182,8 @@ def match_labels(
             expected = region_filter.get(best_code)
             if expected is not None and entry.region_hint is not None:
                 accepted = expected == entry.region_hint
-        matches.append(LabelMatch(entry.label, best_code, best_dist, accepted))
+        matches.append(LabelMatch(entry.label, best_code, best_dist, accepted,
+                                  entry.price, entry.production_mode))
     return matches
 
 
@@ -235,15 +229,20 @@ def load_acronyms(path: str | Path) -> dict[str, str]:
     return acronyms
 
 
+MATCHES_HEADER = ("label", "code", "distance", "accepted", "price_eur_hl", "production_mode")
+
+
 def write_match_report(matches: Iterable[LabelMatch], path: str | Path) -> None:
     write_rows(
-        path, ["label", "code", "distance", "accepted"],
-        ([m.source_label, m.target_code, repr(m.distance), int(m.accepted)] for m in matches),
+        path, MATCHES_HEADER,
+        ([m.source_label, m.target_code, repr(m.distance), int(m.accepted),
+          repr(m.price), m.production_mode.value] for m in matches),
     )
 
 
 def read_match_report(path: str | Path) -> list[LabelMatch]:
     return [
-        LabelMatch(label, code, float(distance), bool(int(accepted)))
-        for label, code, distance, accepted in read_rows(path)
+        LabelMatch(label, code, float(distance), bool(int(accepted)),
+                   float(price), ProductionMode(mode))
+        for label, code, distance, accepted, price, mode in read_rows(path, MATCHES_HEADER)
     ]

@@ -167,7 +167,6 @@ class PriceEntry:
     """
 
     label: str
-    normalized_label: str
     price: float
     production_mode: ProductionMode = ProductionMode.CONVENTIONAL
     region_hint: str | None = None
@@ -185,10 +184,18 @@ def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]
         writer.writerows(rows)
 
 
-def read_rows(path: str | Path) -> Iterator[list[str]]:
-    """The data rows of an artifact table written by :func:`write_rows`,
-    one at a time, header skipped."""
+class LayoutError(Exception):
+    """An artifact table's header row is not the one its reader expects."""
+
+
+def read_rows(path: str | Path, header: Sequence[str]) -> Iterator[list[str]]:
+    """The data rows of an artifact table written by :func:`write_rows` with
+    ``header``, one at a time. Raises :class:`LayoutError` naming the file
+    when its header row differs."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=";")
-        next(reader, None)
+        found, expected = ";".join(next(reader, [])), ";".join(header)
+        if found != expected:
+            raise LayoutError(f"{Path(path).name} has columns {found!r}, not {expected!r}; "
+                              "re-run the stage that writes it")
         yield from reader

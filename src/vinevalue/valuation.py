@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .linkage import LabelMatch
-from .model import AppellationRecord, Category, Cell, PriceEntry, ProductionMode, write_rows
+from .model import AppellationRecord, Category, Cell, ProductionMode, write_rows
 from .model import exact_sums, reporting_category
 from .yields import ExpectedYield
 
@@ -78,27 +78,19 @@ def harvest_value(surface: float, expected_yield: float, price: float) -> float:
     return surface * expected_yield * price
 
 
-def resolve_prices(matches: Sequence[LabelMatch], prices: Sequence[PriceEntry]) -> dict[str, float]:
-    """Price per appellation code from the accepted matches.
+def resolve_prices(matches: Sequence[LabelMatch]) -> dict[str, float]:
+    """Price per appellation code from the accepted matches, each at its own row's price.
 
     When several price rows map to one code the conventional entries win,
     then the smallest distance, then the lowest price (deterministic).
     """
-    by_label: dict[str, list[PriceEntry]] = {}
-    for entry in prices:
-        by_label.setdefault(entry.label, []).append(entry)
-    candidates: dict[str, list[tuple[int, float, float]]] = {}
+    best: dict[str, tuple[bool, float, float]] = {}
     for match in matches:
-        if not match.accepted or not match.target_code:
-            continue
-        for entry in by_label.get(match.source_label, []):
-            mode_rank = 0 if entry.production_mode is ProductionMode.CONVENTIONAL else 1
-            candidates.setdefault(match.target_code, []).append(
-                (mode_rank, match.distance, entry.price)
-            )
-    return {
-        code: min(options)[2] for code, options in candidates.items()
-    }
+        if match.accepted and match.target_code:
+            rank = (match.production_mode is not ProductionMode.CONVENTIONAL,
+                    match.distance, match.price)
+            best[match.target_code] = min(best.get(match.target_code, rank), rank)
+    return {code: rank[2] for code, rank in best.items()}
 
 
 def build_portfolio(

@@ -121,9 +121,12 @@ def expected_yield_table(
     return {app.code: expected_yield(app, type_level, harvest_year) for app in apps}
 
 
+YIELDS_HEADER = ("code", "expected_yield_hl_ha", "provenance")
+
+
 def write_expected_yields(table: Mapping[str, ExpectedYield], path: str | Path) -> None:
     write_rows(
-        path, ["code", "expected_yield_hl_ha", "provenance"],
+        path, YIELDS_HEADER,
         ([code, repr(ey.value), ey.provenance.value] for code, ey in sorted(table.items())),
     )
 
@@ -131,5 +134,5 @@ def write_expected_yields(table: Mapping[str, ExpectedYield], path: str | Path) 
 def read_expected_yields(path: str | Path) -> dict[str, ExpectedYield]:
     return {
         code: ExpectedYield(code, float(value), YieldProvenance(provenance))
-        for code, value, provenance in read_rows(path)
+        for code, value, provenance in read_rows(path, YIELDS_HEADER)
     }

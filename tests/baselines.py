@@ -170,10 +170,11 @@ def match_labels_oracle(
         (app.code, normalize_label(app.name, **norm_kwargs)) for app in appellations
     )
     matches: list[LabelMatch] = []
-    for entry in expand_price_entries(prices, **norm_kwargs):
-        source = entry.normalized_label or normalize_label(entry.label, **norm_kwargs)
+    for entry in expand_price_entries(prices):
+        source = normalize_label(entry.label, **norm_kwargs)
         if not targets:
-            matches.append(LabelMatch(entry.label, "", float("inf"), False))
+            matches.append(LabelMatch(entry.label, "", float("inf"), False,
+                                      entry.price, entry.production_mode))
             continue
         best_code = ""
         best_name = ""
@@ -188,5 +189,6 @@ def match_labels_oracle(
             expected = region_filter.get(best_code)
             if expected is not None and entry.region_hint is not None:
                 accepted = expected == entry.region_hint
-        matches.append(LabelMatch(entry.label, best_code, best_dist, accepted))
+        matches.append(LabelMatch(entry.label, best_code, best_dist, accepted,
+                                  entry.price, entry.production_mode))
     return matches

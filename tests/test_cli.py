@@ -218,6 +218,40 @@ class TestStageIsolation:
         payload = json.loads((out / COMPARISON_JSON).read_text(encoding="utf-8"))
         assert payload["solutions"]["pair_count"] > 0
 
+    def test_value_does_not_read_prices_csv(self, alsace_config, pipeline_out, tmp_path):
+        # Every match carries its own row's price, so matches.csv is enough.
+        out = shutil.copytree(pipeline_out, tmp_path / "out")
+        (out / "prices.csv").unlink()
+        (out / PORTFOLIO_CSV).unlink()
+        assert run_cli("value", "--config", str(alsace_config), "--output-dir", str(out)) == 0
+        assert (out / PORTFOLIO_CSV).read_bytes() == (pipeline_out / PORTFOLIO_CSV).read_bytes()
+
+    @pytest.mark.parametrize("stage, name, old_layout", [
+        # appellations.csv when it still had a colour column.
+        ("yields", "appellations.csv",
+         lambda row: [*row[:3], "color" if row[0] == "code" else "UNKNOWN", *row[3:]]),
+        # matches.csv before it carried each row's price and production mode.
+        ("value", "matches.csv", lambda row: row[:4]),
+    ], ids=["appellations", "matches"])
+    def test_stale_layout_is_a_one_line_stage_error(
+        self, alsace_config, pipeline_out, tmp_path, caplog, stage, name, old_layout
+    ):
+        out = shutil.copytree(pipeline_out, tmp_path / "out")
+        lines = (out / name).read_text(encoding="utf-8").splitlines()
+        (out / name).write_text(
+            "".join(";".join(old_layout(line.split(";"))) + "\r\n" for line in lines),
+            encoding="utf-8",
+        )
+        with caplog.at_level(logging.ERROR):
+            rc = run_cli(stage, "--config", str(alsace_config), "--output-dir", str(out))
+        assert rc == 2
+        [record] = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert record.exc_info is None
+        message = record.getMessage()
+        assert "\n" not in message
+        assert message.startswith(f"[{stage}] {name} has columns ")
+        assert message.endswith("re-run the stage that writes it")
+
 
 class TestSynthMode:
     def test_run_with_synth_flag(self, alsace_config, tmp_path):

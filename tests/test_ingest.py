@@ -29,6 +29,7 @@ from vinevalue.ingest import (
     write_mask,
     write_prices,
 )
+from vinevalue.linkage import match_labels
 from vinevalue.model import (
     AppellationRecord,
     AuthorizationMask,
@@ -326,9 +327,13 @@ class TestParsePriceScale:
         assert entries == []
         assert report.row_errors
 
-    def test_normalized_label_populated(self):
+    def test_raw_label_is_normalized_by_match_labels(self):
         entries, _ = parse_price_scale(_src("label;price_eur_hl\nCôte du Rhône C;100\n"))
-        assert entries[0].normalized_label == "COTE RHONE"
+        assert entries[0].label == "Côte du Rhône"
+        matches = match_labels(entries, [AppellationRecord(code="3B011", name="COTE RHONE")])
+        assert [(m.target_code, m.distance, m.accepted) for m in matches] == [
+            ("3B011", 0.0, True)
+        ]
 
 
 class TestEncodingFallback:
@@ -355,8 +360,19 @@ class TestAuxiliaryParsers:
         )
         assert cells == [("7C001M", "51001", 12.0, "Champagne")]
 
+    def test_cell_surfaces_name_beyond_the_header(self):
+        # The name is an optional fourth field, also under a three-column header.
+        cells = parse_cell_surfaces(
+            _src("appellation;insee;surface_ha\n7C001M;68001;3.5;Champagne test\n")
+        )
+        assert cells == [("7C001M", "68001", 3.5, "Champagne test")]
+
     def test_key_value_map(self):
         assert parse_key_value_map(_src("insee;ra\n67003;RA-1\n")) == {"67003": "RA-1"}
+
+    def test_key_value_map_repeated_header_name(self):
+        # Fields are read by position, so header names need not differ.
+        assert parse_key_value_map(_src("a;a\n67003;RA1\n")) == {"67003": "RA1"}
 
     def test_key_value_map_short_row(self):
         with pytest.raises(ConfigError, match="line 3"):
@@ -432,9 +448,9 @@ class TestCanonicalRoundTrip:
 
     def test_prices(self, tmp_path):
         entries = [
-            PriceEntry(label="Chablis", normalized_label="CHABLIS", price=150.5,
+            PriceEntry(label="Chablis", price=150.5,
                        production_mode=ProductionMode.ORGANIC, region_hint="Bourgogne"),
-            PriceEntry(label="Côte du Rhône", normalized_label="COTE RHONE", price=100.0),
+            PriceEntry(label="Côte du Rhône", price=100.0),
         ]
         path = tmp_path / "prices.csv"
         write_prices(entries, path)

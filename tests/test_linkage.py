@@ -19,7 +19,7 @@ from vinevalue.linkage import (
     read_match_report,
     write_match_report,
 )
-from vinevalue.model import AppellationRecord, PriceEntry
+from vinevalue.model import AppellationRecord, PriceEntry, ProductionMode
 
 
 def oracle_edit_distance(a: str, b: str) -> float:
@@ -108,9 +108,7 @@ class TestEditDistance:
 
 
 def _price(label, price=100.0, region=None):
-    return PriceEntry(
-        label=label, normalized_label=normalize_label(label), price=price, region_hint=region
-    )
+    return PriceEntry(label=label, price=price, region_hint=region)
 
 
 def _app(code, name):
@@ -120,7 +118,7 @@ def _app(code, name):
 class TestMatchLabels:
     def test_exact_match_accepted(self):
         matches = match_labels([_price("Côte du Rhône")], [_app("3B011", "COTE RHONE")])
-        assert matches == [LabelMatch("Côte du Rhône", "3B011", 0.0, True)]
+        assert matches == [LabelMatch("Côte du Rhône", "3B011", 0.0, True, 100.0, ProductionMode.CONVENTIONAL)]
 
     def test_absent_label_zero_threshold_rejected(self):
         matches = match_labels(
@@ -180,7 +178,9 @@ class TestMatchLabels:
 
     def test_no_targets(self):
         matches = match_labels([_price("rouge")], [])
-        assert not matches[0].accepted
+        assert matches == [
+            LabelMatch("rouge", "", float("inf"), False, 100.0, ProductionMode.CONVENTIONAL)
+        ]
 
 
 class TestPrunedMatching:
@@ -207,7 +207,7 @@ class TestPrunedMatching:
         # bound and is scored first; A1 must still win the tie.
         targets = [_app("B2", "BA"), _app("A1", "AC")]
         matches = match_labels([_price("ab")], targets, threshold_fraction=0.5)
-        assert matches == [LabelMatch("ab", "A1", 1.0, True)]
+        assert matches == [LabelMatch("ab", "A1", 1.0, True, 100.0, ProductionMode.CONVENTIONAL)]
         assert matches == match_labels_oracle([_price("ab")], targets, threshold_fraction=0.5)
 
     @staticmethod
@@ -225,7 +225,7 @@ class TestPrunedMatching:
         calls = self._scored(monkeypatch)
         targets = [_app("A1", "CHABLIS GRAND CRU"), _app("B2", "ROUGE"), _app("C3", "BLANC")]
         matches = match_labels([_price("rouge")], targets)
-        assert matches == [LabelMatch("rouge", "B2", 0.0, True)]
+        assert matches == [LabelMatch("rouge", "B2", 0.0, True, 100.0, ProductionMode.CONVENTIONAL)]
         assert calls == ["ROUGE"]
 
     def test_bound_equal_to_the_best_at_a_later_code_is_not_scored(self, monkeypatch):
@@ -234,7 +234,7 @@ class TestPrunedMatching:
         calls = self._scored(monkeypatch)
         targets = [_app("A1", "ROUGX"), _app("B2", "ROUGY")]
         matches = match_labels([_price("rouge")], targets)
-        assert matches == [LabelMatch("rouge", "A1", 1.0, False)]
+        assert matches == [LabelMatch("rouge", "A1", 1.0, False, 100.0, ProductionMode.CONVENTIONAL)]
         assert calls == ["ROUGX"]
 
     @settings(max_examples=300, deadline=None)
@@ -260,7 +260,10 @@ class TestWordlists:
         assert acronyms == {"CDR": "COTE DU RHONE", "STE": "SAINTE"}
 
     def test_match_report_round_trip(self, tmp_path):
-        matches = [LabelMatch("a", "X", 1.5, True), LabelMatch("b", "", float("inf"), False)]
+        matches = [
+            LabelMatch("a", "X", 1.5, True, 150.5, ProductionMode.ORGANIC),
+            LabelMatch("b", "", float("inf"), False, 0.1 + 0.2, ProductionMode.CONVENTIONAL),
+        ]
         path = tmp_path / "matches.csv"
         write_match_report(matches, path)
         assert read_match_report(path) == matches

@@ -1,5 +1,5 @@
-"""The shared statistics ``model`` owns: exact per-key totals and the
-category a code reports under."""
+"""What ``model`` owns: exact per-key totals, the category a code reports
+under, and the artifact-table dialect."""
 from __future__ import annotations
 
 import math
@@ -8,7 +8,9 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
-from vinevalue.model import Category, exact_sums, reporting_category
+from vinevalue.model import (
+    Category, LayoutError, exact_sums, read_rows, reporting_category, write_rows,
+)
 
 #: Values whose plain running sum depends on the order: large values that
 #: cancel, ones they absorb, signed zeros and subnormals.
@@ -47,3 +49,11 @@ class TestExactSums:
 ])
 def test_reporting_category(category, reported):
     assert reporting_category(category) is reported
+
+
+def test_read_rows_checks_the_header(tmp_path):
+    path = tmp_path / "table.csv"
+    write_rows(path, ["a", "b"], [["1", "2"]])
+    assert list(read_rows(path, ("a", "b"))) == [["1", "2"]]
+    with pytest.raises(LayoutError, match="table.csv has columns 'a;b', not 'a;b;c'"):
+        list(read_rows(path, ("a", "b", "c")))

@@ -5,7 +5,7 @@ import statistics
 
 import pytest
 
-from vinevalue.linkage import LabelMatch
+from vinevalue.linkage import LabelMatch, match_labels
 from vinevalue.model import AppellationRecord, Category, PriceEntry, ProductionMode
 from vinevalue.valuation import (
     CATEGORY_ORDER,
@@ -55,22 +55,28 @@ APPS = {
 
 class TestResolvePrices:
     def test_prefers_conventional_then_distance_then_price(self):
-        prices = [
-            PriceEntry(label="alpha", normalized_label="ALPHA", price=200.0,
-                       production_mode=ProductionMode.ORGANIC),
-            PriceEntry(label="alpha", normalized_label="ALPHA", price=150.0),
-            PriceEntry(label="alghx", normalized_label="ALGHX", price=90.0),
-        ]
         matches = [
-            LabelMatch("alpha", "A1", 0.0, True),
-            LabelMatch("alghx", "A1", 3.0, True),
+            LabelMatch("alpha", "A1", 0.0, True, 200.0, ProductionMode.ORGANIC),
+            LabelMatch("alpha", "A1", 0.0, True, 150.0, ProductionMode.CONVENTIONAL),
+            LabelMatch("alghx", "A1", 3.0, True, 90.0, ProductionMode.CONVENTIONAL),
         ]
-        assert resolve_prices(matches, prices) == {"A1": 150.0}
+        assert resolve_prices(matches) == {"A1": 150.0}
 
     def test_rejected_matches_ignored(self):
-        prices = [PriceEntry(label="alpha", normalized_label="ALPHA", price=100.0)]
-        matches = [LabelMatch("alpha", "A1", 5.0, False)]
-        assert resolve_prices(matches, prices) == {}
+        matches = [LabelMatch("alpha", "A1", 5.0, False, 100.0, ProductionMode.CONVENTIONAL)]
+        assert resolve_prices(matches) == {}
+
+    def test_a_rejected_row_never_prices_a_code(self):
+        # Two scale rows share a label; the region filter rejects the Loire
+        # row's match, so only the Bourgogne row's own price may reach A1.
+        prices = [
+            PriceEntry(label="Chablis", price=150.0, region_hint="Bourgogne"),
+            PriceEntry(label="Chablis", price=90.0, region_hint="Loire"),
+        ]
+        apps = [AppellationRecord(code="A1", name="Chablis")]
+        matches = match_labels(prices, apps, region_filter={"A1": "Bourgogne"})
+        assert [m.accepted for m in matches] == [True, False]
+        assert resolve_prices(matches) == {"A1": 150.0}
 
 
 class TestBuildPortfolio:
