@@ -109,16 +109,15 @@ class AllocationProblem:
 
 @dataclass(eq=False)
 class AllocationMatrix:
-    """Solver output: the sparse nonnegative surfaces (support inside the
-    mask) and their weighted objective, as :func:`objective` computes it.
-    Functions that read an allocation take the ``cells`` mapping itself.
+    """Solver output: the sparse nonnegative surfaces, support inside the
+    mask. Functions that read an allocation take the ``cells`` mapping
+    itself, and :func:`objective` values it.
 
     It stays while the benchmark reads ``.cells`` of the per-start solutions
-    and of the synthetic truth; ROADMAP item 5, after item 1, replaces it
+    and of the synthetic truth; ROADMAP item 4, after item 3, replaces it
     with one ``(k, m)`` array over ``AllocationProblem.cells``."""
 
     cells: dict[Cell, float]
-    objective_value: float | None = None
 
 
 def problem_from_caps(
@@ -274,8 +273,7 @@ def objective(weights: Mapping[str, float], cells: Mapping[Cell, float]) -> floa
 
 
 def _matrix_from_vector(problem: AllocationProblem, x: np.ndarray) -> AllocationMatrix:
-    cells = {cell: float(v) for cell, v in zip(problem.cells, x) if v > 0.0}
-    return AllocationMatrix(cells=cells, objective_value=objective(problem.weights, cells))
+    return AllocationMatrix({cell: float(v) for cell, v in zip(problem.cells, x) if v > 0.0})
 
 
 def optimal_value(problem: AllocationProblem) -> OptimalFace:
@@ -323,7 +321,7 @@ def solve(
     """
     m = problem.n_cells
     if m == 0:
-        return AllocationMatrix(cells={}, objective_value=0.0)
+        return AllocationMatrix({})
     init = np.asarray(init, dtype=float)
     if init.shape != (m,):
         raise ValueError(f"init has shape {init.shape}, expected ({m},)")
@@ -448,11 +446,7 @@ def multi_start_average(
     if not solutions:
         raise SolveError(f"all {k_starts} starts failed")
 
-    if problem.n_cells:
-        stacked = np.vstack(vectors)
-        avg = project_feasible(problem, stacked.sum(axis=0) / len(vectors))
-    else:
-        avg = np.zeros(0)
+    avg = project_feasible(problem, np.vstack(vectors).sum(axis=0) / len(vectors))
     average = _matrix_from_vector(problem, avg)
     return MultiStartResult(average, solutions, failures, optimal_value=face.value)
 

@@ -210,7 +210,7 @@ def stage_solve(cfg: PipelineConfig) -> allocator.MultiStartResult:
         "n_solved": len(result.solutions),
         "failures": [{"seed": seed, "error": message} for seed, message in result.failures],
         "optimal_value": result.optimal_value,
-        "average_objective": result.average.objective_value,
+        "average_objective": allocator.objective(problem.weights, result.average.cells),
     }
     (out / SOLVE_REPORT).write_text(json.dumps(report, sort_keys=True) + "\n", encoding="utf-8")
     logger.info(
@@ -303,8 +303,9 @@ def stage_synth(cfg: PipelineConfig) -> None:
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     settings = cfg.synth
+    shape = (settings.appellations, settings.counties, settings.density)
     instance = synth.generate(
-        (settings.appellations, settings.counties, settings.density),
+        shape,
         seed=cfg.seed,
         extra_mask_factor=settings.extra_mask_factor,
         counties_per_department=settings.counties_per_department,
@@ -315,6 +316,7 @@ def stage_synth(cfg: PipelineConfig) -> None:
 
     result = stage_solve(cfg)
     average = result.average.cells
+    weights = instance.problem.weights
     score = _in_stage("synth", synth.score_recovery, instance.truth.cells, average)
     truth_aggregates = validate.aggregate_allocation(instance.truth.cells, instance.categories)
     aggregates = _in_stage(
@@ -323,13 +325,13 @@ def stage_synth(cfg: PipelineConfig) -> None:
     )
     report = {
         "seed": cfg.seed,
-        "shape": list(instance.shape),
+        "shape": list(shape),
         "n_active_cells": instance.problem.n_cells,
         "cell_tau": score.kendall_tau,
         "max_row_relative_error": max(score.row_relative_errors.values(), default=0.0),
         "aggregate_tau": aggregates.kendall_tau,
-        "average_objective": result.average.objective_value,
-        "truth_objective": instance.truth.objective_value,
+        "average_objective": allocator.objective(weights, average),
+        "truth_objective": allocator.objective(weights, instance.truth.cells),
     }
     (out / SYNTH_REPORT).write_text(json.dumps(report, sort_keys=True) + "\n", encoding="utf-8")
     logger.info("synth: cell tau %.3f, aggregate tau %.3f",

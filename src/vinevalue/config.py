@@ -106,6 +106,8 @@ class PipelineConfig:
             raise ConfigError(f"solver.seed must be >= 0, got {self.seed}")
         if self.threshold_fraction <= 0:
             raise ConfigError("threshold_fraction must be > 0")
+        if self.truncation is not None and self.truncation < 1:
+            raise ConfigError(f"ingest.truncation must be >= 1, got {self.truncation}")
         for key in ("appellations", "counties", "counties_per_department"):
             if getattr(self.synth, key) < 1:
                 raise ConfigError(f"synth.{key} must be >= 1")

@@ -26,7 +26,6 @@ from .model import (
     PriceEntry,
     ProductionMode,
     cvi_prefix,
-    department_of_insee,
     is_valid_insee,
     read_rows,
     write_rows,
@@ -216,6 +215,8 @@ def parse_customs_by_appellation(
             alias = row.get(category_col, "").upper()
             if alias in _CATEGORY_ALIASES:
                 group["category"] = _CATEGORY_ALIASES[alias]
+            elif alias:
+                report.notes["unknown_category"] = report.notes.get("unknown_category", 0) + 1
         for year, col in yield_cols.items():
             text = row.get(col, "")
             if text in SECRET_VALUES:
@@ -273,20 +274,23 @@ def parse_customs_by_county(
     delimiter: str = ";",
 ) -> tuple[list[CountyRecord], IngestReport]:
     """Parse the customs per-county statistics. Codes are read as text so
-    leading zeros survive; a duplicated county is a fatal error."""
+    leading zeros survive; a duplicated county is a fatal error, whichever
+    of its rows are secretized or malformed."""
     report = IngestReport(dataset="customs_by_county")
     header, rows = _read_table(source, delimiter, report.dataset)
     _require_columns(header, [insee_col, surface_col], report.dataset)
 
     records: dict[str, CountyRecord] = {}
+    seen: set[str] = set()
     for line, row in rows:
         report.rows_read += 1
         insee = row.get(insee_col, "")
         if not is_valid_insee(insee):
             report.add_error(line, f"invalid insee code {insee!r}")
             continue
-        if insee in records:
+        if insee in seen:
             raise IntegrityError(f"duplicate insee code {insee!r} at line {line}")
+        seen.add(insee)
         surface_text = row.get(surface_col, "")
         if surface_text in SECRET_VALUES:
             report.secretized += 1
@@ -298,7 +302,6 @@ def parse_customs_by_county(
             continue
         records[insee] = CountyRecord(
             insee_code=insee,
-            department=department_of_insee(insee),
             agricultural_region_id=row.get(ra_col, "") if ra_col else "",
             marginal_surface=surface,
         )
@@ -446,12 +449,12 @@ def parse_price_scale(
     for line, row in rows:
         report.rows_read += 1
         label = row.get(label_col, "")
-        if not label:
-            report.add_error(line, "empty label")
-            continue
-        *words, marker = label.split()
+        *words, marker = label.split() or [""]
         mode = ProductionMode.ORGANIC if marker == "B" else ProductionMode.CONVENTIONAL
         name = " ".join(words) if marker in ("C", "B") else label
+        if not name:
+            report.add_error(line, "empty label")
+            continue
         price_text = row.get(price_col, "")
         try:
             price = _parse_float(price_text)
@@ -575,7 +578,7 @@ def write_counties(records: Iterable[CountyRecord], path: str | Path) -> None:
 
 def read_counties(path: str | Path) -> list[CountyRecord]:
     return [
-        CountyRecord(insee_code=row[0], department=row[1], agricultural_region_id=row[2],
+        CountyRecord(insee_code=row[0], agricultural_region_id=row[2],
                      marginal_surface=float(row[3]))
         for row in read_rows(path, COUNTIES_HEADER)
     ]

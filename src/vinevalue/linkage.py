@@ -142,11 +142,12 @@ def match_labels(
     """Match every price label to its minimum-distance appellation.
 
     Labels are split by :func:`expand_price_entries` and normalized here. A
-    match is accepted when the distance is at or below
-    ``threshold_fraction`` of the longer normalized string and, when
-    ``region_filter`` maps the appellation to a region, the price row's
-    region hint does not contradict it. Ties on distance break to the
-    lexicographically smallest appellation code so results are reproducible.
+    label that normalizes to nothing is never accepted; any other match is
+    accepted when the distance is at or below ``threshold_fraction`` of the
+    longer normalized string and, when ``region_filter`` maps the
+    appellation to a region, the price row's region hint does not contradict
+    it. Ties on distance break to the lexicographically smallest appellation
+    code so results are reproducible.
 
     The result is that of scoring every pair with :func:`edit_distance`, but
     a target is scored only while its character-count lower bound
@@ -177,7 +178,7 @@ def match_labels(
                 best_dist, best = dist, k
         best_code, best_name = targets[best] if best >= 0 else ("", "")
         limit = threshold_fraction * max(len(source), len(best_name))
-        accepted = best_dist <= limit
+        accepted = bool(source) and best_dist <= limit
         if accepted and region_filter is not None:
             expected = region_filter.get(best_code)
             if expected is not None and entry.region_hint is not None:

@@ -22,8 +22,8 @@ from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 #: An (appellation code, INSEE county code) pair. Allocation readers take a
 #: ``Mapping[Cell, float]`` of hectares: a solution read back from CSV, or the
-#: ``cells`` of an ``allocator.AllocationMatrix`` (solver output, synthetic truth),
-#: whose weighted objective ``allocator.objective`` computes.
+#: ``cells`` of an ``allocator.AllocationMatrix`` (solver output, synthetic
+#: truth). ``allocator.objective`` computes its weighted objective.
 Cell = tuple[str, str]
 
 
@@ -127,22 +127,18 @@ class CountyRecord:
     """One administrative county with its published marginal surface."""
 
     insee_code: str
-    department: str = ""
     agricultural_region_id: str = ""
     marginal_surface: float = 0.0
 
     def __post_init__(self) -> None:
         if len(self.insee_code) != 5:
             raise ValueError(f"insee code {self.insee_code!r} is not 5 characters")
-        dept = self.department or department_of_insee(self.insee_code)
-        if not self.insee_code.startswith(dept):
-            raise ValueError(
-                f"department {dept!r} is not a prefix of {self.insee_code!r}"
-            )
-        if not self.department:
-            object.__setattr__(self, "department", dept)
         if self.marginal_surface < 0:
             raise ValueError(f"{self.insee_code}: negative marginal surface")
+
+    @property
+    def department(self) -> str:
+        return department_of_insee(self.insee_code)
 
 
 @dataclass

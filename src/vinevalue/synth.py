@@ -43,7 +43,6 @@ CATEGORY_MIX: Mapping[Category, float] = {
 class SyntheticInstance:
     truth: AllocationMatrix
     problem: AllocationProblem
-    shape: tuple[int, int, float]
     categories: dict[str, Category]
 
 
@@ -154,11 +153,9 @@ def generate(
     alpha = {code: weights[cat] for code, cat in categories_by_code.items()}
 
     problem = allocator.problem_from_caps(appellation_caps, county_caps, alpha, mask_cells)
-    truth = AllocationMatrix(truth_cells, allocator.objective(alpha, truth_cells))
     return SyntheticInstance(
-        truth=truth,
+        truth=AllocationMatrix(truth_cells),
         problem=problem,
-        shape=shape,
         categories=categories_by_code,
     )
 

@@ -41,8 +41,7 @@ def greedy_baseline(problem: AllocationProblem) -> AllocationMatrix:
             values[(code, insee)] = take
             row_res[code] -= take
             col_res[insee] -= take
-    obj = math.fsum(problem.weights[code] * v for (code, _), v in values.items())
-    return AllocationMatrix(cells=values, objective_value=obj)
+    return AllocationMatrix(values)
 
 
 def uniform_spread_baseline(problem: AllocationProblem) -> AllocationMatrix:
@@ -55,7 +54,7 @@ def uniform_spread_baseline(problem: AllocationProblem) -> AllocationMatrix:
     cells = {}
     for code, insee in problem.cells:
         cells[(code, insee)] = problem.appellation_caps[code] / per_row[code]
-    return AllocationMatrix(cells=cells, objective_value=None)
+    return AllocationMatrix(cells)
 
 
 def brute_force_optimum(problem: AllocationProblem, grid_step: float) -> AllocationMatrix:
@@ -118,9 +117,7 @@ def brute_force_optimum(problem: AllocationProblem, grid_step: float) -> Allocat
             values[k] = 0.0
 
     descend(0, 0.0)
-    cells = {problem.cells[k]: v for k, v in enumerate(best_values) if v > 0}
-    obj = math.fsum(problem.weights[code] * v for (code, _), v in cells.items())
-    return AllocationMatrix(cells=cells, objective_value=obj)
+    return AllocationMatrix({problem.cells[k]: v for k, v in enumerate(best_values) if v > 0})
 
 
 def phase1_multi_start(
@@ -184,7 +181,7 @@ def match_labels_oracle(
             if dist < best_dist:
                 best_code, best_name, best_dist = code, name, dist
         limit = threshold_fraction * max(len(source), len(best_name))
-        accepted = best_dist <= limit
+        accepted = bool(source) and best_dist <= limit
         if accepted and region_filter is not None:
             expected = region_filter.get(best_code)
             if expected is not None and entry.region_hint is not None:

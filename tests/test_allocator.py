@@ -18,6 +18,7 @@ from vinevalue.allocator import (
     feasibility_violations,
     load_problem,
     multi_start_average,
+    objective,
     optimal_value,
     problem_from_caps,
     project_feasible,
@@ -245,7 +246,7 @@ class TestSolve:
         problem = _simple({"A": 5.0}, {"00001": 3.0}, {"A": 1.0}, [("A", "00001")])
         solution = solve(problem, random_init(problem, 0), optimal_value(problem))
         assert solution.cells[("A", "00001")] == pytest.approx(3.0, abs=1e-9)
-        assert solution.objective_value == pytest.approx(3.0, abs=1e-9)
+        assert objective(problem.weights, solution.cells) == pytest.approx(3.0, abs=1e-9)
 
     def test_priority_weighting(self):
         problem = priority_problem()
@@ -277,7 +278,7 @@ class TestSolve:
         problem = _simple({"A": 0.0}, {"00001": 0.0}, {"A": 1.0}, [("A", "00001")])
         solution = solve(problem, random_init(problem, 0), optimal_value(problem))
         assert solution.cells == {}
-        assert solution.objective_value == 0.0
+        assert objective(problem.weights, solution.cells) == 0.0
 
     def test_non_unique_optimum_depends_on_start(self):
         # Degenerate instance with two optimal vertices: different starts
@@ -291,8 +292,9 @@ class TestSolve:
         first = solve(problem, random_init(problem, 0), face)
         second = solve(problem, random_init(problem, 2), face)
         assert first.cells != second.cells
-        assert first.objective_value == pytest.approx(second.objective_value, rel=1e-9)
-        assert first.objective_value == pytest.approx(2.0, rel=1e-9)
+        value = objective(problem.weights, first.cells)
+        assert value == pytest.approx(objective(problem.weights, second.cells), rel=1e-9)
+        assert value == pytest.approx(2.0, rel=1e-9)
 
 
 class TestBruteForce:
@@ -300,7 +302,7 @@ class TestBruteForce:
         problem = _simple({"A": 5.0}, {"00001": 3.0}, {"A": 1.0}, [("A", "00001")])
         best = brute_force_optimum(problem, 1.0)
         assert best.cells == {("A", "00001"): 3.0}
-        assert best.objective_value == 3.0
+        assert objective(problem.weights, best.cells) == 3.0
 
     def test_two_by_two_saturates_marginals(self):
         problem = _simple(
@@ -309,7 +311,7 @@ class TestBruteForce:
             [("A", "00001"), ("A", "00002"), ("B", "00001"), ("B", "00002")],
         )
         best = brute_force_optimum(problem, 0.5)
-        assert best.objective_value == pytest.approx(2.0)
+        assert objective(problem.weights, best.cells) == pytest.approx(2.0)
 
     def test_masked_cell_reduces_optimum(self):
         full = _simple(
@@ -322,9 +324,8 @@ class TestBruteForce:
             {"A": 1.0, "B": 1.0},
             [("A", "00001"), ("B", "00001")],
         )
-        assert brute_force_optimum(masked, 1.0).objective_value < brute_force_optimum(
-            full, 1.0
-        ).objective_value
+        assert objective(masked.weights, brute_force_optimum(masked, 1.0).cells) < objective(
+            full.weights, brute_force_optimum(full, 1.0).cells)
 
     def test_refuses_large_instances(self):
         rows = {f"A{i}": 1.0 for i in range(4)}
@@ -348,10 +349,11 @@ class TestSolverAgainstOracles:
             problem = random_small_problem(rng)
             best = brute_force_optimum(problem, 1.0)
             result = multi_start_average(problem, k_starts=3, seed_base=2)
-            scale = max(abs(best.objective_value), 1.0)
-            assert abs(result.optimal_value - best.objective_value) <= 1e-6 * scale
+            best_value = objective(problem.weights, best.cells)
+            scale = max(abs(best_value), 1.0)
+            assert abs(result.optimal_value - best_value) <= 1e-6 * scale
             for solution in [*result.solutions, result.average]:
-                assert solution.objective_value == pytest.approx(
+                assert objective(problem.weights, solution.cells) == pytest.approx(
                     result.optimal_value, rel=1e-12
                 )
 
@@ -366,7 +368,8 @@ class TestSolverAgainstOracles:
             face = optimal_value(problem)
             for seed in range(10):
                 solution = solve(problem, random_init(problem, seed), face)
-                assert solution.objective_value == pytest.approx(best.objective_value, rel=1e-12)
+                assert objective(problem.weights, solution.cells) == pytest.approx(
+                    objective(problem.weights, best.cells), rel=1e-12)
                 assert solution.cells.keys() == best.cells.keys()
                 for cell, value in best.cells.items():
                     assert solution.cells[cell] == pytest.approx(value, rel=1e-12)
@@ -380,8 +383,9 @@ class TestSolverAgainstOracles:
             solution = solve(problem, random_init(problem, 3), optimal_value(problem))
             # The solver returns a point of the exact optimal face, so it can
             # fall short of greedy by float rounding only.
-            slack = 1e-12 * max(1.0, greedy.objective_value)
-            assert solution.objective_value >= greedy.objective_value - slack
+            greedy_value = objective(problem.weights, greedy.cells)
+            slack = 1e-12 * max(1.0, greedy_value)
+            assert objective(problem.weights, solution.cells) >= greedy_value - slack
 
     def test_priority_instance_brute_force_unique(self):
         problem = priority_problem()
@@ -412,8 +416,9 @@ class TestMultiStart:
         rng = np.random.default_rng(23)
         problem = random_small_problem(rng, max_rows=6, max_cols=8, integer_caps=False)
         result = multi_start_average(problem, k_starts=5, seed_base=1)
-        objectives = [s.objective_value for s in result.solutions]
-        assert min(objectives) - 1e-9 <= result.average.objective_value <= max(objectives) + 1e-9
+        objectives = [objective(problem.weights, s.cells) for s in result.solutions]
+        average = objective(problem.weights, result.average.cells)
+        assert min(objectives) - 1e-9 <= average <= max(objectives) + 1e-9
 
     def test_bit_identical_across_runs(self):
         rng = np.random.default_rng(29)
@@ -421,7 +426,15 @@ class TestMultiStart:
         first = multi_start_average(problem, k_starts=6, seed_base=42)
         second = multi_start_average(problem, k_starts=6, seed_base=42)
         assert first.average.cells == second.average.cells
-        assert first.average.objective_value == second.average.objective_value
+        assert (objective(problem.weights, first.average.cells)
+                == objective(problem.weights, second.average.cells))
+
+    def test_empty_problem(self):
+        problem = _simple({"A": 0.0}, {"00001": 0.0}, {"A": 1.0}, [("A", "00001")])
+        result = multi_start_average(problem, k_starts=3)
+        assert [s.cells for s in result.solutions] == [{}, {}, {}]
+        assert result.average.cells == {}
+        assert result.optimal_value == 0.0
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -447,7 +460,8 @@ class TestMultiStart:
         assert len(many.solutions) == 37
         assert [s.cells for s in one.solutions] == [s.cells for s in many.solutions]
         assert one.average.cells == many.average.cells
-        assert one.average.objective_value == many.average.objective_value
+        assert (objective(problem.weights, one.average.cells)
+                == objective(problem.weights, many.average.cells))
         assert one.failures == many.failures == [
             (seed, f"start {seed} made to fail") for seed in (3, 20, 42)]
 
@@ -505,7 +519,8 @@ class TestFailedStarts:
         result = multi_start_average(problem, k_starts=6, seed_base=10)
         assert [s.cells for s in result.solutions] == [s.cells for s in survivors.solutions]
         assert result.average.cells == survivors.average.cells
-        assert result.average.objective_value == survivors.average.objective_value
+        assert (objective(problem.weights, result.average.cells)
+                == objective(problem.weights, survivors.average.cells))
 
     def test_all_starts_failing_is_fatal(self, monkeypatch):
         problem = self.problem()

@@ -94,7 +94,8 @@ class TestEndToEnd:
         result = allocator.multi_start_average(problem, k_starts=20, seed_base=seed)
         assert len(result.solutions) == 20
         for solution in [*result.solutions, result.average]:
-            assert solution.objective_value == pytest.approx(result.optimal_value, rel=1e-12)
+            assert allocator.objective(problem.weights, solution.cells) == pytest.approx(
+                result.optimal_value, rel=1e-12)
 
     def test_start_agreement_is_pinned(self, pipeline_out):
         comparison = json.loads((pipeline_out / COMPARISON_JSON).read_text(encoding="utf-8"))

@@ -90,6 +90,20 @@ def test_negative_seed_is_a_config_error(alsace_copy, tmp_path, caplog, from_fla
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_truncation_below_one_is_a_config_error(alsace_copy, tmp_path, caplog, value):
+    # Otherwise every customs row becomes a row error and the run goes on
+    # with no appellations until the value stage finds no price.
+    _set_key(alsace_copy, "ingest", "truncation", value)
+    with caplog.at_level(logging.ERROR):
+        rc = cli.main(["run", "--config", str(alsace_copy), "--output-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
+        f"configuration error: ingest.truncation must be >= 1, got {value}"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_that_is_not_utf8_is_a_config_error(alsace_copy, tmp_path, caplog):
     alsace_copy.write_bytes(alsace_copy.read_bytes() + "\n[validate]\nnote = caf\xe9\n".encode("latin-1"))
     rc = cli.main(["run", "--config", str(alsace_copy), "--output-dir", str(tmp_path / "out")])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import json
 import logging
 import math
 
@@ -147,6 +148,15 @@ class TestParseCustomsByAppellation:
         expected = math.fsum(i * 1.7 for i in range(1, 30))
         assert abs(total - expected) <= 1e-6 * expected
 
+    def test_unknown_category_keeps_the_default_and_is_counted(self):
+        records, report = parse_customs_by_appellation(
+            _src("cvi;surface_ha;cat\n3B011M01;4.0;IGPP\n3B012M01;1.0;\n3B013M01;2.0;XX\n"),
+            category_col="cat",
+        )
+        assert [r.category for r in records] == [Category.AOP] * 3
+        assert report.notes == {"unknown_category": 2}
+        assert json.loads(report.to_json())["notes"] == {"unknown_category": 2}
+
     def test_category_and_color_columns(self):
         # The category column is read; a colour column is input no stage
         # uses, and is ignored.
@@ -163,7 +173,7 @@ class TestParseCustomsByCounty:
     def test_published_reference_row(self):
         records, report = parse_customs_by_county(_src("insee;surface_ha\n01001;0.2\n"))
         assert records == [
-            CountyRecord(insee_code="01001", department="01", marginal_surface=0.2)
+            CountyRecord(insee_code="01001", marginal_surface=0.2)
         ]
         assert not report.row_errors
 
@@ -190,8 +200,11 @@ class TestParseCustomsByCounty:
         assert records[0].insee_code == "01001"
 
     def test_duplicate_insee_fatal(self):
-        with pytest.raises(IntegrityError):
-            parse_customs_by_county(_src("insee;surface_ha\n01001;1.0\n01001;2.0\n"))
+        # A secretized or malformed first row holds no record, but it names
+        # the county all the same.
+        for first in ("1.0", "s", "abc"):
+            with pytest.raises(IntegrityError, match="duplicate insee code '01001' at line 3"):
+                parse_customs_by_county(_src(f"insee;surface_ha\n01001;{first}\n01001;5.0\n"))
 
     def test_corsican_codes(self):
         records, _ = parse_customs_by_county(_src("insee;surface_ha\n2A004;3.5\n"))
@@ -326,6 +339,11 @@ class TestParsePriceScale:
         entries, report = parse_price_scale(_src("label;price_eur_hl\nY;-5\n"))
         assert entries == []
         assert report.row_errors
+
+    def test_marker_only_label_is_an_empty_label(self):
+        entries, report = parse_price_scale(_src("label;price_eur_hl\nC;100\nB;90\n;80\nX;70\n"))
+        assert [e.label for e in entries] == ["X"]
+        assert report.row_errors == [(2, "empty label"), (3, "empty label"), (4, "empty label")]
 
     def test_raw_label_is_normalized_by_match_labels(self):
         entries, _ = parse_price_scale(_src("label;price_eur_hl\nCôte du Rhône C;100\n"))

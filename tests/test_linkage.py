@@ -176,6 +176,14 @@ class TestMatchLabels:
         label = "Coteaux d'Aix et d'Ensuès blanc"
         assert [e.label for e in expand_price_entries([_price(label)])] == [label]
 
+    @pytest.mark.parametrize("label", ["Le", "d'", "..."])
+    def test_label_that_normalizes_to_nothing_is_never_accepted(self, label):
+        # A nameless appellation normalizes to nothing as well: distance 0.
+        matches = match_labels([_price(label)], [_app("1A001M", ""), _app("1B001M", "Le")])
+        assert [(m.target_code, m.distance, m.accepted) for m in matches] == [
+            ("1A001M", 0.0, False)
+        ]
+
     def test_no_targets(self):
         matches = match_labels([_price("rouge")], [])
         assert matches == [

@@ -8,7 +8,7 @@ import pytest
 
 from baselines import uniform_spread_baseline
 from vinevalue import allocator
-from vinevalue.synth import CATEGORY_MIX, SyntheticInstance, generate, score_recovery
+from vinevalue.synth import CATEGORY_MIX, generate, score_recovery
 
 
 class TestGenerate:
@@ -123,9 +123,3 @@ def test_truth_round_trip(tmp_path):
     path = tmp_path / "truth.csv"
     allocator.write_solution(instance.truth.cells, path)
     assert allocator.read_solution(path) == instance.truth.cells
-
-
-def test_instance_shape_recorded():
-    instance = generate((4, 12, 0.3), seed=41, counties_per_department=6)
-    assert isinstance(instance, SyntheticInstance)
-    assert instance.shape == (4, 12, 0.3)
