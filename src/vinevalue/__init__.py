@@ -3,7 +3,6 @@ aggregate statistics, and conversion into expected harvest values."""
 
 from .model import (
     AppellationRecord,
-    AuthorizationMask,
     Category,
     CountyRecord,
     PriceEntry,
@@ -28,7 +27,6 @@ __all__ = [
     "AllocationMatrix",
     "AllocationProblem",
     "AppellationRecord",
-    "AuthorizationMask",
     "Category",
     "ComparisonReport",
     "CountyRecord",

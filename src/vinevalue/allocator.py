@@ -38,7 +38,6 @@ from scipy.optimize import linprog
 
 from .model import (
     AppellationRecord,
-    AuthorizationMask,
     Category,
     Cell,
     CountyRecord,
@@ -177,19 +176,18 @@ def problem_from_caps(
 def build_problem(
     appellations: Sequence[AppellationRecord],
     counties: Sequence[CountyRecord],
-    mask: AuthorizationMask,
+    mask: Iterable[Cell],
     known: Mapping[Cell, float] = {},
     category_weights: Mapping[Category, float] = DEFAULT_WEIGHTS,
 ) -> AllocationProblem:
-    """Build the allocation problem from parsed records and the known cells.
-    Pseudo-appellations and the codes of known cells must already be among
-    the records. A code the mask carries no weight for takes the weight of
-    its category in ``category_weights``."""
+    """Build the allocation problem from parsed records, the mask cells and
+    the known cells. Pseudo-appellations and the codes of known cells must
+    already be among the records. This is where a code gets its priority:
+    every code takes the weight of its category in ``category_weights``."""
     appellation_caps = {a.code: a.marginal_surface for a in appellations}
     county_caps = {c.insee_code: c.marginal_surface for c in counties}
-    weights = {a.code: mask.weight.get(a.code, category_weights[a.category])
-               for a in appellations}
-    return problem_from_caps(appellation_caps, county_caps, weights, mask.cells, known)
+    weights = {a.code: category_weights[a.category] for a in appellations}
+    return problem_from_caps(appellation_caps, county_caps, weights, mask, known)
 
 
 @dataclass(frozen=True, eq=False)

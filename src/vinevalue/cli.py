@@ -98,8 +98,6 @@ def stage_ingest(cfg: PipelineConfig) -> None:
         counties,
         appellation_col=columns.mask_appellation,
         insee_col=columns.mask_insee,
-        weight_col=columns.mask_weight,
-        weights=cfg.weights,
         delimiter=cfg.delimiter,
     )
     reports.append(report)
@@ -119,8 +117,7 @@ def stage_ingest(cfg: PipelineConfig) -> None:
         )
         before = len(appellations)
         appellations, mask = ingest.inject_pseudo_appellations(
-            appellations, counties, mask, by_department,
-            weight=cfg.weights[Category.PSEUDO_NON_PGI],
+            appellations, counties, mask, by_department
         )
         pseudo_report = IngestReport(dataset="pseudo_appellations")
         pseudo_report.rows_read = len(by_department)
@@ -155,7 +152,7 @@ def stage_ingest(cfg: PipelineConfig) -> None:
     allocator.dump_problem(problem, out / PROBLEM_DIR)
     logger.info(
         "ingest: %d appellations, %d counties, %d mask cells, %d prices",
-        len(appellations), len(counties), len(mask.cells), len(prices),
+        len(appellations), len(counties), len(mask), len(prices),
     )
 
 

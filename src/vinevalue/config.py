@@ -8,6 +8,7 @@ path fails before any stage runs.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
@@ -31,7 +32,6 @@ class ColumnSettings:
     county_ra: str | None = None
     mask_appellation: str = "appellation"
     mask_insee: str = "insee"
-    mask_weight: str | None = None
     price_label: str = "label"
     price_value: str = "price_eur_hl"
     price_region: str | None = None
@@ -104,8 +104,10 @@ class PipelineConfig:
             raise ConfigError("k_starts must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"solver.seed must be >= 0, got {self.seed}")
-        if self.threshold_fraction <= 0:
-            raise ConfigError("threshold_fraction must be > 0")
+        for key, value in (("linkage.threshold_fraction", self.threshold_fraction),
+                           ("validate.reference_total_eur", self.reference_total_eur)):
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"{key} must be positive and finite, got {value!r}")
         if self.truncation is not None and self.truncation < 1:
             raise ConfigError(f"ingest.truncation must be >= 1, got {self.truncation}")
         for key in ("appellations", "counties", "counties_per_department"):
@@ -144,7 +146,6 @@ _KEYS: tuple[tuple[str, str, str, Callable], ...] = (
     ("columns.counties", "ra", "columns.county_ra", str),
     ("columns.mask", "appellation", "columns.mask_appellation", str),
     ("columns.mask", "insee", "columns.mask_insee", str),
-    ("columns.mask", "weight", "columns.mask_weight", str),
     ("columns.prices", "label", "columns.price_label", str),
     ("columns.prices", "price", "columns.price_value", str),
     ("columns.prices", "region", "columns.price_region", str),

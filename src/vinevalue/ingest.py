@@ -19,10 +19,9 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .model import (
     AppellationRecord,
-    AuthorizationMask,
     Category,
+    Cell,
     CountyRecord,
-    DEFAULT_WEIGHTS,
     PriceEntry,
     ProductionMode,
     cvi_prefix,
@@ -35,12 +34,6 @@ logger = logging.getLogger(__name__)
 
 #: Surface cell values treated as secretized (absent, not zero).
 SECRET_VALUES = ("", "s", "S", "n/a", "N/A")
-
-#: Mask weights are snapped to these canonical priorities when a file value
-#: is within SNAP_TOLERANCE (the source files carry rounded values such as
-#: 0.33 for one third).
-CANONICAL_WEIGHTS = (1.0, 1.0 / 3.0, 0.25)
-SNAP_TOLERANCE = 0.01
 
 _CATEGORY_ALIASES = {
     "AOP": Category.AOP,
@@ -180,7 +173,9 @@ def parse_customs_by_appellation(
     surfaces are summed and yearly yields are volume-weight-averaged (plain
     average when no volume column carries data). Secretized surface cells are
     skipped and counted. Zero yields encode non-production and are stored as
-    missing.
+    missing. When a prefix's rows name different categories, the first in
+    :class:`Category` declaration order wins, whatever the row order, and
+    the prefix is counted in ``notes["category_conflicts"]``.
     """
     report = IngestReport(dataset="customs_by_appellation")
     yield_cols = dict(yield_cols or {})
@@ -205,7 +200,7 @@ def parse_customs_by_appellation(
 
         group = groups.setdefault(
             prefix,
-            {"surfaces": [], "name": "", "category": default_category, "yields": {}},
+            {"surfaces": [], "name": "", "categories": set(), "yields": {}},
         )
         if surface is not None:
             group["surfaces"].append(surface)
@@ -214,7 +209,7 @@ def parse_customs_by_appellation(
         if category_col:
             alias = row.get(category_col, "").upper()
             if alias in _CATEGORY_ALIASES:
-                group["category"] = _CATEGORY_ALIASES[alias]
+                group["categories"].add(_CATEGORY_ALIASES[alias])
             elif alias:
                 report.notes["unknown_category"] = report.notes.get("unknown_category", 0) + 1
         for year, col in yield_cols.items():
@@ -252,11 +247,14 @@ def parse_customs_by_appellation(
                 )
             else:
                 history[year] = math.fsum(v for v, _ in pairs) / len(pairs)
+        if len(group["categories"]) > 1:
+            report.notes["category_conflicts"] = report.notes.get("category_conflicts", 0) + 1
         records.append(
             AppellationRecord(
                 code=prefix,
                 name=group["name"],
-                category=group["category"],
+                category=min(group["categories"], key=list(Category).index,
+                             default=default_category),
                 marginal_surface=math.fsum(group["surfaces"]),
                 yield_history=history,
             )
@@ -310,15 +308,6 @@ def parse_customs_by_county(
     return out, report
 
 
-def snap_weight(value: float) -> float:
-    """Snap a file-supplied weight to the nearest canonical priority when it
-    is within ``SNAP_TOLERANCE`` (0.33 becomes exactly one third)."""
-    for canonical in CANONICAL_WEIGHTS:
-        if abs(value - canonical) <= SNAP_TOLERANCE:
-            return canonical
-    return value
-
-
 def parse_inao_authorizations(
     source,
     appellations: Sequence[AppellationRecord],
@@ -326,30 +315,26 @@ def parse_inao_authorizations(
     *,
     appellation_col: str = "appellation",
     insee_col: str = "insee",
-    weight_col: str | None = None,
-    weights: Mapping[Category, float] = DEFAULT_WEIGHTS,
     delimiter: str = ";",
-) -> tuple[AuthorizationMask, IngestReport]:
-    """Parse the authorization list into a sparse mask.
+) -> tuple[set[Cell], IngestReport]:
+    """Parse the authorization list into a sparse mask: the set of
+    permitted (appellation code, insee code) cells.
 
     Rows referencing unknown appellations or counties are excluded and
-    counted, never silently dropped. Weights come from the optional weight
-    column (snapped to the canonical priorities) or from the appellation
-    category.
+    counted, never silently dropped.
     """
     report = IngestReport(dataset="inao_authorizations")
-    known_apps = {app.code: app for app in appellations}
+    known_codes = {app.code for app in appellations}
     known_counties = {c.insee_code for c in counties}
     header, rows = _read_table(source, delimiter, report.dataset)
     _require_columns(header, [appellation_col, insee_col], report.dataset)
 
-    mask = AuthorizationMask()
-    for line, row in rows:
+    mask: set[Cell] = set()
+    for _, row in rows:
         report.rows_read += 1
         code = row.get(appellation_col, "")
         insee = row.get(insee_col, "")
-        app = known_apps.get(code)
-        if app is None:
+        if code not in known_codes:
             report.unmatched += 1
             report.notes["unmatched_appellation"] = report.notes.get("unmatched_appellation", 0) + 1
             continue
@@ -357,34 +342,17 @@ def parse_inao_authorizations(
             report.unmatched += 1
             report.notes["unmatched_county"] = report.notes.get("unmatched_county", 0) + 1
             continue
-        weight = weights[app.category]
-        if weight_col:
-            text = row.get(weight_col, "")
-            if text:
-                try:
-                    weight = snap_weight(_parse_float(text))
-                except ValueError:
-                    report.add_error(line, f"malformed weight {text!r}")
-                    continue
-        if not 0 < weight <= 1:
-            report.add_error(line, f"weight {weight!r} outside (0, 1]")
-            continue
-        mask.cells.add((code, insee))
-        previous = mask.weight.setdefault(code, weight)
-        if previous != weight:
-            report.notes["weight_conflicts"] = report.notes.get("weight_conflicts", 0) + 1
-    report.records_out = len(mask.cells)
+        mask.add((code, insee))
+    report.records_out = len(mask)
     return mask, report
 
 
 def inject_pseudo_appellations(
     appellations: Sequence[AppellationRecord],
     counties: Sequence[CountyRecord],
-    mask: AuthorizationMask,
+    mask: set[Cell],
     non_pgi_surface_by_department: Mapping[str, float],
-    *,
-    weight: float = 0.25,
-) -> tuple[list[AppellationRecord], AuthorizationMask]:
+) -> tuple[list[AppellationRecord], set[Cell]]:
     """Add one non-PGI pseudo-appellation per department.
 
     Non-PGI wine is absent from the per-appellation statistics, so each
@@ -398,7 +366,7 @@ def inject_pseudo_appellations(
         counties_by_department.setdefault(county.department, []).append(county.insee_code)
 
     new_apps = list(appellations)
-    new_mask = mask.copy()
+    new_mask = set(mask)
     existing = {app.code for app in appellations}
     for department in sorted(non_pgi_surface_by_department):
         surface = non_pgi_surface_by_department[department]
@@ -422,9 +390,7 @@ def inject_pseudo_appellations(
                 marginal_surface=surface,
             )
         )
-        for insee in members:
-            new_mask.cells.add((code, insee))
-        new_mask.weight[code] = weight
+        new_mask.update((code, insee) for insee in members)
     return new_apps, new_mask
 
 
@@ -544,7 +510,7 @@ def parse_reference_aggregates(source, *, delimiter: str = ";") -> dict[tuple[st
 
 APPELLATIONS_HEADER = ("code", "name", "category", "surface_ha", "yield_history")
 COUNTIES_HEADER = ("insee", "department", "agricultural_region", "surface_ha")
-MASK_HEADER = ("appellation", "insee", "weight")
+MASK_HEADER = ("appellation", "insee")
 PRICES_HEADER = ("label", "price_eur_hl", "production_mode", "region")
 
 
@@ -584,19 +550,12 @@ def read_counties(path: str | Path) -> list[CountyRecord]:
     ]
 
 
-def write_mask(mask: AuthorizationMask, path: str | Path) -> None:
-    write_rows(
-        path, MASK_HEADER,
-        ([code, insee, repr(mask.weight[code])] for code, insee in sorted(mask.cells)),
-    )
+def write_mask(mask: Iterable[Cell], path: str | Path) -> None:
+    write_rows(path, MASK_HEADER, sorted(mask))
 
 
-def read_mask(path: str | Path) -> AuthorizationMask:
-    mask = AuthorizationMask()
-    for code, insee, weight in read_rows(path, MASK_HEADER):
-        mask.cells.add((code, insee))
-        mask.weight[code] = float(weight)
-    return mask
+def read_mask(path: str | Path) -> set[Cell]:
+    return {(code, insee) for code, insee in read_rows(path, MASK_HEADER)}
 
 
 def write_prices(entries: Iterable[PriceEntry], path: str | Path) -> None:

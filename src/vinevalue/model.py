@@ -141,19 +141,6 @@ class CountyRecord:
         return department_of_insee(self.insee_code)
 
 
-@dataclass
-class AuthorizationMask:
-    """Sparse set of permitted (appellation_code, insee_code) cells plus the
-    per-appellation objective weight. Cells outside the mask are forced to
-    zero surface by the allocator."""
-
-    cells: set[tuple[str, str]] = field(default_factory=set)
-    weight: dict[str, float] = field(default_factory=dict)
-
-    def copy(self) -> "AuthorizationMask":
-        return AuthorizationMask(cells=set(self.cells), weight=dict(self.weight))
-
-
 @dataclass(frozen=True)
 class PriceEntry:
     """One row of the insurance price scale.

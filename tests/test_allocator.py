@@ -28,7 +28,7 @@ from vinevalue.allocator import (
     write_solution,
 )
 from vinevalue.ingest import IntegrityError
-from vinevalue.model import AppellationRecord, AuthorizationMask, Category, CountyRecord
+from vinevalue.model import AppellationRecord, Category, CountyRecord
 from vinevalue.validate import compare_solutions
 
 
@@ -139,8 +139,7 @@ class TestBuildProblem:
     def test_from_records(self):
         apps = [AppellationRecord(code="A", category=Category.AOP, marginal_surface=5.0)]
         counties = [CountyRecord(insee_code="00001", marginal_surface=3.0)]
-        mask = AuthorizationMask(cells={("A", "00001")}, weight={})
-        problem = build_problem(apps, counties, mask)
+        problem = build_problem(apps, counties, {("A", "00001")})
         assert problem.weights["A"] == 1.0
         assert problem.cells == (("A", "00001"),)
 

@@ -401,8 +401,8 @@ class TestOptionalInputs:
         )
 
     def test_weights_override_reaches_codes_without_mask_rows(self, extended_config, tmp_path):
-        # 7C001M exists only through its known cell, so the mask carries no
-        # weight for it: it takes the configured AOP weight like the others.
+        # 7C001M exists only through its known cell and has no mask row: like
+        # every code, it takes the configured weight of its category (AOP).
         extended_config.write_text(
             extended_config.read_text(encoding="utf-8") + "[weights]\naop = 0.5\n",
             encoding="utf-8",

@@ -62,14 +62,38 @@ def test_malformed_value_names_its_key(alsace_copy, tmp_path, caplog, section, k
     ("aop_brandy", "nan", "nan"),
 ])
 def test_out_of_range_weight_is_a_config_error(alsace_copy, tmp_path, caplog, key, value, shown):
-    # A weight outside (0, 1] would otherwise turn every mask row of its
-    # category into a row error and leave the mask empty.
+    # Every code takes its category's weight in the LP objective, so a weight
+    # outside (0, 1] would break the priority order the method relies on.
     _set_key(alsace_copy, "weights", key, value)
     with caplog.at_level(logging.ERROR):
         rc = cli.main(["run", "--config", str(alsace_copy), "--output-dir", str(tmp_path / "out")])
     assert rc == 1
     assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
         f"configuration error: weights.{key} must be in (0, 1], got {shown}"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, key, value, shown", [
+    ("validate", "reference_total_eur", "0", "0.0"),
+    ("validate", "reference_total_eur", "-5", "-5.0"),
+    ("validate", "reference_total_eur", "inf", "inf"),
+    ("linkage", "threshold_fraction", "nan", "nan"),
+    ("linkage", "threshold_fraction", "0", "0.0"),
+    ("linkage", "threshold_fraction", "inf", "inf"),
+])
+def test_value_that_is_not_positive_and_finite_is_a_config_error(
+    alsace_copy, tmp_path, caplog, section, key, value, shown
+):
+    # A zero reference total used to end the value stage in a division by
+    # zero, and a NaN threshold rejected every price label, each only after
+    # the earlier stages had run.
+    _set_key(alsace_copy, section, key, value)
+    with caplog.at_level(logging.ERROR):
+        rc = cli.main(["run", "--config", str(alsace_copy), "--output-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
+        f"configuration error: {section}.{key} must be positive and finite, got {shown}"
     ]
     assert not (tmp_path / "out").exists()
 
@@ -135,6 +159,7 @@ def test_percent_in_input_path_is_literal(alsace_copy):
     ("linkage", "threshold"),
     ("solver", "no_such_key"),
     ("columns.appellations", "color"),
+    ("columns.mask", "weight"),
 ])
 def test_removed_keys_are_ignored_like_unknown_keys(alsace_copy, section, key):
     before = load_config(alsace_copy)

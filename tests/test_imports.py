@@ -1,0 +1,36 @@
+"""Every name a module imports is used in that module, so a deletion leaves
+no dead import behind. The package ``__init__`` re-exports names and is
+exempt, as are ``__future__`` imports."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).parents[1] / "src" / "vinevalue"
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names bound by the import statements of ``source`` that no other
+    expression of it reads, in import order."""
+    tree = ast.parse(source)
+    imported: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [(alias.asname or alias.name).partition(".")[0] for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_unused_import_is_found():
+    source = "from __future__ import annotations\nimport os.path\nfrom a import b, c as d\nd()\n"
+    assert unused_imports(source) == ["os", "b"]

@@ -8,6 +8,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from vinevalue.allocator import build_problem
 from vinevalue.ingest import (
     ConfigError,
     IntegrityError,
@@ -24,7 +25,6 @@ from vinevalue.ingest import (
     read_counties,
     read_mask,
     read_prices,
-    snap_weight,
     write_appellations,
     write_counties,
     write_mask,
@@ -33,9 +33,9 @@ from vinevalue.ingest import (
 from vinevalue.linkage import match_labels
 from vinevalue.model import (
     AppellationRecord,
-    AuthorizationMask,
     Category,
     CountyRecord,
+    DEFAULT_WEIGHTS,
     PriceEntry,
     ProductionMode,
     cvi_prefix,
@@ -168,6 +168,20 @@ class TestParseCustomsByAppellation:
                                              marginal_surface=4.0)]
         assert not report.row_errors
 
+    @pytest.mark.parametrize("rows", [
+        "3B011M01;4.0;IGP\n3B011M02;1.0;AOC\n",
+        "3B011M02;1.0;AOC\n3B011M01;4.0;IGP\n",
+    ])
+    def test_conflicting_categories_take_the_first_declared(self, rows):
+        # The category sets the LP weight, so it must not depend on row order.
+        records, report = parse_customs_by_appellation(
+            _src("cvi;surface_ha;cat\n" + rows + "3B012M01;2.0;IGP\n3B012M02;1.0;\n"),
+            category_col="cat",
+        )
+        assert [(r.code, r.category) for r in records] == [
+            ("3B011M", Category.AOP), ("3B012M", Category.PGI)]
+        assert report.notes == {"category_conflicts": 1}
+
 
 class TestParseCustomsByCounty:
     def test_published_reference_row(self):
@@ -232,38 +246,23 @@ class TestParseInaoAuthorizations:
             _src("appellation;insee\n3B011;01001\n3B011;01002\n3B012;01001\n"),
             APPS, COUNTIES,
         )
-        assert mask.cells == {("3B011", "01001"), ("3B011", "01002"), ("3B012", "01001")}
+        assert mask == {("3B011", "01001"), ("3B011", "01002"), ("3B012", "01001")}
         assert report.unmatched == 0
 
     def test_unknown_county_excluded_and_counted(self):
         mask, report = parse_inao_authorizations(
             _src("appellation;insee\n3B011;99999\n"), APPS, COUNTIES
         )
-        assert mask.cells == set()
+        assert mask == set()
         assert report.unmatched == 1
-
-    def test_file_weight_snapped_to_one_third(self):
-        mask, _ = parse_inao_authorizations(
-            _src("insee;appellation;authorized\n01001;3B011;0.33\n"),
-            APPS, COUNTIES,
-            appellation_col="appellation", insee_col="insee", weight_col="authorized",
-        )
-        assert mask.cells == {("3B011", "01001")}
-        assert mask.weight["3B011"] == 1.0 / 3.0
 
     def test_category_weights_when_no_column(self):
         mask, _ = parse_inao_authorizations(
             _src("appellation;insee\n3B011;01001\n1B001M;01001\n"), APPS, COUNTIES
         )
-        assert mask.weight["3B011"] == 1.0 / 3.0
-        assert mask.weight["1B001M"] == 1.0
-
-
-def test_snap_weight():
-    assert snap_weight(0.33) == 1.0 / 3.0
-    assert snap_weight(0.25) == 0.25
-    assert snap_weight(0.995) == 1.0
-    assert snap_weight(0.5) == 0.5
+        weights = build_problem(APPS, COUNTIES, mask).weights
+        assert weights["3B011"] == 1.0 / 3.0
+        assert weights["1B001M"] == 1.0
 
 
 class TestInjectPseudoAppellations:
@@ -274,8 +273,7 @@ class TestInjectPseudoAppellations:
             CountyRecord(insee_code="67155", marginal_surface=3.0),
             CountyRecord(insee_code="68001", marginal_surface=4.0),
         ]
-        mask = AuthorizationMask(cells={("1B001M", "67003")}, weight={"1B001M": 1.0})
-        return [APPS[2]], counties, mask
+        return [APPS[2]], counties, {("1B001M", "67003")}
 
     def test_adds_one_appellation_and_cells(self):
         apps, counties, mask = self._inputs()
@@ -283,25 +281,28 @@ class TestInjectPseudoAppellations:
         added = [a for a in new_apps if a.category is Category.PSEUDO_NON_PGI]
         assert len(added) == 1
         assert added[0].marginal_surface == 100.0
-        assert len(new_mask.cells) == len(mask.cells) + 3
+        assert len(new_mask) == len(mask) + 3
 
     def test_injected_weight_is_a_quarter(self):
         apps, counties, mask = self._inputs()
-        _, new_mask = inject_pseudo_appellations(apps, counties, mask, {"67": 100.0})
-        assert new_mask.weight["NONPGI67"] == 0.25
+        new_apps, new_mask = inject_pseudo_appellations(apps, counties, mask, {"67": 100.0})
+        assert build_problem(new_apps, counties, new_mask).weights["NONPGI67"] == 0.25
+        weights = {**DEFAULT_WEIGHTS, Category.PSEUDO_NON_PGI: 0.125}
+        problem = build_problem(new_apps, counties, new_mask, category_weights=weights)
+        assert problem.weights["NONPGI67"] == 0.125
 
     def test_empty_map_is_identity(self):
         apps, counties, mask = self._inputs()
         new_apps, new_mask = inject_pseudo_appellations(apps, counties, mask, {})
         assert new_apps == apps
-        assert new_mask.cells == mask.cells
+        assert new_mask == mask
 
     def test_inputs_never_modified(self):
         apps, counties, mask = self._inputs()
-        cells_before = set(mask.cells)
+        cells_before = set(mask)
         apps_before = list(apps)
         inject_pseudo_appellations(apps, counties, mask, {"67": 100.0, "68": 5.0})
-        assert mask.cells == cells_before
+        assert mask == cells_before
         assert apps == apps_before
 
     def test_department_without_counties_skipped_with_warning(self, caplog):
@@ -454,15 +455,10 @@ class TestCanonicalRoundTrip:
         assert read_counties(path) == records
 
     def test_mask(self, tmp_path):
-        mask = AuthorizationMask(
-            cells={("3B011", "01001"), ("1B001M", "01002")},
-            weight={"3B011": 1.0 / 3.0, "1B001M": 1.0},
-        )
+        mask = {("3B011", "01001"), ("1B001M", "01002")}
         path = tmp_path / "mask.csv"
         write_mask(mask, path)
-        loaded = read_mask(path)
-        assert loaded.cells == mask.cells
-        assert loaded.weight == mask.weight
+        assert read_mask(path) == mask
 
     def test_prices(self, tmp_path):
         entries = [
