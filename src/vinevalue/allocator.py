@@ -183,7 +183,8 @@ def build_problem(
     """Build the allocation problem from parsed records, the mask cells and
     the known cells. Pseudo-appellations and the codes of known cells must
     already be among the records. This is where a code gets its priority:
-    every code takes the weight of its category in ``category_weights``."""
+    every code takes the weight of its category in ``category_weights``.
+    Ingest and ``synth.generate`` both build their problem here."""
     appellation_caps = {a.code: a.marginal_surface for a in appellations}
     county_caps = {c.insee_code: c.marginal_surface for c in counties}
     weights = {a.code: category_weights[a.category] for a in appellations}

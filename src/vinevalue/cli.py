@@ -301,8 +301,8 @@ def stage_synth(cfg: PipelineConfig) -> None:
     out.mkdir(parents=True, exist_ok=True)
     settings = cfg.synth
     shape = (settings.appellations, settings.counties, settings.density)
-    instance = synth.generate(
-        shape,
+    instance = _in_stage(
+        "synth", synth.generate, shape,
         seed=cfg.seed,
         extra_mask_factor=settings.extra_mask_factor,
         counties_per_department=settings.counties_per_department,

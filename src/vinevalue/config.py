@@ -213,7 +213,7 @@ def load_config(path: str | Path, overrides: Mapping[str, str] | None = None) ->
     if parser.has_section(section):
         for key, text in parser.items(section):
             family, dot, year = key.partition(".")
-            if dot and family in families:
+            if dot and family in families and text.strip():
                 families[family][_cast(int, year, section, key)] = text.strip()
     for category in Category:
         key = category.value.lower()

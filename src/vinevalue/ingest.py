@@ -51,7 +51,7 @@ _CATEGORY_ALIASES = {
 
 
 class ConfigError(Exception):
-    """Fatal configuration problem (missing mandatory column, bad mapping)."""
+    """Fatal configuration problem (missing configured column, bad mapping)."""
 
 
 class IntegrityError(Exception):
@@ -126,16 +126,17 @@ def _read_fields(source, delimiter: str, dataset: str):
     return header, rows
 
 
-def _read_table(source, delimiter: str, dataset: str):
-    """:func:`_read_fields` with each row keyed by the header."""
-    header, rows = _read_fields(source, delimiter, dataset)
-    return header, [(line, dict(zip(header, fields))) for line, fields in rows]
-
-
-def _require_columns(header: Sequence[str], needed: Iterable[str], dataset: str) -> None:
-    missing = [c for c in needed if c and c not in header]
+def _read_table(source, delimiter: str, report: IngestReport,
+                columns: Iterable[str | None]) -> list[tuple[int, dict[str, str]]]:
+    """(line, row keyed by the header) pairs of a headed input table, after
+    :func:`_read_fields`. Every configured column must be in the header
+    (``None`` is a column that is not configured); sets ``report.rows_read``."""
+    header, rows = _read_fields(source, delimiter, report.dataset)
+    missing = [c for c in columns if c is not None and c not in header]
     if missing:
-        raise ConfigError(f"{dataset}: missing mandatory column(s) {missing} in header {header}")
+        raise ConfigError(f"{report.dataset}: missing column(s) {missing} in header {header}")
+    report.rows_read = len(rows)
+    return [(line, dict(zip(header, fields))) for line, fields in rows]
 
 
 def _parse_float(text: str) -> float:
@@ -180,14 +181,12 @@ def parse_customs_by_appellation(
     report = IngestReport(dataset="customs_by_appellation")
     yield_cols = dict(yield_cols or {})
     volume_cols = dict(volume_cols or {})
-    header, rows = _read_table(source, delimiter, report.dataset)
-    _require_columns(header, [code_col, surface_col], report.dataset)
-    _require_columns(header, yield_cols.values(), report.dataset)
-    _require_columns(header, volume_cols.values(), report.dataset)
+    rows = _read_table(source, delimiter, report, [
+        code_col, surface_col, name_col, category_col, *yield_cols.values(), *volume_cols.values()
+    ])
 
     groups: dict[str, dict] = {}
     for line, row in rows:
-        report.rows_read += 1
         surface_text = row.get(surface_col, "")
         try:
             prefix = cvi_prefix(row.get(code_col, ""), truncation=truncation)
@@ -275,13 +274,11 @@ def parse_customs_by_county(
     leading zeros survive; a duplicated county is a fatal error, whichever
     of its rows are secretized or malformed."""
     report = IngestReport(dataset="customs_by_county")
-    header, rows = _read_table(source, delimiter, report.dataset)
-    _require_columns(header, [insee_col, surface_col], report.dataset)
+    rows = _read_table(source, delimiter, report, [insee_col, surface_col, ra_col])
 
     records: dict[str, CountyRecord] = {}
     seen: set[str] = set()
     for line, row in rows:
-        report.rows_read += 1
         insee = row.get(insee_col, "")
         if not is_valid_insee(insee):
             report.add_error(line, f"invalid insee code {insee!r}")
@@ -321,17 +318,16 @@ def parse_inao_authorizations(
     permitted (appellation code, insee code) cells.
 
     Rows referencing unknown appellations or counties are excluded and
-    counted, never silently dropped.
+    counted, never silently dropped; a repeated row adds no cell and is
+    counted in ``notes["duplicate_rows"]``.
     """
     report = IngestReport(dataset="inao_authorizations")
     known_codes = {app.code for app in appellations}
     known_counties = {c.insee_code for c in counties}
-    header, rows = _read_table(source, delimiter, report.dataset)
-    _require_columns(header, [appellation_col, insee_col], report.dataset)
+    rows = _read_table(source, delimiter, report, [appellation_col, insee_col])
 
     mask: set[Cell] = set()
     for _, row in rows:
-        report.rows_read += 1
         code = row.get(appellation_col, "")
         insee = row.get(insee_col, "")
         if code not in known_codes:
@@ -342,6 +338,8 @@ def parse_inao_authorizations(
             report.unmatched += 1
             report.notes["unmatched_county"] = report.notes.get("unmatched_county", 0) + 1
             continue
+        if (code, insee) in mask:
+            report.notes["duplicate_rows"] = report.notes.get("duplicate_rows", 0) + 1
         mask.add((code, insee))
     report.records_out = len(mask)
     return mask, report
@@ -408,12 +406,10 @@ def parse_price_scale(
     (conventional when absent) and is stripped from the label.
     """
     report = IngestReport(dataset="price_scale")
-    header, rows = _read_table(source, delimiter, report.dataset)
-    _require_columns(header, [label_col, price_col], report.dataset)
+    rows = _read_table(source, delimiter, report, [label_col, price_col, region_col])
 
     entries = []
     for line, row in rows:
-        report.rows_read += 1
         label = row.get(label_col, "")
         *words, marker = label.split() or [""]
         mode = ProductionMode.ORGANIC if marker == "B" else ProductionMode.CONVENTIONAL
@@ -442,16 +438,21 @@ def parse_price_scale(
     return entries, report
 
 
-def _positional_rows(source, delimiter: str, dataset: str,
-                     columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+def _positional_rows(source, delimiter: str, dataset: str, columns: Sequence[str],
+                     key: int = 0) -> Iterator[tuple[int, list[str]]]:
     """(line, fields) of a headed table read by position; ``columns`` names
-    the leading fields every row must have. Later fields are optional."""
+    the leading fields every row must have. Later fields are optional. The
+    first ``key`` fields form a key that no two rows may share."""
     header, rows = _read_fields(source, delimiter, dataset)
     if len(header) < len(columns):
         raise ConfigError(f"{dataset}: need {', '.join(columns)} columns")
+    seen: set[tuple[str, ...]] = set()
     for line, fields in rows:
         if len(fields) < len(columns):
             raise ConfigError(f"{dataset}: malformed row at line {line}")
+        if key and tuple(fields[:key]) in seen:
+            raise ConfigError(f"{dataset}: repeated key {';'.join(fields[:key])!r} at line {line}")
+        seen.add(tuple(fields[:key]))
         yield line, fields
 
 
@@ -469,7 +470,7 @@ def parse_department_surfaces(source, *, delimiter: str = ";") -> dict[str, floa
     return {
         fields[0]: _table_surface(fields[1], dataset, line)
         for line, fields in _positional_rows(source, delimiter, dataset,
-                                             ("department", "surface"))
+                                             ("department", "surface"), key=1)
     }
 
 
@@ -490,7 +491,8 @@ def parse_key_value_map(source, *, delimiter: str = ";") -> dict[str, str]:
     appellation to region, ...)."""
     return {
         fields[0]: fields[1]
-        for _, fields in _positional_rows(source, delimiter, "key_value_map", ("key", "value"))
+        for _, fields in _positional_rows(source, delimiter, "key_value_map", ("key", "value"),
+                                          key=1)
     }
 
 
@@ -500,7 +502,7 @@ def parse_reference_aggregates(source, *, delimiter: str = ";") -> dict[tuple[st
     return {
         (fields[0], fields[1]): _table_surface(fields[2], dataset, line)
         for line, fields in _positional_rows(source, delimiter, dataset,
-                                             ("department", "wine type", "surface"))
+                                             ("department", "wine type", "surface"), key=2)
     }
 
 

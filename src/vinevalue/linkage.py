@@ -15,6 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .ingest import ConfigError
 from .model import AppellationRecord, PriceEntry, ProductionMode, read_rows, write_rows
 
 #: Recurring French words that carry no meaning in a nomenclature merge.
@@ -219,12 +220,15 @@ def load_wordlist(path: str | Path) -> frozenset[str]:
 
 
 def load_acronyms(path: str | Path) -> dict[str, str]:
-    """Acronym file: one ``SHORT=Long form`` entry per line."""
+    """Acronym file: one ``SHORT=Long form`` entry per line; blank lines are
+    skipped and any other line without ``=`` is a :class:`ConfigError`."""
     acronyms: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
-        if not line or "=" not in line:
+        if not line:
             continue
+        if "=" not in line:
+            raise ConfigError(f"{Path(path).name}: line {number} is not SHORT=Long form: {line!r}")
         short, long_form = line.split("=", 1)
         acronyms[strip_accents(short).strip().upper()] = strip_accents(long_form).strip().upper()
     return acronyms

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import allocator
 from .allocator import AllocationMatrix, AllocationProblem
-from .model import Category, Cell, DEFAULT_WEIGHTS, exact_sums
+from .model import AppellationRecord, Category, Cell, CountyRecord, DEFAULT_WEIGHTS, exact_sums
 from .validate import align, kendall_tau
 
 #: Out-of-home-department sampling weight per category (home weight is 1).
@@ -67,7 +67,8 @@ def generate(
     sigma 1 (heavy-tailed, like real surfaces). The mask is the truth
     support plus ``extra_mask_factor`` times as many authorized-but-unused
     cells, sampled with the same geographic locality. Marginals are exact
-    sums of the truth, so the truth is exactly feasible.
+    sums of the truth, so the truth is exactly feasible. County codes are
+    ``<department><index>``: more than 96 departments is a ``ValueError``.
     """
     n_appellations, n_counties, density = shape
     if n_appellations < 1 or n_counties < 1 or not 0 < density <= 1:
@@ -81,15 +82,13 @@ def generate(
 
     appellation_codes = [f"A{i:03d}" for i in range(n_appellations)]
     n_departments = max(1, n_counties // counties_per_department)
+    if n_departments > 96:
+        raise ValueError(f"{n_departments} departments; from 97 on a code reads as overseas 97x")
     department_of = np.minimum(
         np.arange(n_counties) // counties_per_department, n_departments - 1
     )
-    insee_codes = []
-    county_in_department: dict[int, int] = {}
-    for c in range(n_counties):
-        dept = int(department_of[c])
-        county_in_department[dept] = county_in_department.get(dept, 0) + 1
-        insee_codes.append(f"{dept + 1:02d}{county_in_department[dept]:03d}")
+    insee_codes = [f"{d + 1:02d}{c - d * counties_per_department + 1:03d}"
+                   for c, d in enumerate(department_of.tolist())]
 
     home = rng.integers(0, n_departments, size=n_appellations)
     per_appellation = max(1, int(round(density * n_counties)))
@@ -142,17 +141,15 @@ def generate(
         (appellation_codes[a], insee_codes[c]) for a, c in sorted(support | extras)
     }
 
-    appellation_caps = dict.fromkeys(appellation_codes, 0.0) | exact_sums(
-        (code, v) for (code, _), v in truth_cells.items())
-    county_caps = dict.fromkeys(insee_codes, 0.0) | exact_sums(
-        (insee, v) for (_, insee), v in truth_cells.items())
-
-    categories_by_code = {
-        appellation_codes[a]: mix_categories[categories[a]] for a in range(n_appellations)
-    }
-    alpha = {code: weights[cat] for code, cat in categories_by_code.items()}
-
-    problem = allocator.problem_from_caps(appellation_caps, county_caps, alpha, mask_cells)
+    row_sums = exact_sums((code, v) for (code, _), v in truth_cells.items())
+    col_sums = exact_sums((insee, v) for (_, insee), v in truth_cells.items())
+    categories_by_code = dict(zip(appellation_codes, (mix_categories[k] for k in categories)))
+    problem = allocator.build_problem(
+        [AppellationRecord(code, category=category, marginal_surface=row_sums.get(code, 0.0))
+         for code, category in categories_by_code.items()],
+        [CountyRecord(insee, marginal_surface=col_sums.get(insee, 0.0)) for insee in insee_codes],
+        mask_cells, category_weights=weights,
+    )
     return SyntheticInstance(
         truth=AllocationMatrix(truth_cells),
         problem=problem,

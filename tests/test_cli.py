@@ -634,3 +634,48 @@ class TestErrors:
         assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
             "[synth] need at least two aggregate keys to compare"
         ]
+
+    def test_synth_with_97_departments_is_a_stage_error(self, tmp_path, caplog):
+        # Department 97 would be read back as the overseas prefix 970.
+        config = tmp_path / "synth.ini"
+        config.write_text("[solver]\nseed = 1\nk_starts = 1\n\n[synth]\nappellations = 5\n"
+                          "counties = 97\ncounties_per_department = 1\n", encoding="utf-8")
+        with caplog.at_level(logging.ERROR):
+            rc = run_cli("synth", "--config", str(config), "--output-dir", str(tmp_path / "out"))
+        assert rc == 2
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
+            "[synth] 97 departments; from 97 on a code reads as overseas 97x"
+        ]
+
+    def test_missing_configured_column_stops_ingest(self, alsace_config, tmp_path, caplog):
+        fixture = shutil.copytree(alsace_config.parent, tmp_path / "alsace")
+        config = fixture / "pipeline.ini"
+        config.write_text(
+            config.read_text(encoding="utf-8").replace("name = name\n", "category = category\n"),
+            encoding="utf-8",
+        )
+        with caplog.at_level(logging.ERROR):
+            rc = run_cli("ingest", "--config", str(config), "--output-dir", str(tmp_path / "out"))
+        assert rc == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert errors[0].startswith(
+            "[ingest] customs_by_appellation: missing column(s) ['category'] in header"
+        )
+
+    def test_acronym_line_without_equals_stops_link(self, alsace_config, tmp_path, caplog):
+        fixture = shutil.copytree(alsace_config.parent, tmp_path / "alsace")
+        (fixture / "acronyms.txt").write_text("BOURG Bourgogne\n", encoding="utf-8")
+        config = fixture / "pipeline.ini"
+        config.write_text(
+            config.read_text(encoding="utf-8").replace(
+                "[inputs]\n", "[inputs]\nacronyms = acronyms.txt\n"
+            ),
+            encoding="utf-8",
+        )
+        with caplog.at_level(logging.ERROR):
+            rc = run_cli("run", "--config", str(config), "--output-dir", str(tmp_path / "out"))
+        assert rc == 2
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
+            "[run] acronyms.txt: line 1 is not SHORT=Long form: 'BOURG Bourgogne'"
+        ]

@@ -189,6 +189,15 @@ def test_out_of_range_synth_setting_is_a_config_error(
     ]
 
 
+def test_blank_column_key_is_not_configured(alsace_copy):
+    # Ingest requires every configured column, so a blank value must not
+    # configure a column named ''.
+    _set_key(alsace_copy, "columns.appellations", "volume.2018", "")
+    _set_key(alsace_copy, "columns.appellations", "category", "")
+    columns = load_config(alsace_copy).columns
+    assert (columns.volume_cols, columns.appellation_category) == ({}, None)
+
+
 def test_readme_configuration_example_parses(tmp_path):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     example = readme.split("```ini\n", 1)[1].split("```", 1)[0]

@@ -256,6 +256,15 @@ class TestParseInaoAuthorizations:
         assert mask == set()
         assert report.unmatched == 1
 
+    def test_duplicate_rows_are_counted(self):
+        mask, report = parse_inao_authorizations(
+            _src("appellation;insee\n3B011;01001\n3B011;01001\n3B012;01001\n"),
+            APPS, COUNTIES,
+        )
+        assert mask == {("3B011", "01001"), ("3B012", "01001")}
+        assert (report.rows_read, report.records_out, report.unmatched) == (3, 2, 0)
+        assert report.notes == {"duplicate_rows": 1}
+
     def test_category_weights_when_no_column(self):
         mask, _ = parse_inao_authorizations(
             _src("appellation;insee\n3B011;01001\n1B001M;01001\n"), APPS, COUNTIES
@@ -263,6 +272,41 @@ class TestParseInaoAuthorizations:
         weights = build_problem(APPS, COUNTIES, mask).weights
         assert weights["3B011"] == 1.0 / 3.0
         assert weights["1B001M"] == 1.0
+
+
+def _authorizations(source, **columns):
+    return parse_inao_authorizations(source, APPS, COUNTIES, **columns)
+
+
+# Every configured column must be in the header, an optional one included:
+# an unread category column would turn an IGP row into AOP (weight 1, not 1/3).
+@pytest.mark.parametrize("parse, text, columns, missing", [
+    (parse_customs_by_appellation, "code;surface_ha\n1B001M01;1\n", {}, "cvi"),
+    (parse_customs_by_appellation, "cvi;area\n1B001M01;1\n", {}, "surface_ha"),
+    (parse_customs_by_appellation, "cvi;surface_ha;nom\n3B011M01;4;Rose\n",
+     {"name_col": "name"}, "name"),
+    (parse_customs_by_appellation, "cvi;surface_ha;cat\n3B011M01;4;IGP\n",
+     {"category_col": "category"}, "category"),
+    (parse_customs_by_appellation, "cvi;surface_ha;y2020\n3B011M01;4;50\n",
+     {"yield_cols": {2021: "y2021"}}, "y2021"),
+    (parse_customs_by_appellation, "cvi;surface_ha;y2020\n3B011M01;4;50\n",
+     {"yield_cols": {2020: "y2020"}, "volume_cols": {2020: "v2020"}}, "v2020"),
+    (parse_customs_by_county, "code;surface_ha\n01001;1\n", {}, "insee"),
+    (parse_customs_by_county, "insee;area\n01001;1\n", {}, "surface_ha"),
+    (parse_customs_by_county, "insee;surface_ha;region\n01001;1;RA\n", {"ra_col": "ra"}, "ra"),
+    (_authorizations, "code;insee\n3B011;01001\n", {}, "appellation"),
+    (_authorizations, "appellation;commune\n3B011;01001\n", {}, "insee"),
+    (parse_price_scale, "libelle;price_eur_hl\nChablis;150\n", {}, "label"),
+    (parse_price_scale, "label;price\nChablis;150\n", {}, "price_eur_hl"),
+    (parse_price_scale, "label;price_eur_hl;zone\nChablis;150;Bourgogne\n",
+     {"region_col": "region"}, "region"),
+], ids=["appellation-code", "appellation-surface", "name", "category", "yield", "volume",
+        "county-insee", "county-surface", "ra", "mask-appellation", "mask-insee",
+        "price-label", "price-value", "region"])
+def test_missing_configured_column_is_config_error(parse, text, columns, missing):
+    dataset = {_authorizations: "inao_authorizations"}.get(parse, parse.__name__[6:])
+    with pytest.raises(ConfigError, match=rf"^{dataset}: missing column\(s\) \['{missing}'\] "):
+        parse(_src(text), **columns)
 
 
 class TestInjectPseudoAppellations:
@@ -404,6 +448,20 @@ class TestAuxiliaryParsers:
     ], ids=["department", "cell", "reference"])
     def test_negative_surface_is_config_error(self, parse, text):
         with pytest.raises(ConfigError, match="negative surface .* at line 2"):
+            parse(_src(text))
+
+    # The last row used to win silently: 10 ha of non-PGI surface vanished.
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_department_surfaces, "dept;surface\n67;10\n68;2\n67;5\n",
+         "department_surfaces: repeated key '67' at line 4"),
+        (parse_key_value_map, "insee;ra\n67003;RA-1\n67003;RA-2\n",
+         "key_value_map: repeated key '67003' at line 3"),
+        (parse_reference_aggregates,
+         "department;wine_type;surface_ha\n67;AOP;3\n67;PGI;1\n67;AOP;4\n",
+         "reference_aggregates: repeated key '67;AOP' at line 4"),
+    ], ids=["department", "key_value", "reference"])
+    def test_repeated_key_is_config_error(self, parse, text, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
             parse(_src(text))
 
     @pytest.mark.parametrize("row", ["67;AOP", "67;AOP;lots"])

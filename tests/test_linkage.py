@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from baselines import match_labels_oracle
 from vinevalue import linkage
+from vinevalue.ingest import ConfigError
 from vinevalue.linkage import (
     LabelMatch,
     edit_distance,
@@ -266,6 +267,13 @@ class TestWordlists:
         acronyms_file.write_text("CDR=Côte du Rhône\nSTE=Sainte\n", encoding="utf-8")
         acronyms = load_acronyms(acronyms_file)
         assert acronyms == {"CDR": "COTE DU RHONE", "STE": "SAINTE"}
+
+    def test_acronym_line_without_equals_is_config_error(self, tmp_path):
+        acronyms_file = tmp_path / "acronyms.txt"
+        acronyms_file.write_text("CDR=Côte du Rhône\n\nBOURG Bourgogne\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="^acronyms.txt: line 3 is not SHORT=Long form: "
+                                              "'BOURG Bourgogne'$"):
+            load_acronyms(acronyms_file)
 
     def test_match_report_round_trip(self, tmp_path):
         matches = [

@@ -8,6 +8,7 @@ import pytest
 
 from baselines import uniform_spread_baseline
 from vinevalue import allocator
+from vinevalue.model import Category, DEFAULT_WEIGHTS
 from vinevalue.synth import CATEGORY_MIX, generate, score_recovery
 
 
@@ -46,6 +47,21 @@ class TestGenerate:
             generate((5, 10, 0.0), seed=0)
         with pytest.raises(ValueError):
             generate((5, 10, 1.5), seed=0)
+
+    def test_weights_come_from_categories(self):
+        weights = {**DEFAULT_WEIGHTS, Category.PGI: 0.5}
+        instance = generate((40, 100, 0.1), seed=3, weights=weights)
+        assert Category.PGI in instance.categories.values()
+        assert instance.problem.weights == {
+            code: weights[category] for code, category in instance.categories.items()
+        }
+
+    def test_at_most_96_departments(self):
+        # A code from department 97 on would read as an overseas 97x prefix.
+        instance = generate((2, 96, 0.5), seed=0, counties_per_department=1)
+        assert max(instance.problem.county_caps) == "96001"
+        with pytest.raises(ValueError, match="97 departments"):
+            generate((2, 97, 0.5), seed=0, counties_per_department=1)
 
     def test_category_mix_respected(self):
         instance = generate((40, 100, 0.1), seed=3)
