@@ -162,7 +162,8 @@ def stage_link(cfg: PipelineConfig) -> None:
     prices = ingest.read_prices(_require(out / PRICES_CSV, "link", "ingest"))
     region_filter = None
     if cfg.region_map:
-        region_filter = ingest.parse_key_value_map(cfg.region_map, delimiter=cfg.delimiter)
+        region_filter = ingest.parse_key_value_map(cfg.region_map, delimiter=cfg.delimiter,
+                                                  dataset="region_map")
     matches = linkage.match_labels(
         prices,
         appellations,
@@ -277,7 +278,8 @@ def stage_value(cfg: PipelineConfig) -> None:
         c.insee_code: c.agricultural_region_id for c in counties if c.agricultural_region_id
     }
     if cfg.ra_map:
-        region_by_county.update(ingest.parse_key_value_map(cfg.ra_map, delimiter=cfg.delimiter))
+        region_by_county.update(ingest.parse_key_value_map(cfg.ra_map, delimiter=cfg.delimiter,
+                                                          dataset="ra_map"))
     by_region = valuation.summarize_by_region(portfolio, region_by_county)
 
     valuation.write_portfolio(portfolio, out / PORTFOLIO_CSV)

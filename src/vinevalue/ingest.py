@@ -486,13 +486,13 @@ def parse_cell_surfaces(source, *, delimiter: str = ";") -> list[tuple[str, str,
     ]
 
 
-def parse_key_value_map(source, *, delimiter: str = ";") -> dict[str, str]:
+def parse_key_value_map(source, *, delimiter: str = ";",
+                        dataset: str = "key_value_map") -> dict[str, str]:
     """Generic two-column mapping file (county to agricultural region,
-    appellation to region, ...)."""
+    appellation to region, ...); errors name ``dataset``."""
     return {
         fields[0]: fields[1]
-        for _, fields in _positional_rows(source, delimiter, "key_value_map", ("key", "value"),
-                                          key=1)
+        for _, fields in _positional_rows(source, delimiter, dataset, ("key", "value"), key=1)
     }
 
 

@@ -68,7 +68,8 @@ def generate(
     support plus ``extra_mask_factor`` times as many authorized-but-unused
     cells, sampled with the same geographic locality. Marginals are exact
     sums of the truth, so the truth is exactly feasible. County codes are
-    ``<department><index>``: more than 96 departments is a ``ValueError``.
+    ``<department><index>``: more than 96 departments, or more than 999
+    counties in one department, is a ``ValueError``.
     """
     n_appellations, n_counties, density = shape
     if n_appellations < 1 or n_counties < 1 or not 0 < density <= 1:
@@ -84,6 +85,11 @@ def generate(
     n_departments = max(1, n_counties // counties_per_department)
     if n_departments > 96:
         raise ValueError(f"{n_departments} departments; from 97 on a code reads as overseas 97x")
+    # The last department takes the remainder, so it is the largest.
+    largest = n_counties - (n_departments - 1) * counties_per_department
+    if largest > 999:
+        raise ValueError(f"{largest} counties in one department with counties_per_department = "
+                         f"{counties_per_department}; a county index has 3 digits")
     department_of = np.minimum(
         np.arange(n_counties) // counties_per_department, n_departments - 1
     )

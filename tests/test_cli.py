@@ -497,7 +497,7 @@ class TestOptionalInputs:
         assert any(message in record.getMessage() for record in caplog.records)
 
     @pytest.mark.parametrize("key", ["ra_map", "region_map"])
-    def test_one_field_map_row_is_a_stage_error(self, extended_config, tmp_path, key):
+    def test_one_field_map_row_is_a_stage_error(self, extended_config, tmp_path, caplog, key):
         (extended_config.parent / "data" / "map.csv").write_text(
             "key;value\n67003\n", encoding="utf-8"
         )
@@ -508,7 +508,11 @@ class TestOptionalInputs:
             encoding="utf-8",
         )
         out = tmp_path / "out"
-        assert run_cli("run", "--config", str(extended_config), "--output-dir", str(out)) == 2
+        with caplog.at_level(logging.ERROR):
+            assert run_cli("run", "--config", str(extended_config), "--output-dir", str(out)) == 2
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
+            f"[run] {key}: malformed row at line 2"
+        ]
 
 
 class TestPinnedTotals:
@@ -645,6 +649,24 @@ class TestErrors:
         assert rc == 2
         assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
             "[synth] 97 departments; from 97 on a code reads as overseas 97x"
+        ]
+
+    @pytest.mark.parametrize("counties, per_department", [(1000, 1000), (1999, 999)])
+    def test_synth_with_1000_counties_in_a_department_is_a_stage_error(
+        self, tmp_path, caplog, counties, per_department
+    ):
+        # A county index has three digits; the last department takes the
+        # remainder, so 1999 counties at 999 a department leave it 1000.
+        config = tmp_path / "synth.ini"
+        config.write_text(f"[solver]\nseed = 1\nk_starts = 1\n\n[synth]\nappellations = 5\n"
+                          f"counties = {counties}\ncounties_per_department = {per_department}\n",
+                          encoding="utf-8")
+        with caplog.at_level(logging.ERROR):
+            rc = run_cli("synth", "--config", str(config), "--output-dir", str(tmp_path / "out"))
+        assert rc == 2
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
+            f"[synth] 1000 counties in one department with counties_per_department = "
+            f"{per_department}; a county index has 3 digits"
         ]
 
     def test_missing_configured_column_stops_ingest(self, alsace_config, tmp_path, caplog):

@@ -1,6 +1,7 @@
-"""The configuration layer: every key is read through one table, a value that
-does not parse is a configuration error naming its key, and values are
-literal text."""
+"""The configuration layer: every key is declared once, on the field it sets,
+with its section, cast and allowed range; a value that does not parse or is
+out of range is a configuration error naming its key, and values are literal
+text."""
 from __future__ import annotations
 
 import logging
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from vinevalue import cli
-from vinevalue.config import INPUT_NAMES, load_config
+from vinevalue.config import INPUT_NAMES, PipelineConfig, _fixed_keys, load_config
 
 ALSACE = Path(__file__).parent / "fixtures" / "alsace"
 
@@ -128,6 +129,36 @@ def test_truncation_below_one_is_a_config_error(alsace_copy, tmp_path, caplog, v
     assert not (tmp_path / "out").exists()
 
 
+def test_zero_k_starts_flag_is_a_config_error(tmp_path, caplog):
+    with caplog.at_level(logging.ERROR):
+        rc = cli.main(["run", "--config", str(ALSACE / "pipeline.ini"),
+                       "--output-dir", str(tmp_path / "out"), "--k-starts", "0"])
+    assert rc == 1
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
+        "configuration error: solver.k_starts must be >= 1, got 0"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+def test_delimiter_of_two_characters_is_a_config_error(alsace_copy, tmp_path, caplog):
+    # ``csv`` refuses it only once ingest has created the output directory.
+    _set_key(alsace_copy, "ingest", "delimiter", "\\t")
+    with caplog.at_level(logging.ERROR):
+        rc = cli.main(["run", "--config", str(alsace_copy), "--output-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
+        "configuration error: ingest.delimiter must be one character, got '\\\\t'"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_fixed_key_is_declared_once():
+    # ``insee`` is a key of both [columns.counties] and [columns.mask].
+    keys = [(section, key) for _, _, section, key in _fixed_keys(PipelineConfig())]
+    assert len(keys) == len(set(keys))
+    assert {("columns.counties", "insee"), ("columns.mask", "insee")} <= set(keys)
+
+
 def test_config_that_is_not_utf8_is_a_config_error(alsace_copy, tmp_path, caplog):
     alsace_copy.write_bytes(alsace_copy.read_bytes() + "\n[validate]\nnote = caf\xe9\n".encode("latin-1"))
     rc = cli.main(["run", "--config", str(alsace_copy), "--output-dir", str(tmp_path / "out")])
@@ -170,12 +201,12 @@ def test_removed_keys_are_ignored_like_unknown_keys(alsace_copy, section, key):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("density", "2", "synth.density must be in (0, 1]"),
-    ("density", "0", "synth.density must be in (0, 1]"),
-    ("counties_per_department", "0", "synth.counties_per_department must be >= 1"),
-    ("appellations", "0", "synth.appellations must be >= 1"),
-    ("counties", "-3", "synth.counties must be >= 1"),
-    ("extra_mask_factor", "-0.5", "synth.extra_mask_factor must be >= 0"),
+    ("density", "2", "synth.density must be in (0, 1], got 2.0"),
+    ("density", "0", "synth.density must be in (0, 1], got 0.0"),
+    ("counties_per_department", "0", "synth.counties_per_department must be >= 1, got 0"),
+    ("appellations", "0", "synth.appellations must be >= 1, got 0"),
+    ("counties", "-3", "synth.counties must be >= 1, got -3"),
+    ("extra_mask_factor", "-0.5", "synth.extra_mask_factor must be >= 0, got -0.5"),
 ])
 def test_out_of_range_synth_setting_is_a_config_error(
     alsace_copy, tmp_path, caplog, key, value, message

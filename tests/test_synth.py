@@ -63,6 +63,13 @@ class TestGenerate:
         with pytest.raises(ValueError, match="97 departments"):
             generate((2, 97, 0.5), seed=0, counties_per_department=1)
 
+    def test_at_most_999_counties_in_a_department(self):
+        # The last department takes the remainder of the counties.
+        instance = generate((2, 1998, 0.01), seed=0, counties_per_department=999)
+        assert max(instance.problem.county_caps) == "02999"
+        with pytest.raises(ValueError, match="1000 counties in one department"):
+            generate((2, 1999, 0.01), seed=0, counties_per_department=999)
+
     def test_category_mix_respected(self):
         instance = generate((40, 100, 0.1), seed=3)
         assert set(instance.categories.values()) == set(CATEGORY_MIX)
