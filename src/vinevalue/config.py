@@ -43,6 +43,11 @@ def _category(text: str) -> Category:
     return Category(text.upper())
 
 
+def _delimiter(text: str) -> str:
+    # configparser strips a literal tab, so a tab is written as ``\t``.
+    return "\t" if text == r"\t" else text
+
+
 @dataclass
 class ColumnSettings:
     """Column-name mappings for the four input files."""
@@ -88,7 +93,7 @@ class PipelineConfig:
     stopwords: Path | None = _key("inputs", None, Path)
     # behaviour
     columns: ColumnSettings = field(default_factory=ColumnSettings)
-    delimiter: str = _key("ingest", ";",
+    delimiter: str = _key("ingest", ";", _delimiter,
                           allowed=("one character", lambda value: len(value) == 1))
     truncation: int | None = _key("ingest", None, _truncation, allowed=_AT_LEAST_ONE)
     default_category: Category = _key("ingest", Category.AOP, _category)

@@ -96,7 +96,7 @@ def write_reports_jsonl(reports: Iterable[IngestReport], path: str | Path) -> No
             fh.write("\n")
 
 
-def _open_source(source) -> IO[str]:
+def open_source(source) -> IO[str]:
     """Path-like sources are decoded as UTF-8 with a Latin-1 fallback (the
     upstream files mix encodings for French accents)."""
     if isinstance(source, (str, Path)):
@@ -111,7 +111,7 @@ def _open_source(source) -> IO[str]:
 def _read_fields(source, delimiter: str, dataset: str):
     """Header list plus (line_number, fields) pairs, fields stripped and
     blank rows skipped; the header is mandatory."""
-    fh = _open_source(source)
+    fh = open_source(source)
     reader = csv.reader(fh, delimiter=delimiter)
     try:
         header = next(reader)

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import ConfigError
+from .ingest import ConfigError, open_source
 from .model import AppellationRecord, PriceEntry, ProductionMode, read_rows, write_rows
 
 #: Recurring French words that carry no meaning in a nomenclature merge.
@@ -210,9 +210,10 @@ def _bag_bounds(source: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def load_wordlist(path: str | Path) -> frozenset[str]:
-    """Stopword file: one entry per line, blank lines ignored."""
+    """Stopword file: one entry per line, blank lines ignored. Word lists are
+    decoded like the input tables (UTF-8, else Latin-1)."""
     words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in open_source(path).read().splitlines():
         line = line.strip()
         if line:
             words.add(strip_accents(line).upper())
@@ -221,16 +222,20 @@ def load_wordlist(path: str | Path) -> frozenset[str]:
 
 def load_acronyms(path: str | Path) -> dict[str, str]:
     """Acronym file: one ``SHORT=Long form`` entry per line; blank lines are
-    skipped and any other line without ``=`` is a :class:`ConfigError`."""
+    skipped, and any other line without ``=``, or one that repeats an
+    acronym, is a :class:`ConfigError`."""
+    name = Path(path).name
     acronyms: dict[str, str] = {}
-    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for number, line in enumerate(open_source(path).read().splitlines(), 1):
         line = line.strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{Path(path).name}: line {number} is not SHORT=Long form: {line!r}")
-        short, long_form = line.split("=", 1)
-        acronyms[strip_accents(short).strip().upper()] = strip_accents(long_form).strip().upper()
+            raise ConfigError(f"{name}: line {number} is not SHORT=Long form: {line!r}")
+        short, long_form = (strip_accents(part).strip().upper() for part in line.split("=", 1))
+        if short in acronyms:
+            raise ConfigError(f"{name}: repeated acronym {short!r} at line {number}")
+        acronyms[short] = long_form
     return acronyms
 
 

@@ -1,9 +1,10 @@
 """Synthetic ground-truth instances for measuring recovery quality.
 
 The real register is confidential, so recovery quality is scored on
-generated instances instead: draw a sparse true surface matrix, publish only
-its exact marginals plus an authorization mask that covers the support, then
-check how well the allocator's estimate matches the truth.
+generated instances instead: draw a sparse true surface matrix and publish
+only its exact marginals plus an authorization mask that covers the support.
+The ``synth`` command scores the allocator's estimate against the truth with
+:mod:`vinevalue.validate`.
 
 Appellations are geographically localized the way real ones are: each gets a
 home department, and its authorized counties concentrate there (category
@@ -19,8 +20,7 @@ import numpy as np
 
 from . import allocator
 from .allocator import AllocationMatrix, AllocationProblem
-from .model import AppellationRecord, Category, Cell, CountyRecord, DEFAULT_WEIGHTS, exact_sums
-from .validate import align, kendall_tau
+from .model import AppellationRecord, Category, CountyRecord, DEFAULT_WEIGHTS, exact_sums
 
 #: Out-of-home-department sampling weight per category (home weight is 1).
 SPREAD: Mapping[Category, float] = {
@@ -44,12 +44,6 @@ class SyntheticInstance:
     truth: AllocationMatrix
     problem: AllocationProblem
     categories: dict[str, Category]
-
-
-@dataclass(frozen=True)
-class RecoveryScore:
-    kendall_tau: float
-    row_relative_errors: dict[str, float]
 
 
 def generate(
@@ -161,15 +155,3 @@ def generate(
         problem=problem,
         categories=categories_by_code,
     )
-
-
-def score_recovery(truth: Mapping[Cell, float], recovered: Mapping[Cell, float]) -> RecoveryScore:
-    """Tau over the union support plus per-appellation relative error of the
-    recovered row sums (zero when the row caps bind at the optimum)."""
-    cells, values = align([truth, recovered])
-    expected, got = (exact_sums(zip((code for code, _ in cells), row)) for row in values.tolist())
-    errors = {
-        code: abs(got[code] - expected[code]) / expected[code] if expected[code] else abs(got[code])
-        for code in sorted({code for code, _ in truth})
-    }
-    return RecoveryScore(kendall_tau=kendall_tau(*values), row_relative_errors=errors)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vinevalue import allocator, cli, validate
+from vinevalue import allocator, cli, linkage, validate
 from vinevalue.cli import (
     CATEGORY_CSV,
     COMPARISON_JSON,
@@ -686,18 +686,47 @@ class TestErrors:
         )
 
     def test_acronym_line_without_equals_stops_link(self, alsace_config, tmp_path, caplog):
-        fixture = shutil.copytree(alsace_config.parent, tmp_path / "alsace")
-        (fixture / "acronyms.txt").write_text("BOURG Bourgogne\n", encoding="utf-8")
-        config = fixture / "pipeline.ini"
-        config.write_text(
-            config.read_text(encoding="utf-8").replace(
-                "[inputs]\n", "[inputs]\nacronyms = acronyms.txt\n"
-            ),
-            encoding="utf-8",
-        )
+        config = _with_word_list(alsace_config, tmp_path, "acronyms", b"BOURG Bourgogne\n")
         with caplog.at_level(logging.ERROR):
             rc = run_cli("run", "--config", str(config), "--output-dir", str(tmp_path / "out"))
         assert rc == 2
         assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
             "[run] acronyms.txt: line 1 is not SHORT=Long form: 'BOURG Bourgogne'"
         ]
+
+    def test_repeated_acronym_stops_link(self, alsace_config, tmp_path, caplog):
+        config = _with_word_list(alsace_config, tmp_path, "acronyms",
+                                 "CDR=Cote du Rhone\nCDR=Cotes de Bourg\n".encode())
+        out = tmp_path / "out"
+        assert run_cli("ingest", "--config", str(config), "--output-dir", str(out)) == 0
+        with caplog.at_level(logging.ERROR):
+            rc = run_cli("link", "--config", str(config), "--output-dir", str(out))
+        assert rc == 2
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
+            "[link] acronyms.txt: repeated acronym 'CDR' at line 2"
+        ]
+
+    def test_latin1_stopwords_take_effect(self, alsace_config, tmp_path):
+        # Without ROSE and ROUGE the three Pinot noir names normalize alike,
+        # so the rosé label goes to the smallest of their codes.
+        config = _with_word_list(alsace_config, tmp_path, "stopwords",
+                                 "rosé\nrouge\n".encode("latin-1"))
+        out = tmp_path / "out"
+        assert run_cli("ingest", "--config", str(config), "--output-dir", str(out)) == 0
+        assert run_cli("link", "--config", str(config), "--output-dir", str(out)) == 0
+        codes = {m.source_label: m.target_code
+                 for m in linkage.read_match_report(out / "matches.csv")}
+        assert codes["Alsace rosé (Pinot noir)"] == "1B001S"
+
+
+def _with_word_list(alsace_config: Path, tmp_path: Path, key: str, content: bytes) -> Path:
+    """A copy of the Alsace fixture whose ``[inputs] key`` names a word list
+    holding ``content``; returns its configuration."""
+    fixture = shutil.copytree(alsace_config.parent, tmp_path / "alsace")
+    (fixture / f"{key}.txt").write_bytes(content)
+    config = fixture / "pipeline.ini"
+    config.write_text(
+        config.read_text(encoding="utf-8").replace("[inputs]\n", f"[inputs]\n{key} = {key}.txt\n"),
+        encoding="utf-8",
+    )
+    return config

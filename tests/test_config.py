@@ -142,14 +142,29 @@ def test_zero_k_starts_flag_is_a_config_error(tmp_path, caplog):
 
 def test_delimiter_of_two_characters_is_a_config_error(alsace_copy, tmp_path, caplog):
     # ``csv`` refuses it only once ingest has created the output directory.
-    _set_key(alsace_copy, "ingest", "delimiter", "\\t")
+    _set_key(alsace_copy, "ingest", "delimiter", ";;")
     with caplog.at_level(logging.ERROR):
         rc = cli.main(["run", "--config", str(alsace_copy), "--output-dir", str(tmp_path / "out")])
     assert rc == 1
     assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
-        "configuration error: ingest.delimiter must be one character, got '\\\\t'"
+        "configuration error: ingest.delimiter must be one character, got ';;'"
     ]
     assert not (tmp_path / "out").exists()
+
+
+def test_tab_separated_inputs_give_the_same_artifacts(alsace_copy, tmp_path):
+    for path in alsace_copy.parent.glob("*.csv"):
+        path.write_bytes(path.read_bytes().replace(b";", b"\t"))
+    # configparser strips a literal tab from the value.
+    _set_key(alsace_copy, "ingest", "delimiter", "\\t")
+    assert load_config(alsace_copy).delimiter == "\t"
+    artifacts = []
+    for config, out in ((ALSACE / "pipeline.ini", tmp_path / "semicolon"),
+                        (alsace_copy, tmp_path / "tab")):
+        assert cli.main(["run", "--config", str(config), "--output-dir", str(out)]) == 0
+        artifacts.append({p.relative_to(out): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+    assert artifacts[0] == artifacts[1]
 
 
 def test_every_fixed_key_is_declared_once():

@@ -275,6 +275,21 @@ class TestWordlists:
                                               "'BOURG Bourgogne'$"):
             load_acronyms(acronyms_file)
 
+    def test_repeated_acronym_is_config_error(self, tmp_path):
+        # Keys compare after normalization, as they are looked up.
+        acronyms_file = tmp_path / "acronyms.txt"
+        acronyms_file.write_text("CDR=Cote du Rhone\n\ncdr=Cotes de Bourg\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="^acronyms.txt: repeated acronym 'CDR' at line 3$"):
+            load_acronyms(acronyms_file)
+
+    def test_latin1_files_decode(self, tmp_path):
+        stopwords_file = tmp_path / "stopwords.txt"
+        stopwords_file.write_bytes("Côte\n".encode("latin-1"))
+        assert load_wordlist(stopwords_file) == {"COTE"}
+        acronyms_file = tmp_path / "acronyms.txt"
+        acronyms_file.write_bytes("CDR=Côte du Rhône\n".encode("latin-1"))
+        assert load_acronyms(acronyms_file) == {"CDR": "COTE DU RHONE"}
+
     def test_match_report_round_trip(self, tmp_path):
         matches = [
             LabelMatch("a", "X", 1.5, True, 150.5, ProductionMode.ORGANIC),
