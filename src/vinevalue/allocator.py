@@ -15,7 +15,7 @@ The optimal face is known without solving anything when every appellation
 row can be filled to its cap: every weight is positive, so no allocation
 weighs more than ``sum(alpha_a * s_a)``, and the points that reach it are
 exactly the feasible points with every row sum at its cap. The starts try
-that face first; if HiGHS finds it empty, a phase-1 LP computes the optimal
+that face first; if an LP on it fails, a phase-1 LP computes the optimal
 value and reads the face from its duals instead: rows with a nonzero dual
 become equalities and columns with a nonzero reduced cost are fixed at the
 bound they press against.
@@ -64,17 +64,14 @@ _HIGHS_OPTIONS = {
     "dual_feasibility_tolerance": 1e-9,
 }
 
+#: The range of a cap or known surface and of a weight, as (rule text, test);
+#: NaN fails both tests.
+_SURFACE_RULE = (">= 0", lambda value: 0 <= value < math.inf)
+_WEIGHT_RULE = ("> 0", lambda value: 0 < value < math.inf)
+
+
 class SolveError(Exception):
-    """Raised when the LP solver fails; ``status`` is the HiGHS status of the
-    LP that did not solve, if one ran."""
-
-    def __init__(self, message: str, status: int | None = None):
-        super().__init__(message)
-        self.status = status
-
-
-class FeasibilityError(ValueError):
-    pass
+    """Raised when an LP does not solve or the estimate breaks a constraint."""
 
 
 @dataclass(eq=False)
@@ -126,11 +123,21 @@ def problem_from_caps(
     mask_cells: Iterable[Cell],
     known: Mapping[Cell, float] = {},
 ) -> AllocationProblem:
-    """Assemble a problem from raw caps. A mask cell is bounded by
+    """Assemble a problem from raw caps. Caps and known surfaces must be
+    finite and >= 0, weights finite and > 0. A mask cell is bounded by
     ``min(row cap, column cap)``; a ``known`` cell is fixed at its surface,
     which counts against its caps (any excess over a cap, however small, is an
     :class:`IntegrityError`). Cells whose upper bound is zero are dropped
     from the active set."""
+    for values, what, (rule, test) in (
+        (appellation_caps, f"{CAPS_APPELLATIONS_FILE}: appellation caps", _SURFACE_RULE),
+        (weights, f"{CAPS_APPELLATIONS_FILE}: weights", _WEIGHT_RULE),
+        (county_caps, f"{CAPS_COUNTIES_FILE}: county caps", _SURFACE_RULE),
+        (known, f"{MASK_CELLS_FILE}: known surfaces", _SURFACE_RULE),
+    ):
+        bad = [f"{key!r} = {value!r}" for key, value in values.items() if not test(value)]
+        if bad:
+            raise IntegrityError(f"{what} must be finite and {rule}: " + ", ".join(bad[:10]))
     active: list[Cell] = []
     lower: list[float] = []
     upper: list[float] = []
@@ -224,12 +231,11 @@ def _saturated_face(problem: AllocationProblem) -> OptimalFace | None:
     """The face on which every appellation row is filled to its cap, valued
     at the exactly rounded ``sum(alpha_a * s_a)``. Its feasible points, if
     any, are exactly the optimal ones. None when a necessary condition
-    already fails: the row caps exceed the county caps in total, a row's
-    cells cannot hold its cap, or a weight is not positive."""
+    already fails: the row caps exceed the county caps in total, or a row's
+    cells cannot hold its cap."""
     rows = len(problem.row_codes)
     room = np.bincount(problem.row_index, weights=problem.upper_bounds, minlength=rows)
-    if (problem.row_caps.sum() > problem.col_caps.sum() or np.any(room < problem.row_caps)
-            or np.any(problem.alpha <= 0)):
+    if problem.row_caps.sum() > problem.col_caps.sum() or np.any(room < problem.row_caps):
         return None
     matrix, rhs = _constraints(problem)
     value = math.fsum(problem.weights[code] * cap
@@ -293,7 +299,7 @@ def optimal_value(problem: AllocationProblem) -> OptimalFace:
         method="highs", options=_HIGHS_OPTIONS,
     )
     if res.status != 0:
-        raise SolveError(f"phase-1 LP failed (status {res.status}): {res.message}", res.status)
+        raise SolveError(f"phase-1 LP failed (status {res.status}): {res.message}")
     tol = _HIGHS_OPTIONS["dual_feasibility_tolerance"]
     tight = np.abs(res.ineqlin.marginals) > tol
     at_cap = np.abs(res.upper.marginals) > tol
@@ -333,7 +339,7 @@ def solve(
         bounds=face.bounds, method="highs", options=_HIGHS_OPTIONS,
     )
     if res.status != 0:
-        raise SolveError(f"phase-2 LP failed (status {res.status}): {res.message}", res.status)
+        raise SolveError(f"phase-2 LP failed (status {res.status}): {res.message}")
     x = project_feasible(problem, res.x)
     x[x < 1e-12] = 0.0
     return _matrix_from_vector(problem, x)
@@ -368,8 +374,8 @@ def _run_starts(
 ) -> dict[int, AllocationMatrix | SolveError] | None:
     """Solve the start of every seed on ``face``, on ``workers`` threads: this
     one and ``workers - 1`` of ``pool``. Each thread takes one of the first
-    seeds, then draws from one queue. With ``probe``, the first LP HiGHS does
-    not solve rejects the face: no seed is handed out after it, the starts
+    seeds, then draws from one queue. With ``probe``, the first start that
+    fails rejects the face: no seed is handed out after it, the starts
     already running finish, and the result is None."""
     pending: queue.SimpleQueue[int] = queue.SimpleQueue()
     for seed in seeds[workers:]:
@@ -383,7 +389,7 @@ def _run_starts(
                 outcomes[seed] = solve(problem, random_init(problem, seed), face)
             except SolveError as exc:
                 outcomes[seed] = exc
-                if probe and exc.status is not None:
+                if probe:
                     rejected.set()
             try:
                 seed = None if rejected.is_set() else pending.get_nowait()
@@ -405,8 +411,8 @@ def multi_start_average(
     """Average the solutions of ``k_starts`` random starts cell-wise.
 
     The starts first run on the face where every appellation row is filled;
-    if one of them finds that face empty, phase 1 computes the optimal face
-    and every start runs again on it, so no start on the rejected face counts
+    if an LP on that face fails, phase 1 computes the optimal face and every
+    start runs again on it, so no start on the rejected face counts
     as failed. The starts run on ``min(k_starts, CPUs)`` threads, this one
     included: HiGHS releases the GIL, and each helper thread builds its own
     LP working set. Outcomes are kept by seed and reduced in seed order, so
@@ -479,20 +485,19 @@ def feasibility_violations(
 def assert_feasible(problem: AllocationProblem, cells: Mapping[Cell, float]) -> None:
     violations = feasibility_violations(problem, cells)
     if violations:
-        raise FeasibilityError("; ".join(violations[:10]))
+        raise SolveError("; ".join(violations[:10]))
 
 
-# Canonical CSV triple (plus known cells) so instances can be dumped, shared and reloaded.
+# Canonical CSV triple so instances can be dumped, shared and reloaded.
 
 CAPS_APPELLATIONS_FILE = "caps_appellations.csv"
 CAPS_COUNTIES_FILE = "caps_counties.csv"
 MASK_CELLS_FILE = "mask_cells.csv"
-KNOWN_CELLS_FILE = "known_cells.csv"
-#: Header rows, each shared by a table's writer and its reader. Known cells
-#: are a solution table.
+#: Header rows, each shared by a table's writer and its reader. A mask cell's
+#: ``known_ha`` is its fixed surface if it is a known cell, else empty.
 CAPS_APPELLATIONS_HEADER = ("code", "cap_ha", "alpha")
 CAPS_COUNTIES_HEADER = ("insee", "cap_ha")
-MASK_CELLS_HEADER = ("appellation", "insee")
+MASK_CELLS_HEADER = ("appellation", "insee", "known_ha")
 SOLUTION_HEADER = ("appellation", "insee", "surface_ha")
 
 
@@ -508,28 +513,42 @@ def dump_problem(problem: AllocationProblem, directory: str | Path) -> None:
         directory / CAPS_COUNTIES_FILE, CAPS_COUNTIES_HEADER,
         ([insee, repr(cap)] for insee, cap in sorted(problem.county_caps.items())),
     )
-    write_rows(directory / MASK_CELLS_FILE, MASK_CELLS_HEADER, problem.cells)
-    known = [[*cell, repr(lb)]
-             for cell, lb in zip(problem.cells, problem.lower_bounds.tolist()) if lb > 0]
-    if known:
-        write_rows(directory / KNOWN_CELLS_FILE, SOLUTION_HEADER, known)
-    else:
-        (directory / KNOWN_CELLS_FILE).unlink(missing_ok=True)
+    write_rows(
+        directory / MASK_CELLS_FILE, MASK_CELLS_HEADER,
+        ([*cell, repr(lb) if lb > 0 else ""]
+         for cell, lb in zip(problem.cells, problem.lower_bounds.tolist())),
+    )
+
+
+def _number(text: str, path: Path, key: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise IntegrityError(f"{path.name}: {key} has malformed number {text!r}") from None
 
 
 def load_problem(directory: str | Path) -> AllocationProblem:
+    """Read a problem written by :func:`dump_problem`. Malformed numbers,
+    and values out of the ranges :func:`problem_from_caps` checks, are an
+    :class:`IntegrityError` naming the file."""
     directory = Path(directory)
     appellation_caps: dict[str, float] = {}
     weights: dict[str, float] = {}
-    for code, cap, alpha in read_rows(directory / CAPS_APPELLATIONS_FILE, CAPS_APPELLATIONS_HEADER):
-        appellation_caps[code] = float(cap)
-        weights[code] = float(alpha)
-    county_caps = {insee: float(cap) for insee, cap
-                   in read_rows(directory / CAPS_COUNTIES_FILE, CAPS_COUNTIES_HEADER)}
-    cells = [(code, insee) for code, insee
-             in read_rows(directory / MASK_CELLS_FILE, MASK_CELLS_HEADER)]
-    known_path = directory / KNOWN_CELLS_FILE
-    known = read_solution(known_path) if known_path.exists() else {}
+    path = directory / CAPS_APPELLATIONS_FILE
+    for code, cap, alpha in read_rows(path, CAPS_APPELLATIONS_HEADER):
+        appellation_caps[code] = _number(cap, path, f"appellation {code!r}")
+        weights[code] = _number(alpha, path, f"appellation {code!r}")
+    path = directory / CAPS_COUNTIES_FILE
+    county_caps = {insee: _number(cap, path, f"county {insee!r}")
+                   for insee, cap in read_rows(path, CAPS_COUNTIES_HEADER)}
+    cells: list[Cell] = []
+    known: dict[Cell, float] = {}
+    path = directory / MASK_CELLS_FILE
+    for code, insee, known_ha in read_rows(path, MASK_CELLS_HEADER):
+        if known_ha:
+            known[code, insee] = _number(known_ha, path, f"cell ({code}, {insee})")
+        else:
+            cells.append((code, insee))
     return problem_from_caps(appellation_caps, county_caps, weights, cells, known)
 
 

@@ -140,7 +140,11 @@ def _read_table(source, delimiter: str, report: IngestReport,
 
 
 def _parse_float(text: str) -> float:
-    return float(text.replace(" ", "").replace(" ", ""))
+    """A number cell, spaces ignored. Raises ValueError unless it is finite."""
+    value = float(text.replace(" ", "").replace(" ", ""))
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
 
 
 def _surface(text: str) -> float:

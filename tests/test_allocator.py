@@ -481,7 +481,10 @@ class TestMultiStart:
 
 
 def fail_starts(monkeypatch, problem, seeds):
-    """Make ``allocator.solve`` raise ``SolveError`` on the starts of ``seeds``."""
+    """Make ``allocator.solve`` raise ``SolveError`` on the starts of ``seeds``,
+    on every face. A failure on the filled-rows face rejects that face, as an
+    LP that HiGHS does not solve does, so the starts run again on the phase-1
+    face and fail there for good."""
     real = allocator.solve
     doomed = {random_init(problem, seed).tobytes(): seed for seed in seeds}
 
@@ -505,11 +508,23 @@ class TestFailedStarts:
 
     def test_failures_reported_in_seed_order(self, monkeypatch):
         problem = self.problem()
+        assert allocator._saturated_face(problem) is not None
+        faces = []
+        real_optimal_value = allocator.optimal_value
+
+        def recording_optimal_value(problem_):
+            faces.append(real_optimal_value(problem_))
+            return faces[-1]
+
+        monkeypatch.setattr(allocator, "optimal_value", recording_optimal_value)
         fail_starts(monkeypatch, problem, [15, 11, 13])
         result = multi_start_average(problem, k_starts=6, seed_base=10)
         assert result.failures == [(11, "start 11 made to fail"), (13, "start 13 made to fail"),
                                    (15, "start 15 made to fail")]
-        assert len(result.solutions) == 3
+        [face] = faces
+        assert result.optimal_value == face.value
+        assert [s.cells for s in result.solutions] == [
+            solve(problem, random_init(problem, seed), face).cells for seed in (10, 12, 14)]
 
     def test_average_over_the_starts_that_succeeded(self, monkeypatch):
         problem = self.problem()
@@ -643,9 +658,8 @@ class TestFilledRowsFace:
         problem = contested_problem()
         face = allocator._saturated_face(problem)
         assert face.value == 10.0 + 10.0 * 0.25 + 1.0 / 3.0
-        with pytest.raises(SolveError) as info:
+        with pytest.raises(SolveError, match=r"^phase-2 LP failed \(status 2\)"):
             solve(problem, random_init(problem, 0), face)
-        assert info.value.status == 2
 
     @settings(max_examples=150, deadline=None)
     @given(problem=small_problems(), k_starts=st.integers(1, 4),
@@ -721,7 +735,8 @@ class TestPersistence:
     def test_known_cells_round_trip(self, tmp_path):
         problem = known_cell_problem()
         dump_problem(problem, tmp_path)
-        assert read_solution(tmp_path / "known_cells.csv") == {("K1", "01001"): 3.0}
+        assert (tmp_path / "mask_cells.csv").read_text(encoding="utf-8").splitlines() == [
+            "appellation;insee;known_ha", "AOP1;01001;", "AOP1;01002;", "K1;01001;3.0"]
         loaded = load_problem(tmp_path)
         assert loaded.appellation_caps == problem.appellation_caps
         assert loaded.county_caps == problem.county_caps
@@ -729,9 +744,8 @@ class TestPersistence:
         assert loaded.cells == problem.cells
         assert np.array_equal(loaded.lower_bounds, problem.lower_bounds)
         assert np.array_equal(loaded.upper_bounds, problem.upper_bounds)
-        # A problem without known cells dumped over it leaves no stale file.
+        # A problem without known cells dumped over it leaves none behind.
         dump_problem(priority_problem(), tmp_path)
-        assert not (tmp_path / "known_cells.csv").exists()
         assert not load_problem(tmp_path).lower_bounds.any()
 
     def test_tiny_known_cells_round_trip(self, tmp_path):
@@ -755,7 +769,7 @@ class TestPersistence:
 
 def test_assert_feasible_raises_on_violation():
     problem = priority_problem()
-    with pytest.raises(ValueError):
+    with pytest.raises(SolveError, match="^appellation AOP1 over cap"):
         assert_feasible(problem, {("AOP1", "01001"): 11.0})
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import shutil
 from pathlib import Path
 
@@ -254,6 +255,87 @@ class TestStageIsolation:
         assert message.endswith("re-run the stage that writes it")
 
 
+class TestSharedProblem:
+    """``solve`` reads nothing but ``problem/``, so a bad value there is a
+    one-line stage error that names its file."""
+
+    @pytest.mark.parametrize("name, old, new, message", [
+        ("caps_appellations.csv", "1B001M;69.5;1.0", "1B001M;69.5;nan",
+         "caps_appellations.csv: weights must be finite and > 0: '1B001M' = nan"),
+        ("caps_counties.csv", "67003;48.7", "67003;-5.0",
+         "caps_counties.csv: county caps must be finite and >= 0: '67003' = -5.0"),
+        ("caps_counties.csv", "67003;48.7", "67003;nan",
+         "caps_counties.csv: county caps must be finite and >= 0: '67003' = nan"),
+        ("caps_counties.csv", "67003;48.7", "67003;inf",
+         "caps_counties.csv: county caps must be finite and >= 0: '67003' = inf"),
+        ("caps_counties.csv", "67003;48.7", "67003;abc",
+         "caps_counties.csv: county '67003' has malformed number 'abc'"),
+        ("mask_cells.csv", "1B001M;67003;", "1B001M;67003;nan",
+         "mask_cells.csv: known surfaces must be finite and >= 0: ('1B001M', '67003') = nan"),
+        ("mask_cells.csv", "appellation;insee;known_ha", "appellation;insee",
+         "mask_cells.csv has columns 'appellation;insee', not 'appellation;insee;known_ha'; "
+         "re-run the stage that writes it"),
+    ], ids=["alpha-nan", "cap-negative", "cap-nan", "cap-inf", "cap-abc", "known-nan",
+            "two-column-mask"])
+    def test_bad_value_is_a_one_line_stage_error(
+        self, alsace_config, pipeline_out, tmp_path, caplog, name, old, new, message
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out / "problem", out / "problem")
+        path = out / "problem" / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[lines.index(old)] = new
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with caplog.at_level(logging.ERROR):
+            rc = run_cli("solve", "--config", str(alsace_config), "--output-dir", str(out))
+        assert rc == 2
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
+            f"[solve] {message}"
+        ]
+
+    def test_infeasible_estimate_is_a_one_line_stage_error(
+        self, alsace_config, pipeline_out, tmp_path, caplog, monkeypatch
+    ):
+        real = allocator.multi_start_average
+
+        def one_cell_scaled(*args, **kwargs):
+            result = real(*args, **kwargs)
+            cell = min(result.average.cells)
+            result.average.cells[cell] *= 1000
+            return result
+
+        monkeypatch.setattr(allocator, "multi_start_average", one_cell_scaled)
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out / "problem", out / "problem")
+        with caplog.at_level(logging.ERROR):
+            rc = run_cli("solve", "--config", str(alsace_config), "--output-dir", str(out))
+        assert rc == 2
+        [message] = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert message.startswith("[solve] appellation 1B001M over cap: ")
+
+    def test_non_finite_price_is_a_row_error(self, alsace_config, tmp_path):
+        fixture = shutil.copytree(alsace_config.parent, tmp_path / "alsace")
+        prices = fixture / "prices.csv"
+        prices.write_text(
+            prices.read_text(encoding="utf-8").replace(";265\n", ";nan\n", 1), encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        rc = run_cli("run", "--config", str(fixture / "pipeline.ini"), "--output-dir", str(out))
+        assert rc == 0
+        [price_report] = [json.loads(line) for line in
+                          (out / "ingest_report.jsonl").read_text(encoding="utf-8").splitlines()
+                          if json.loads(line)["dataset"] == "price_scale"]
+        assert price_report["row_errors"] == [{"line": 4, "message": "malformed price 'nan'"}]
+
+        def no_constant(name):
+            raise AssertionError(f"{name} in {VALUE_REPORT}")
+
+        report = json.loads((out / VALUE_REPORT).read_text(encoding="utf-8"),
+                            parse_constant=no_constant)
+        assert math.isfinite(report["total_value_eur"])
+        assert "nan" not in (out / CATEGORY_CSV).read_text(encoding="utf-8")
+
+
 class TestSynthMode:
     def test_run_with_synth_flag(self, alsace_config, tmp_path):
         out = tmp_path / "synth"
@@ -359,8 +441,9 @@ class TestOptionalInputs:
 
         # The supplemental champagne cell is a column of the problem fixed at
         # its surface, and lands in the solution and the valued portfolio.
-        known = allocator.read_solution(out / "problem" / "known_cells.csv")
-        assert known == {("7C001M", "68001"): 3.5}
+        problem = allocator.load_problem(out / "problem")
+        assert {cell: lb for cell, lb in zip(problem.cells, problem.lower_bounds) if lb} == {
+            ("7C001M", "68001"): 3.5}
         solution = (out / SOLUTION_CSV).read_text(encoding="utf-8")
         assert "7C001M;68001;3.5" in solution
         portfolio = (out / PORTFOLIO_CSV).read_text(encoding="utf-8")
@@ -470,7 +553,7 @@ class TestOptionalInputs:
         )
         assert run_cli("run", "--config", str(extended_config), "--output-dir", str(out)) == 0
         assert "7C001M" not in {code for code, _ in allocator.read_solution(out / SOLUTION_CSV)}
-        assert not (out / "problem" / "known_cells.csv").exists()
+        assert not allocator.load_problem(out / "problem").lower_bounds.any()
 
     def test_reference_table_with_trailing_blank_line(self, extended_config, tmp_path):
         reference = extended_config.parent / "data" / "reference.csv"
@@ -558,12 +641,15 @@ class TestPinnedTotals:
         out = tmp_path / "out"
         assert run_cli("run", "--config", str(extended_config), "--output-dir", str(out)) == 0
         assert {name: (out / name).read_bytes() for name in (
-            "problem/caps_appellations.csv", "problem/known_cells.csv", "scatter.csv",
+            "problem/caps_appellations.csv", "problem/mask_cells.csv", "scatter.csv",
         )} == {
             "problem/caps_appellations.csv":
                 b"code;cap_ha;alpha\r\n1B001M;60.0;1.0\r\n3B011M;30.0;1.0\r\n"
                 b"7C001M;3.5;1.0\r\nNONPGI67;12.0;0.25\r\n",
-            "problem/known_cells.csv": b"appellation;insee;surface_ha\r\n7C001M;68001;3.5\r\n",
+            "problem/mask_cells.csv":
+                b"appellation;insee;known_ha\r\n1B001M;67003;\r\n1B001M;67051;\r\n"
+                b"3B011M;67051;\r\n3B011M;68001;\r\n7C001M;68001;3.5\r\n"
+                b"NONPGI67;67003;\r\nNONPGI67;67051;\r\n",
             "scatter.csv": b"key;model_value;reference_value\r\n67|AOP;70.75;55.0\r\n"
                            b"67|NON_PGI;12.0;12.0\r\n68|AOP;22.75;5.0\r\n",
         }

@@ -108,9 +108,21 @@ class TestParseCustomsByAppellation:
 
     def test_malformed_surface_is_row_error_with_line(self):
         _, report = parse_customs_by_appellation(
-            _src("cvi;surface_ha\n1B001M01;abc\n")
+            _src("cvi;surface_ha\n1B001M01;abc\n1B001M02;nan\n1B001M03;inf\n")
         )
-        assert report.row_errors == [(2, "malformed surface 'abc'")]
+        assert report.row_errors == [(2, "malformed surface 'abc'"),
+                                     (3, "malformed surface 'nan'"),
+                                     (4, "malformed surface 'inf'")]
+
+    def test_non_finite_yield_and_volume_are_row_errors(self):
+        records, report = parse_customs_by_appellation(
+            _src("cvi;surface_ha;y2020;v2020\n1B001M01;10.0;NaN;100\n1B001M02;5.0;60.0;-inf\n"),
+            yield_cols={2020: "y2020"},
+            volume_cols={2020: "v2020"},
+        )
+        assert report.row_errors == [(2, "malformed yield 'NaN' in column y2020"),
+                                     (3, "malformed volume '-inf' in column v2020")]
+        assert 2020 not in records[0].yield_history
 
     def test_negative_surface_is_row_error_with_line(self):
         records, report = parse_customs_by_appellation(_src("cvi;surface_ha\n1B001M01;-1\n"))
@@ -202,11 +214,12 @@ class TestParseCustomsByCounty:
 
     def test_bad_surfaces_are_row_errors_with_line(self):
         records, report = parse_customs_by_county(
-            _src("insee;surface_ha\n01001;abc\n01002;-1.0\n")
+            _src("insee;surface_ha\n01001;abc\n01002;-1.0\n01003;nan\n01004;inf\n")
         )
         assert records == []
         assert report.row_errors == [
-            (2, "malformed surface 'abc'"), (3, "negative surface '-1.0'")
+            (2, "malformed surface 'abc'"), (3, "negative surface '-1.0'"),
+            (4, "malformed surface 'nan'"), (5, "malformed surface 'inf'"),
         ]
 
     def test_leading_zeros_preserved(self):
@@ -464,7 +477,7 @@ class TestAuxiliaryParsers:
         with pytest.raises(ConfigError, match=f"^{message}$"):
             parse(_src(text))
 
-    @pytest.mark.parametrize("row", ["67;AOP", "67;AOP;lots"])
+    @pytest.mark.parametrize("row", ["67;AOP", "67;AOP;lots", "67;AOP;nan", "67;AOP;inf"])
     def test_reference_aggregates_malformed_row(self, row):
         with pytest.raises(ConfigError, match="line 2"):
             parse_reference_aggregates(_src(f"department;wine_type;surface_ha\n{row}\n"))
