@@ -311,30 +311,18 @@ def optimal_value(problem: AllocationProblem) -> OptimalFace:
     )
 
 
-def solve(
-    problem: AllocationProblem,
-    init: np.ndarray,
-    face: OptimalFace,
-) -> AllocationMatrix:
-    """Solve one start: the vertex of the optimal face that maximizes
-    ``init / upper_bounds``.
+def solve(problem: AllocationProblem, seed: int, face: OptimalFace) -> AllocationMatrix:
+    """Solve the start of ``seed``: the vertex of ``face`` that maximizes
+    ``random_init(problem, seed) / upper_bounds``.
 
-    ``init`` must respect the per-cell bounds (row/column sums need not be
-    feasible). ``face`` is ``optimal_value(problem)``. The returned matrix is
-    exactly feasible and its objective equals the LP optimum up to float
-    rounding.
+    ``face`` is an optimal face of ``problem``, such as
+    ``optimal_value(problem)``. The returned matrix is exactly feasible and
+    its objective equals the LP optimum up to float rounding.
     """
-    m = problem.n_cells
-    if m == 0:
+    if problem.n_cells == 0:
         return AllocationMatrix({})
-    init = np.asarray(init, dtype=float)
-    if init.shape != (m,):
-        raise ValueError(f"init has shape {init.shape}, expected ({m},)")
-    if np.any(init < -1e-9) or np.any(init > problem.upper_bounds * (1 + 1e-9) + 1e-9):
-        raise ValueError("init violates the per-cell bounds")
-
     res = linprog(
-        -init / problem.upper_bounds,
+        -random_init(problem, seed) / problem.upper_bounds,
         A_ub=face.a_ub, b_ub=face.b_ub, A_eq=face.a_eq, b_eq=face.b_eq,
         bounds=face.bounds, method="highs", options=_HIGHS_OPTIONS,
     )
@@ -373,31 +361,31 @@ def _run_starts(
     probe: bool,
 ) -> dict[int, AllocationMatrix | SolveError] | None:
     """Solve the start of every seed on ``face``, on ``workers`` threads: this
-    one and ``workers - 1`` of ``pool``. Each thread takes one of the first
-    seeds, then draws from one queue. With ``probe``, the first start that
-    fails rejects the face: no seed is handed out after it, the starts
-    already running finish, and the result is None."""
+    one and ``workers - 1`` of ``pool``. The seeds wait in one queue, and
+    each thread takes the next until none is left. With ``probe``, the first
+    start that fails rejects the face: no thread takes a seed after it, the
+    starts already running finish, and the result is None."""
     pending: queue.SimpleQueue[int] = queue.SimpleQueue()
-    for seed in seeds[workers:]:
+    for seed in seeds:
         pending.put(seed)
     outcomes: dict[int, AllocationMatrix | SolveError] = {}
     rejected = threading.Event()
 
-    def run(seed: int | None) -> None:
-        while seed is not None:
+    def run() -> None:
+        while not rejected.is_set():
             try:
-                outcomes[seed] = solve(problem, random_init(problem, seed), face)
+                seed = pending.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                outcomes[seed] = solve(problem, seed, face)
             except SolveError as exc:
                 outcomes[seed] = exc
                 if probe:
                     rejected.set()
-            try:
-                seed = None if rejected.is_set() else pending.get_nowait()
-            except queue.Empty:
-                seed = None
 
-    helpers = [pool.submit(run, seed) for seed in seeds[1:workers]]
-    run(seeds[0])
+    helpers = [pool.submit(run) for _ in range(workers - 1)]
+    run()
     for helper in helpers:
         helper.result()
     return None if rejected.is_set() else outcomes
@@ -520,36 +508,29 @@ def dump_problem(problem: AllocationProblem, directory: str | Path) -> None:
     )
 
 
-def _number(text: str, path: Path, key: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise IntegrityError(f"{path.name}: {key} has malformed number {text!r}") from None
-
-
 def load_problem(directory: str | Path) -> AllocationProblem:
-    """Read a problem written by :func:`dump_problem`. Malformed numbers,
-    and values out of the ranges :func:`problem_from_caps` checks, are an
-    :class:`IntegrityError` naming the file."""
+    """Read a problem written by :func:`dump_problem`. A malformed row is a
+    ``model.LayoutError`` naming the file and line, and a value out of the
+    ranges :func:`problem_from_caps` checks an :class:`IntegrityError`
+    naming the file."""
     directory = Path(directory)
-    appellation_caps: dict[str, float] = {}
-    weights: dict[str, float] = {}
-    path = directory / CAPS_APPELLATIONS_FILE
-    for code, cap, alpha in read_rows(path, CAPS_APPELLATIONS_HEADER):
-        appellation_caps[code] = _number(cap, path, f"appellation {code!r}")
-        weights[code] = _number(alpha, path, f"appellation {code!r}")
-    path = directory / CAPS_COUNTIES_FILE
-    county_caps = {insee: _number(cap, path, f"county {insee!r}")
-                   for insee, cap in read_rows(path, CAPS_COUNTIES_HEADER)}
+    appellations = list(read_rows(directory / CAPS_APPELLATIONS_FILE, CAPS_APPELLATIONS_HEADER,
+                                  lambda code, cap, alpha: (code, float(cap), float(alpha))))
+    county_caps = dict(read_rows(directory / CAPS_COUNTIES_FILE, CAPS_COUNTIES_HEADER,
+                                 lambda insee, cap: (insee, float(cap))))
+
+    def mask_row(code: str, insee: str, known_ha: str) -> tuple[Cell, float | None]:
+        return (code, insee), float(known_ha) if known_ha else None
+
     cells: list[Cell] = []
     known: dict[Cell, float] = {}
-    path = directory / MASK_CELLS_FILE
-    for code, insee, known_ha in read_rows(path, MASK_CELLS_HEADER):
-        if known_ha:
-            known[code, insee] = _number(known_ha, path, f"cell ({code}, {insee})")
+    for cell, surface in read_rows(directory / MASK_CELLS_FILE, MASK_CELLS_HEADER, mask_row):
+        if surface is None:
+            cells.append(cell)
         else:
-            cells.append((code, insee))
-    return problem_from_caps(appellation_caps, county_caps, weights, cells, known)
+            known[cell] = surface
+    return problem_from_caps({code: cap for code, cap, _ in appellations}, county_caps,
+                             {code: alpha for code, _, alpha in appellations}, cells, known)
 
 
 def write_solution(cells: Mapping[Cell, float], path: str | Path) -> None:
@@ -562,4 +543,5 @@ def write_solution(cells: Mapping[Cell, float], path: str | Path) -> None:
 
 
 def read_solution(path: str | Path) -> dict[Cell, float]:
-    return {(code, insee): float(value) for code, insee, value in read_rows(path, SOLUTION_HEADER)}
+    return dict(read_rows(path, SOLUTION_HEADER,
+                          lambda code, insee, value: ((code, insee), float(value))))

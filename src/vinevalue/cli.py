@@ -273,7 +273,7 @@ def stage_value(cfg: PipelineConfig) -> None:
     )
 
     categories = {a.code: a.category for a in appellations}
-    by_category = valuation.summarize_by_category(portfolio, categories)
+    by_category = _in_stage("value", valuation.summarize_by_category, portfolio, categories)
     region_by_county = {
         c.insee_code: c.agricultural_region_id for c in counties if c.agricultural_region_id
     }

@@ -21,6 +21,7 @@ Rule = tuple[str, Callable[[Any], bool]]
 
 _AT_LEAST_ONE: Rule = (">= 1", lambda value: value >= 1)
 _NOT_NEGATIVE: Rule = (">= 0", lambda value: value >= 0)
+_FINITE_NOT_NEGATIVE: Rule = ("finite and >= 0", lambda value: 0 <= value < math.inf)
 _POSITIVE_FINITE: Rule = ("positive and finite", lambda value: 0 < value < math.inf)
 _UNIT_INTERVAL: Rule = ("in (0, 1]", lambda value: 0 < value <= 1)
 
@@ -102,8 +103,8 @@ class PipelineConfig:
     harvest_year: int = _key("yields", 2023, int)
     k_starts: int = _key("solver", 20, int, allowed=_AT_LEAST_ONE)
     seed: int = _key("solver", 20230601, int, allowed=_NOT_NEGATIVE)
-    restrict_min_hectares: float = _key("solver", 100.0, float)
-    reference_min_hectares: float = _key("validate", 1000.0, float)
+    restrict_min_hectares: float = _key("solver", 100.0, float, allowed=_FINITE_NOT_NEGATIVE)
+    reference_min_hectares: float = _key("validate", 1000.0, float, allowed=_FINITE_NOT_NEGATIVE)
     reference_total_eur: float | None = _key("validate", None, float, allowed=_POSITIVE_FINITE)
     synth: SynthSettings = field(default_factory=SynthSettings)
     output_dir: Path = _key("output", Path("out"), Path, key="directory")

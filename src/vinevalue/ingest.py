@@ -530,14 +530,13 @@ def write_appellations(records: Iterable[AppellationRecord], path: str | Path) -
 
 
 def read_appellations(path: str | Path) -> list[AppellationRecord]:
-    return [
-        AppellationRecord(
-            code=row[0], name=row[1], category=Category(row[2]),
-            marginal_surface=float(row[3]),
-            yield_history={int(y): float(v) for y, v in json.loads(row[4]).items()},
+    def row(code: str, name: str, category: str, surface: str, history: str) -> AppellationRecord:
+        return AppellationRecord(
+            code=code, name=name, category=Category(category), marginal_surface=float(surface),
+            yield_history={int(y): float(v) for y, v in json.loads(history).items()},
         )
-        for row in read_rows(path, APPELLATIONS_HEADER)
-    ]
+
+    return list(read_rows(path, APPELLATIONS_HEADER, row))
 
 
 def write_counties(records: Iterable[CountyRecord], path: str | Path) -> None:
@@ -549,11 +548,11 @@ def write_counties(records: Iterable[CountyRecord], path: str | Path) -> None:
 
 
 def read_counties(path: str | Path) -> list[CountyRecord]:
-    return [
-        CountyRecord(insee_code=row[0], agricultural_region_id=row[2],
-                     marginal_surface=float(row[3]))
-        for row in read_rows(path, COUNTIES_HEADER)
-    ]
+    def row(insee: str, department: str, region: str, surface: str) -> CountyRecord:
+        return CountyRecord(insee_code=insee, agricultural_region_id=region,
+                            marginal_surface=float(surface))
+
+    return list(read_rows(path, COUNTIES_HEADER, row))
 
 
 def write_mask(mask: Iterable[Cell], path: str | Path) -> None:
@@ -561,7 +560,7 @@ def write_mask(mask: Iterable[Cell], path: str | Path) -> None:
 
 
 def read_mask(path: str | Path) -> set[Cell]:
-    return {(code, insee) for code, insee in read_rows(path, MASK_HEADER)}
+    return set(read_rows(path, MASK_HEADER, lambda *cell: cell))
 
 
 def write_prices(entries: Iterable[PriceEntry], path: str | Path) -> None:
@@ -573,8 +572,8 @@ def write_prices(entries: Iterable[PriceEntry], path: str | Path) -> None:
 
 
 def read_prices(path: str | Path) -> list[PriceEntry]:
-    return [
-        PriceEntry(label=row[0], price=float(row[1]),
-                   production_mode=ProductionMode(row[2]), region_hint=row[3] or None)
-        for row in read_rows(path, PRICES_HEADER)
-    ]
+    def row(label: str, price: str, mode: str, region: str) -> PriceEntry:
+        return PriceEntry(label=label, price=float(price),
+                          production_mode=ProductionMode(mode), region_hint=region or None)
+
+    return list(read_rows(path, PRICES_HEADER, row))

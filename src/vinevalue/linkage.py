@@ -251,8 +251,9 @@ def write_match_report(matches: Iterable[LabelMatch], path: str | Path) -> None:
 
 
 def read_match_report(path: str | Path) -> list[LabelMatch]:
-    return [
-        LabelMatch(label, code, float(distance), bool(int(accepted)),
-                   float(price), ProductionMode(mode))
-        for label, code, distance, accepted, price, mode in read_rows(path, MATCHES_HEADER)
-    ]
+    def row(label: str, code: str, distance: str, accepted: str, price: str,
+            mode: str) -> LabelMatch:
+        return LabelMatch(label, code, float(distance), bool(int(accepted)),
+                          float(price), ProductionMode(mode))
+
+    return list(read_rows(path, MATCHES_HEADER, row))

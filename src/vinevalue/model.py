@@ -18,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 #: An (appellation code, INSEE county code) pair. Allocation readers take a
 #: ``Mapping[Cell, float]`` of hectares: a solution read back from CSV, or the
@@ -168,17 +168,33 @@ def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]
 
 
 class LayoutError(Exception):
-    """An artifact table's header row is not the one its reader expects."""
+    """An artifact table is not as its reader expects: another header row, a
+    row with another number of fields, or a field that does not parse."""
 
 
-def read_rows(path: str | Path, header: Sequence[str]) -> Iterator[list[str]]:
+Row = TypeVar("Row")
+
+
+def read_rows(path: str | Path, header: Sequence[str],
+              parse: Callable[..., Row]) -> Iterator[Row]:
     """The data rows of an artifact table written by :func:`write_rows` with
-    ``header``, one at a time. Raises :class:`LayoutError` naming the file
-    when its header row differs."""
+    ``header``, one at a time, each as ``parse(*fields)``. Raises
+    :class:`LayoutError` naming the file when its header row differs, and
+    naming the file and line when a row has another number of fields or
+    ``parse`` raises ``ValueError`` on it."""
+    name = Path(path).name
+    rerun = "re-run the stage that writes it"
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=";")
         found, expected = ";".join(next(reader, [])), ";".join(header)
         if found != expected:
-            raise LayoutError(f"{Path(path).name} has columns {found!r}, not {expected!r}; "
-                              "re-run the stage that writes it")
-        yield from reader
+            raise LayoutError(f"{name} has columns {found!r}, not {expected!r}; {rerun}")
+        for fields in reader:
+            if len(fields) != len(header):
+                raise LayoutError(f"{name} line {reader.line_num} has {len(fields)} fields, "
+                                  f"not {len(header)}; {rerun}")
+            try:
+                row = parse(*fields)
+            except ValueError as exc:
+                raise LayoutError(f"{name} line {reader.line_num}: {exc}; {rerun}") from None
+            yield row

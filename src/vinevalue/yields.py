@@ -132,7 +132,7 @@ def write_expected_yields(table: Mapping[str, ExpectedYield], path: str | Path) 
 
 
 def read_expected_yields(path: str | Path) -> dict[str, ExpectedYield]:
-    return {
-        code: ExpectedYield(code, float(value), YieldProvenance(provenance))
-        for code, value, provenance in read_rows(path, YIELDS_HEADER)
-    }
+    def row(code: str, value: str, provenance: str) -> tuple[str, ExpectedYield]:
+        return code, ExpectedYield(code, float(value), YieldProvenance(provenance))
+
+    return dict(read_rows(path, YIELDS_HEADER, row))

@@ -9,7 +9,6 @@ from vinevalue.allocator import (
     AllocationProblem,
     OptimalFace,
     optimal_value,
-    random_init,
     solve,
 )
 from vinevalue.linkage import (
@@ -127,7 +126,7 @@ def phase1_multi_start(
     with the face always read from the phase-1 duals, the starts solved one
     at a time in seed order."""
     face = optimal_value(problem)
-    return face, [solve(problem, random_init(problem, seed), face)
+    return face, [solve(problem, seed, face)
                   for seed in range(seed_base, seed_base + k_starts)]
 
 

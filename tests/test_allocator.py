@@ -243,7 +243,7 @@ class TestRandomInit:
 class TestSolve:
     def test_one_by_one_forced_by_caps(self):
         problem = _simple({"A": 5.0}, {"00001": 3.0}, {"A": 1.0}, [("A", "00001")])
-        solution = solve(problem, random_init(problem, 0), optimal_value(problem))
+        solution = solve(problem, 0, optimal_value(problem))
         assert solution.cells[("A", "00001")] == pytest.approx(3.0, abs=1e-9)
         assert objective(problem.weights, solution.cells) == pytest.approx(3.0, abs=1e-9)
 
@@ -251,7 +251,7 @@ class TestSolve:
         problem = priority_problem()
         face = optimal_value(problem)
         for seed in range(5):
-            solution = solve(problem, random_init(problem, seed), face)
+            solution = solve(problem, seed, face)
             assert solution.cells.get(("AOP1", "01001"), 0.0) == pytest.approx(10.0, abs=1e-6)
             assert solution.cells.get(("NP1", "01001"), 0.0) == pytest.approx(0.0, abs=1e-6)
 
@@ -259,23 +259,12 @@ class TestSolve:
         rng = np.random.default_rng(5)
         for _ in range(20):
             problem = random_small_problem(rng, max_rows=4, max_cols=4, integer_caps=False)
-            solution = solve(problem, random_init(problem, 1), optimal_value(problem))
+            solution = solve(problem, 1, optimal_value(problem))
             assert feasibility_violations(problem, solution.cells) == []
-
-    def test_init_outside_bounds_rejected(self):
-        problem = priority_problem()
-        bad = problem.upper_bounds * 2.0
-        with pytest.raises(ValueError):
-            solve(problem, bad, optimal_value(problem))
-
-    def test_bad_shape_rejected(self):
-        problem = priority_problem()
-        with pytest.raises(ValueError):
-            solve(problem, np.zeros(5), optimal_value(problem))
 
     def test_empty_problem(self):
         problem = _simple({"A": 0.0}, {"00001": 0.0}, {"A": 1.0}, [("A", "00001")])
-        solution = solve(problem, random_init(problem, 0), optimal_value(problem))
+        solution = solve(problem, 0, optimal_value(problem))
         assert solution.cells == {}
         assert objective(problem.weights, solution.cells) == 0.0
 
@@ -288,8 +277,8 @@ class TestSolve:
             [("A", "00001"), ("A", "00002"), ("B", "00001"), ("B", "00002")],
         )
         face = optimal_value(problem)
-        first = solve(problem, random_init(problem, 0), face)
-        second = solve(problem, random_init(problem, 2), face)
+        first = solve(problem, 0, face)
+        second = solve(problem, 2, face)
         assert first.cells != second.cells
         value = objective(problem.weights, first.cells)
         assert value == pytest.approx(objective(problem.weights, second.cells), rel=1e-9)
@@ -366,7 +355,7 @@ class TestSolverAgainstOracles:
             best = brute_force_optimum(problem, 1.0)
             face = optimal_value(problem)
             for seed in range(10):
-                solution = solve(problem, random_init(problem, seed), face)
+                solution = solve(problem, seed, face)
                 assert objective(problem.weights, solution.cells) == pytest.approx(
                     objective(problem.weights, best.cells), rel=1e-12)
                 assert solution.cells.keys() == best.cells.keys()
@@ -379,7 +368,7 @@ class TestSolverAgainstOracles:
             problem = random_small_problem(rng, max_rows=5, max_cols=5, integer_caps=False)
             greedy = greedy_baseline(problem)
             assert feasibility_violations(problem, greedy.cells) == []
-            solution = solve(problem, random_init(problem, 3), optimal_value(problem))
+            solution = solve(problem, 3, optimal_value(problem))
             # The solver returns a point of the exact optimal face, so it can
             # fall short of greedy by float rounding only.
             greedy_value = objective(problem.weights, greedy.cells)
@@ -396,7 +385,7 @@ class TestMultiStart:
     def test_single_start_equals_solve(self):
         problem = priority_problem()
         result = multi_start_average(problem, k_starts=1, seed_base=5)
-        direct = solve(problem, random_init(problem, 5), optimal_value(problem))
+        direct = solve(problem, 5, optimal_value(problem))
         assert result.average.cells == direct.cells
 
     def test_average_is_feasible(self):
@@ -445,7 +434,7 @@ class TestMultiStart:
         must still lose no start."""
         problem = random_small_problem(np.random.default_rng(37), max_rows=6, max_cols=8,
                                        integer_caps=False)
-        fail_starts(monkeypatch, problem, [3, 20, 42])
+        fail_starts(monkeypatch, [3, 20, 42])
         results = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -480,19 +469,17 @@ class TestMultiStart:
         assert len(threads) <= most_threads
 
 
-def fail_starts(monkeypatch, problem, seeds):
+def fail_starts(monkeypatch, seeds):
     """Make ``allocator.solve`` raise ``SolveError`` on the starts of ``seeds``,
     on every face. A failure on the filled-rows face rejects that face, as an
     LP that HiGHS does not solve does, so the starts run again on the phase-1
     face and fail there for good."""
     real = allocator.solve
-    doomed = {random_init(problem, seed).tobytes(): seed for seed in seeds}
 
-    def solve_or_fail(problem_, init, face=None):
-        seed = doomed.get(np.asarray(init).tobytes())
-        if seed is not None:
+    def solve_or_fail(problem, seed, face):
+        if seed in seeds:
             raise SolveError(f"start {seed} made to fail")
-        return real(problem_, init, face)
+        return real(problem, seed, face)
 
     monkeypatch.setattr(allocator, "solve", solve_or_fail)
 
@@ -517,19 +504,19 @@ class TestFailedStarts:
             return faces[-1]
 
         monkeypatch.setattr(allocator, "optimal_value", recording_optimal_value)
-        fail_starts(monkeypatch, problem, [15, 11, 13])
+        fail_starts(monkeypatch, [15, 11, 13])
         result = multi_start_average(problem, k_starts=6, seed_base=10)
         assert result.failures == [(11, "start 11 made to fail"), (13, "start 13 made to fail"),
                                    (15, "start 15 made to fail")]
         [face] = faces
         assert result.optimal_value == face.value
         assert [s.cells for s in result.solutions] == [
-            solve(problem, random_init(problem, seed), face).cells for seed in (10, 12, 14)]
+            solve(problem, seed, face).cells for seed in (10, 12, 14)]
 
     def test_average_over_the_starts_that_succeeded(self, monkeypatch):
         problem = self.problem()
         survivors = multi_start_average(problem, k_starts=4, seed_base=12)
-        fail_starts(monkeypatch, problem, [10, 11])
+        fail_starts(monkeypatch, [10, 11])
         result = multi_start_average(problem, k_starts=6, seed_base=10)
         assert [s.cells for s in result.solutions] == [s.cells for s in survivors.solutions]
         assert result.average.cells == survivors.average.cells
@@ -538,7 +525,7 @@ class TestFailedStarts:
 
     def test_all_starts_failing_is_fatal(self, monkeypatch):
         problem = self.problem()
-        fail_starts(monkeypatch, problem, [0, 1, 2])
+        fail_starts(monkeypatch, [0, 1, 2])
         with pytest.raises(SolveError, match="^all 3 starts failed$"):
             multi_start_average(problem, k_starts=3)
 
@@ -659,7 +646,7 @@ class TestFilledRowsFace:
         face = allocator._saturated_face(problem)
         assert face.value == 10.0 + 10.0 * 0.25 + 1.0 / 3.0
         with pytest.raises(SolveError, match=r"^phase-2 LP failed \(status 2\)"):
-            solve(problem, random_init(problem, 0), face)
+            solve(problem, 0, face)
 
     @settings(max_examples=150, deadline=None)
     @given(problem=small_problems(), k_starts=st.integers(1, 4),

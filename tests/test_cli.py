@@ -228,15 +228,27 @@ class TestStageIsolation:
         assert run_cli("value", "--config", str(alsace_config), "--output-dir", str(out)) == 0
         assert (out / PORTFOLIO_CSV).read_bytes() == (pipeline_out / PORTFOLIO_CSV).read_bytes()
 
-    @pytest.mark.parametrize("stage, name, old_layout", [
+    @pytest.mark.parametrize("stage, name, old_layout, error", [
         # appellations.csv when it still had a colour column.
         ("yields", "appellations.csv",
-         lambda row: [*row[:3], "color" if row[0] == "code" else "UNKNOWN", *row[3:]]),
+         lambda row: [*row[:3], "color" if row[0] == "code" else "UNKNOWN", *row[3:]],
+         " has columns "),
         # matches.csv before it carried each row's price and production mode.
-        ("value", "matches.csv", lambda row: row[:4]),
-    ], ids=["appellations", "matches"])
+        ("value", "matches.csv", lambda row: row[:4], " has columns "),
+        # A field that does not parse, from the first data row on.
+        ("value", "expected_yields.csv",
+         lambda row: row if row[0] == "code" else [*row[:2], "abc"],
+         " line 2: 'abc' is not a valid YieldProvenance; "),
+        ("value", "matches.csv",
+         lambda row: row if row[0] == "label" else [*row[:2], "abc", *row[3:]],
+         " line 2: could not convert string to float: 'abc'; "),
+        ("value", "solution.csv",
+         lambda row: row if row[0] == "appellation" else [*row[:2], "abc"],
+         " line 2: could not convert string to float: 'abc'; "),
+    ], ids=["appellations", "matches", "yields-provenance", "matches-distance",
+            "solution-surface"])
     def test_stale_layout_is_a_one_line_stage_error(
-        self, alsace_config, pipeline_out, tmp_path, caplog, stage, name, old_layout
+        self, alsace_config, pipeline_out, tmp_path, caplog, stage, name, old_layout, error
     ):
         out = shutil.copytree(pipeline_out, tmp_path / "out")
         lines = (out / name).read_text(encoding="utf-8").splitlines()
@@ -251,7 +263,7 @@ class TestStageIsolation:
         assert record.exc_info is None
         message = record.getMessage()
         assert "\n" not in message
-        assert message.startswith(f"[{stage}] {name} has columns ")
+        assert message.startswith(f"[{stage}] {name}{error}")
         assert message.endswith("re-run the stage that writes it")
 
 
@@ -269,14 +281,17 @@ class TestSharedProblem:
         ("caps_counties.csv", "67003;48.7", "67003;inf",
          "caps_counties.csv: county caps must be finite and >= 0: '67003' = inf"),
         ("caps_counties.csv", "67003;48.7", "67003;abc",
-         "caps_counties.csv: county '67003' has malformed number 'abc'"),
+         "caps_counties.csv line 2: could not convert string to float: 'abc'; "
+         "re-run the stage that writes it"),
         ("mask_cells.csv", "1B001M;67003;", "1B001M;67003;nan",
          "mask_cells.csv: known surfaces must be finite and >= 0: ('1B001M', '67003') = nan"),
         ("mask_cells.csv", "appellation;insee;known_ha", "appellation;insee",
          "mask_cells.csv has columns 'appellation;insee', not 'appellation;insee;known_ha'; "
          "re-run the stage that writes it"),
+        ("mask_cells.csv", "1B001M;67003;", "1B001M;67003",
+         "mask_cells.csv line 2 has 2 fields, not 3; re-run the stage that writes it"),
     ], ids=["alpha-nan", "cap-negative", "cap-nan", "cap-inf", "cap-abc", "known-nan",
-            "two-column-mask"])
+            "two-column-mask", "short-mask-row"])
     def test_bad_value_is_a_one_line_stage_error(
         self, alsace_config, pipeline_out, tmp_path, caplog, name, old, new, message
     ):
@@ -711,6 +726,21 @@ class TestErrors:
         assert rc == 2
         assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
             "[validate] need at least two aggregate keys to compare"
+        ]
+
+    def test_empty_portfolio_is_a_stage_error(self, alsace_config, tmp_path, caplog):
+        # With every county cap at 0 the problem has no cells: solve succeeds
+        # with an empty solution, and value has nothing to summarize.
+        fixture = shutil.copytree(alsace_config.parent, tmp_path / "alsace")
+        (fixture / "customs_counties.csv").write_text(
+            "insee;surface_ha\n67003;0\n67051;0\n67155;0\n", encoding="utf-8"
+        )
+        with caplog.at_level(logging.ERROR):
+            rc = run_cli("run", "--config", str(fixture / "pipeline.ini"),
+                         "--output-dir", str(tmp_path / "out"))
+        assert rc == 2
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
+            "[value] empty portfolio"
         ]
 
     def test_one_appellation_synth_is_a_stage_error(self, tmp_path, caplog):

@@ -222,11 +222,19 @@ def test_removed_keys_are_ignored_like_unknown_keys(alsace_copy, section, key):
     ("appellations", "0", "synth.appellations must be >= 1, got 0"),
     ("counties", "-3", "synth.counties must be >= 1, got -3"),
     ("extra_mask_factor", "-0.5", "synth.extra_mask_factor must be >= 0, got -0.5"),
+    ("restrict_min_hectares", "nan",
+     "solver.restrict_min_hectares must be finite and >= 0, got nan"),
+    ("restrict_min_hectares", "-1",
+     "solver.restrict_min_hectares must be finite and >= 0, got -1.0"),
+    ("reference_min_hectares", "inf",
+     "validate.reference_min_hectares must be finite and >= 0, got inf"),
 ])
 def test_out_of_range_synth_setting_is_a_config_error(
     alsace_copy, tmp_path, caplog, key, value, message
 ):
-    _set_key(alsace_copy, "synth", key, value)
+    # Synth mode reads the [solver] and [validate] keys too; the message names
+    # the key's section.
+    _set_key(alsace_copy, message.partition(".")[0], key, value)
     with caplog.at_level(logging.ERROR):
         rc = cli.main(["synth", "--config", str(alsace_copy), "--output-dir", str(tmp_path / "out")])
     assert rc == 1

@@ -1,6 +1,5 @@
 """Every name a module imports is used in that module, so a deletion leaves
-no dead import behind. The package ``__init__`` re-exports names and is
-exempt, as are ``__future__`` imports."""
+no dead import behind. ``__future__`` imports are exempt."""
 from __future__ import annotations
 
 import ast
@@ -25,8 +24,7 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

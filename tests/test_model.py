@@ -54,6 +54,22 @@ def test_reporting_category(category, reported):
 def test_read_rows_checks_the_header(tmp_path):
     path = tmp_path / "table.csv"
     write_rows(path, ["a", "b"], [["1", "2"]])
-    assert list(read_rows(path, ("a", "b"))) == [["1", "2"]]
+    assert list(read_rows(path, ("a", "b"), lambda a, b: (a, float(b)))) == [("1", 2.0)]
     with pytest.raises(LayoutError, match="table.csv has columns 'a;b', not 'a;b;c'"):
-        list(read_rows(path, ("a", "b", "c")))
+        list(read_rows(path, ("a", "b", "c"), lambda a, b, c: a))
+
+
+@pytest.mark.parametrize("row, message", [
+    (["x"], "table.csv line 3 has 1 fields, not 2; re-run the stage that writes it"),
+    (["x", "2", "3"], "table.csv line 3 has 3 fields, not 2; re-run the stage that writes it"),
+    (["x", "abc"], "table.csv line 3: could not convert string to float: 'abc'; "
+                   "re-run the stage that writes it"),
+], ids=["short", "long", "malformed-field"])
+def test_read_rows_checks_every_row(tmp_path, row, message):
+    path = tmp_path / "table.csv"
+    write_rows(path, ["a", "b"], [["1", "2"], row, ["4", "5"]])
+    rows = read_rows(path, ("a", "b"), lambda a, b: (a, float(b)))
+    assert next(rows) == ("1", 2.0)
+    with pytest.raises(LayoutError) as caught:
+        next(rows)
+    assert str(caught.value) == message
