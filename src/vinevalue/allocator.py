@@ -42,7 +42,9 @@ from .model import (
     Cell,
     CountyRecord,
     DEFAULT_WEIGHTS,
+    PipelineError,
     exact_sums,
+    finite_float,
     read_rows,
     write_rows,
 )
@@ -70,7 +72,7 @@ _SURFACE_RULE = (">= 0", lambda value: 0 <= value < math.inf)
 _WEIGHT_RULE = ("> 0", lambda value: 0 < value < math.inf)
 
 
-class SolveError(Exception):
+class SolveError(PipelineError):
     """Raised when an LP does not solve or the estimate breaks a constraint."""
 
 
@@ -544,4 +546,4 @@ def write_solution(cells: Mapping[Cell, float], path: str | Path) -> None:
 
 def read_solution(path: str | Path) -> dict[Cell, float]:
     return dict(read_rows(path, SOLUTION_HEADER,
-                          lambda code, insee, value: ((code, insee), float(value))))
+                          lambda code, insee, value: ((code, insee), finite_float(value))))

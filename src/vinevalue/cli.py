@@ -4,6 +4,8 @@ Every stage reads and writes plain CSV/JSON intermediates in the output
 directory, so each can be re-run in isolation and an end-to-end run is
 exactly the stages in sequence. All randomness flows from the configured
 seed; two runs with the same config produce byte-identical artifacts.
+A stage that cannot go on raises a :class:`~vinevalue.model.PipelineError`
+(or an ``OSError``), which :func:`main` reports in one line naming it.
 """
 from __future__ import annotations
 
@@ -15,8 +17,8 @@ from pathlib import Path
 
 from . import allocator, ingest, linkage, synth, validate, valuation, yields
 from .config import PipelineConfig, load_config
-from .ingest import ConfigError, IngestReport, IntegrityError
-from .model import AppellationRecord, Category, Cell, LayoutError, exact_sums
+from .ingest import ConfigError, IngestReport
+from .model import AppellationRecord, Category, Cell, InputError, PipelineError, exact_sums
 
 logger = logging.getLogger(__name__)
 
@@ -41,26 +43,10 @@ TRUTH_CSV = "truth.csv"
 SYNTH_REPORT = "synth_report.json"
 
 
-class StageError(Exception):
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"[{stage}] {message}")
-        self.stage = stage
-
-
-def _require(path: Path, stage: str, produced_by: str) -> Path:
+def _require(path: Path, produced_by: str) -> Path:
     if not path.exists():
-        raise StageError(stage, f"missing {path.name}; run the '{produced_by}' stage first")
+        raise InputError(f"missing {path.name}; run the '{produced_by}' stage first")
     return path
-
-
-def _in_stage(stage: str, compute, *args, **kwargs):
-    """``compute(*args, **kwargs)``; the ValueError it raises on inputs it
-    cannot use (too few points to rank, an unpriced portfolio) ends the
-    stage with a :class:`StageError`."""
-    try:
-        return compute(*args, **kwargs)
-    except ValueError as exc:
-        raise StageError(stage, str(exc)) from exc
 
 
 def stage_ingest(cfg: PipelineConfig) -> None:
@@ -158,8 +144,8 @@ def stage_ingest(cfg: PipelineConfig) -> None:
 
 def stage_link(cfg: PipelineConfig) -> None:
     out = cfg.output_dir
-    appellations = ingest.read_appellations(_require(out / APPELLATIONS_CSV, "link", "ingest"))
-    prices = ingest.read_prices(_require(out / PRICES_CSV, "link", "ingest"))
+    appellations = ingest.read_appellations(_require(out / APPELLATIONS_CSV, "ingest"))
+    prices = ingest.read_prices(_require(out / PRICES_CSV, "ingest"))
     region_filter = None
     if cfg.region_map:
         region_filter = ingest.parse_key_value_map(cfg.region_map, delimiter=cfg.delimiter,
@@ -179,7 +165,7 @@ def stage_link(cfg: PipelineConfig) -> None:
 
 def stage_yields(cfg: PipelineConfig) -> None:
     out = cfg.output_dir
-    appellations = ingest.read_appellations(_require(out / APPELLATIONS_CSV, "yields", "ingest"))
+    appellations = ingest.read_appellations(_require(out / APPELLATIONS_CSV, "ingest"))
     table = yields.expected_yield_table(appellations, cfg.harvest_year)
     yields.write_expected_yields(table, out / YIELDS_CSV)
     logger.info("yields: %d appellations for harvest %d", len(table), cfg.harvest_year)
@@ -187,7 +173,7 @@ def stage_yields(cfg: PipelineConfig) -> None:
 
 def stage_solve(cfg: PipelineConfig) -> allocator.MultiStartResult:
     out = cfg.output_dir
-    problem = allocator.load_problem(_require(out / PROBLEM_DIR, "solve", "ingest"))
+    problem = allocator.load_problem(_require(out / PROBLEM_DIR, "ingest"))
     result = allocator.multi_start_average(problem, k_starts=cfg.k_starts, seed_base=cfg.seed)
     allocator.assert_feasible(problem, result.average.cells)
 
@@ -220,29 +206,25 @@ def stage_solve(cfg: PipelineConfig) -> allocator.MultiStartResult:
 
 def stage_validate(cfg: PipelineConfig) -> None:
     out = cfg.output_dir
-    solutions_dir = _require(out / SOLUTIONS_DIR, "validate", "solve")
+    solutions_dir = _require(out / SOLUTIONS_DIR, "solve")
     paths = sorted(solutions_dir.glob("start_*.csv"))
     solutions_report = None
     if len(paths) >= 2:
         solutions = [allocator.read_solution(p) for p in paths]
-        solutions_report = _in_stage(
-            "validate", validate.compare_solutions,
-            solutions, restrict_min_hectares=cfg.restrict_min_hectares,
+        solutions_report = validate.compare_solutions(
+            solutions, restrict_min_hectares=cfg.restrict_min_hectares
         )
 
     aggregates_report = None
     if cfg.reference_aggregates:
-        alloc = allocator.read_solution(_require(out / SOLUTION_CSV, "validate", "solve"))
-        appellations = ingest.read_appellations(
-            _require(out / APPELLATIONS_CSV, "validate", "ingest")
-        )
+        alloc = allocator.read_solution(_require(out / SOLUTION_CSV, "solve"))
+        appellations = ingest.read_appellations(_require(out / APPELLATIONS_CSV, "ingest"))
         categories = {a.code: a.category for a in appellations}
         reference = ingest.parse_reference_aggregates(
             cfg.reference_aggregates, delimiter=cfg.delimiter
         )
-        aggregates_report = _in_stage(
-            "validate", validate.compare_aggregates,
-            alloc, categories, reference, restrict_min_hectares=cfg.reference_min_hectares,
+        aggregates_report = validate.compare_aggregates(
+            alloc, categories, reference, restrict_min_hectares=cfg.reference_min_hectares
         )
 
     payload = {
@@ -260,20 +242,18 @@ def stage_validate(cfg: PipelineConfig) -> None:
 
 def stage_value(cfg: PipelineConfig) -> None:
     out = cfg.output_dir
-    alloc = allocator.read_solution(_require(out / SOLUTION_CSV, "value", "solve"))
-    expected = yields.read_expected_yields(_require(out / YIELDS_CSV, "value", "yields"))
-    matches = linkage.read_match_report(_require(out / MATCHES_CSV, "value", "link"))
-    appellations = ingest.read_appellations(_require(out / APPELLATIONS_CSV, "value", "ingest"))
-    counties = ingest.read_counties(_require(out / COUNTIES_CSV, "value", "ingest"))
+    alloc = allocator.read_solution(_require(out / SOLUTION_CSV, "solve"))
+    expected = yields.read_expected_yields(_require(out / YIELDS_CSV, "yields"))
+    matches = linkage.read_match_report(_require(out / MATCHES_CSV, "link"))
+    appellations = ingest.read_appellations(_require(out / APPELLATIONS_CSV, "ingest"))
+    counties = ingest.read_counties(_require(out / COUNTIES_CSV, "ingest"))
 
     price_by_code = valuation.resolve_prices(matches)
     apps_by_code = {a.code: a for a in appellations}
-    portfolio, report = _in_stage(
-        "value", valuation.build_portfolio, alloc, expected, price_by_code, apps_by_code
-    )
+    portfolio, report = valuation.build_portfolio(alloc, expected, price_by_code, apps_by_code)
 
     categories = {a.code: a.category for a in appellations}
-    by_category = _in_stage("value", valuation.summarize_by_category, portfolio, categories)
+    by_category = valuation.summarize_by_category(portfolio, categories)
     region_by_county = {
         c.insee_code: c.agricultural_region_id for c in counties if c.agricultural_region_id
     }
@@ -303,8 +283,8 @@ def stage_synth(cfg: PipelineConfig) -> None:
     out.mkdir(parents=True, exist_ok=True)
     settings = cfg.synth
     shape = (settings.appellations, settings.counties, settings.density)
-    instance = _in_stage(
-        "synth", synth.generate, shape,
+    instance = synth.generate(
+        shape,
         seed=cfg.seed,
         extra_mask_factor=settings.extra_mask_factor,
         counties_per_department=settings.counties_per_department,
@@ -316,14 +296,14 @@ def stage_synth(cfg: PipelineConfig) -> None:
     result = stage_solve(cfg)
     truth, average = instance.truth.cells, result.average.cells
     weights = instance.problem.weights
-    cell_tau = _in_stage("synth", validate.kendall_tau, *validate.align([truth, average])[1])
+    cell_tau = validate.kendall_tau(*validate.align([truth, average])[1])
     # Each cap is the exact sum of its truth row, positive where the truth has cells.
     row_sums = exact_sums((code, v) for (code, _), v in average.items())
     row_errors = [abs(row_sums.get(code, 0.0) - cap) / cap
                   for code, cap in instance.problem.appellation_caps.items() if cap]
     truth_aggregates = validate.aggregate_allocation(truth, instance.categories)
-    aggregates = _in_stage(
-        "synth", validate.compare_aggregates, average, instance.categories, truth_aggregates,
+    aggregates = validate.compare_aggregates(
+        average, instance.categories, truth_aggregates,
         restrict_min_hectares=cfg.reference_min_hectares,
     )
     report = {
@@ -340,18 +320,8 @@ def stage_synth(cfg: PipelineConfig) -> None:
     logger.info("synth: cell tau %.3f, aggregate tau %.3f", cell_tau, aggregates.kendall_tau)
 
 
-def run_pipeline(cfg: PipelineConfig) -> None:
-    stage_ingest(cfg)
-    stage_link(cfg)
-    stage_yields(cfg)
-    stage_solve(cfg)
-    stage_validate(cfg)
-    stage_value(cfg)
-
-
-#: Every command: the function it runs and its help line.
+#: Every stage: the function it runs and its help line.
 STAGES = {
-    "run": (run_pipeline, "run the full pipeline end to end"),
     "ingest": (stage_ingest, "parse the input files into canonical tables"),
     "link": (stage_link, "match price-scale labels to appellations"),
     "yields": (stage_yields, "compute expected yields"),
@@ -360,6 +330,13 @@ STAGES = {
     "value": (stage_value, "build the valued portfolio and its summaries"),
     "synth": (stage_synth, "generate a synthetic instance, recover it and score recovery"),
 }
+#: The stages ``run`` runs, in order.
+PIPELINE = ("ingest", "link", "yields", "solve", "validate", "value")
+
+
+def run_pipeline(cfg: PipelineConfig) -> None:
+    for stage in PIPELINE:
+        STAGES[stage][0](cfg)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,7 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in STAGES.items():
+    commands = {"run": "run the full pipeline end to end",
+                **{name: help_text for name, (_, help_text) in STAGES.items()}}
+    for name, help_text in commands.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="pipeline configuration file")
         cmd.add_argument("--seed", type=int, default=None, help="override solver seed")
@@ -399,14 +378,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         logger.error("configuration error: %s", exc)
         return 1
-    try:
-        STAGES[command][0](cfg)
-    except StageError as exc:
-        logger.error("%s", exc)
-        return 2
-    except (ConfigError, IntegrityError, LayoutError, allocator.SolveError, OSError) as exc:
-        logger.error("[%s] %s", command, exc)
-        return 2
+    for stage in PIPELINE if command == "run" else (command,):
+        try:
+            STAGES[stage][0](cfg)
+        except (PipelineError, OSError) as exc:
+            logger.error("[%s] %s", stage, exc)
+            return 2
     return 0
 
 

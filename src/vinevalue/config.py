@@ -74,7 +74,7 @@ class SynthSettings:
     appellations: int = _key("synth", 20, int, allowed=_AT_LEAST_ONE)
     counties: int = _key("synth", 100, int, allowed=_AT_LEAST_ONE)
     density: float = _key("synth", 0.1, float, allowed=_UNIT_INTERVAL)
-    extra_mask_factor: float = _key("synth", 0.5, float, allowed=_NOT_NEGATIVE)
+    extra_mask_factor: float = _key("synth", 0.5, float, allowed=_FINITE_NOT_NEGATIVE)
     counties_per_department: int = _key("synth", 20, int, allowed=_AT_LEAST_ONE)
 
 

@@ -22,9 +22,11 @@ from .model import (
     Category,
     Cell,
     CountyRecord,
+    PipelineError,
     PriceEntry,
     ProductionMode,
     cvi_prefix,
+    finite_float,
     is_valid_insee,
     read_rows,
     write_rows,
@@ -50,11 +52,11 @@ _CATEGORY_ALIASES = {
 }
 
 
-class ConfigError(Exception):
+class ConfigError(PipelineError):
     """Fatal configuration problem (missing configured column, bad mapping)."""
 
 
-class IntegrityError(Exception):
+class IntegrityError(PipelineError):
     """Fatal referential-integrity violation in the parsed data."""
 
 
@@ -141,10 +143,7 @@ def _read_table(source, delimiter: str, report: IngestReport,
 
 def _parse_float(text: str) -> float:
     """A number cell, spaces ignored. Raises ValueError unless it is finite."""
-    value = float(text.replace(" ", "").replace(" ", ""))
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text!r}")
-    return value
+    return finite_float(text.replace(" ", "").replace(" ", ""))
 
 
 def _surface(text: str) -> float:
@@ -531,9 +530,13 @@ def write_appellations(records: Iterable[AppellationRecord], path: str | Path) -
 
 def read_appellations(path: str | Path) -> list[AppellationRecord]:
     def row(code: str, name: str, category: str, surface: str, history: str) -> AppellationRecord:
+        years = json.loads(history)
+        if not isinstance(years, dict) or not all(isinstance(v, str) for v in years.values()):
+            raise ValueError(f"yield history {history!r} is not an object of numbers")
         return AppellationRecord(
-            code=code, name=name, category=Category(category), marginal_surface=float(surface),
-            yield_history={int(y): float(v) for y, v in json.loads(history).items()},
+            code=code, name=name, category=Category(category),
+            marginal_surface=finite_float(surface),
+            yield_history={int(y): finite_float(v) for y, v in years.items()},
         )
 
     return list(read_rows(path, APPELLATIONS_HEADER, row))
@@ -550,7 +553,7 @@ def write_counties(records: Iterable[CountyRecord], path: str | Path) -> None:
 def read_counties(path: str | Path) -> list[CountyRecord]:
     def row(insee: str, department: str, region: str, surface: str) -> CountyRecord:
         return CountyRecord(insee_code=insee, agricultural_region_id=region,
-                            marginal_surface=float(surface))
+                            marginal_surface=finite_float(surface))
 
     return list(read_rows(path, COUNTIES_HEADER, row))
 
@@ -573,7 +576,7 @@ def write_prices(entries: Iterable[PriceEntry], path: str | Path) -> None:
 
 def read_prices(path: str | Path) -> list[PriceEntry]:
     def row(label: str, price: str, mode: str, region: str) -> PriceEntry:
-        return PriceEntry(label=label, price=float(price),
+        return PriceEntry(label=label, price=finite_float(price),
                           production_mode=ProductionMode(mode), region_hint=region or None)
 
     return list(read_rows(path, PRICES_HEADER, row))

@@ -7,6 +7,7 @@ pass (accents stripped, acronyms expanded, French filler words removed).
 """
 from __future__ import annotations
 
+import math
 import re
 import unicodedata
 from dataclasses import dataclass, replace
@@ -16,7 +17,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .ingest import ConfigError, open_source
-from .model import AppellationRecord, PriceEntry, ProductionMode, read_rows, write_rows
+from .model import AppellationRecord, PriceEntry, ProductionMode, finite_float, read_rows
+from .model import write_rows
 
 #: Recurring French words that carry no meaning in a nomenclature merge.
 DEFAULT_STOPWORDS = frozenset({"ET", "DE", "DU", "DES", "D", "LA", "LE", "LES"})
@@ -253,7 +255,8 @@ def write_match_report(matches: Iterable[LabelMatch], path: str | Path) -> None:
 def read_match_report(path: str | Path) -> list[LabelMatch]:
     def row(label: str, code: str, distance: str, accepted: str, price: str,
             mode: str) -> LabelMatch:
-        return LabelMatch(label, code, float(distance), bool(int(accepted)),
-                          float(price), ProductionMode(mode))
+        # A label with no appellation to match is at distance inf.
+        return LabelMatch(label, code, math.inf if distance == "inf" else finite_float(distance),
+                          bool(int(accepted)), finite_float(price), ProductionMode(mode))
 
     return list(read_rows(path, MATCHES_HEADER, row))

@@ -5,10 +5,10 @@ appellation and by county, the list of counties where each appellation is
 authorized, and the crop-insurance price scale. Everything downstream (the
 surface allocator, yield estimation, valuation) works on the types below.
 The stages hand them to each other as artifact tables in one CSV dialect,
-written and read by :func:`write_rows` and :func:`read_rows` only. Every
-per-key total (caps, marginals, aggregates, summaries) is taken by
-:func:`exact_sums`, and every report folds categories with
-:func:`reporting_category`.
+written and read by :func:`write_rows` and :func:`read_rows` only, with
+every number read by :func:`finite_float`. Every per-key total (caps,
+marginals, aggregates, summaries) is taken by :func:`exact_sums`, and every
+report folds categories with :func:`reporting_category`.
 """
 from __future__ import annotations
 
@@ -25,6 +25,14 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Ty
 #: ``cells`` of an ``allocator.AllocationMatrix`` (solver output, synthetic
 #: truth). ``allocator.objective`` computes its weighted objective.
 Cell = tuple[str, str]
+
+
+class PipelineError(Exception):
+    """A stage cannot use its inputs; ``cli.main`` reports it in one line naming the stage."""
+
+
+class InputError(PipelineError, ValueError):
+    """Inputs a computation cannot use: too few points to rank, an empty portfolio."""
 
 
 class Category(str, enum.Enum):
@@ -167,7 +175,15 @@ def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]
         writer.writerows(rows)
 
 
-class LayoutError(Exception):
+def finite_float(text: str) -> float:
+    """``float(text)``, raising ValueError unless it is finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
+class LayoutError(PipelineError):
     """An artifact table is not as its reader expects: another header row, a
     row with another number of fields, or a field that does not parse."""
 

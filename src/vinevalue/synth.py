@@ -20,7 +20,8 @@ import numpy as np
 
 from . import allocator
 from .allocator import AllocationMatrix, AllocationProblem
-from .model import AppellationRecord, Category, CountyRecord, DEFAULT_WEIGHTS, exact_sums
+from .model import AppellationRecord, Category, CountyRecord, DEFAULT_WEIGHTS, InputError
+from .model import exact_sums
 
 #: Out-of-home-department sampling weight per category (home weight is 1).
 SPREAD: Mapping[Category, float] = {
@@ -63,11 +64,11 @@ def generate(
     cells, sampled with the same geographic locality. Marginals are exact
     sums of the truth, so the truth is exactly feasible. County codes are
     ``<department><index>``: more than 96 departments, or more than 999
-    counties in one department, is a ``ValueError``.
+    counties in one department, is an :class:`InputError`.
     """
     n_appellations, n_counties, density = shape
     if n_appellations < 1 or n_counties < 1 or not 0 < density <= 1:
-        raise ValueError(f"degenerate shape {shape!r}")
+        raise InputError(f"degenerate shape {shape!r}")
     rng = np.random.default_rng(int(seed))
 
     mix_categories = sorted(CATEGORY_MIX, key=lambda c: c.value)
@@ -78,11 +79,11 @@ def generate(
     appellation_codes = [f"A{i:03d}" for i in range(n_appellations)]
     n_departments = max(1, n_counties // counties_per_department)
     if n_departments > 96:
-        raise ValueError(f"{n_departments} departments; from 97 on a code reads as overseas 97x")
+        raise InputError(f"{n_departments} departments; from 97 on a code reads as overseas 97x")
     # The last department takes the remainder, so it is the largest.
     largest = n_counties - (n_departments - 1) * counties_per_department
     if largest > 999:
-        raise ValueError(f"{largest} counties in one department with counties_per_department = "
+        raise InputError(f"{largest} counties in one department with counties_per_department = "
                          f"{counties_per_department}; a county index has 3 digits")
     department_of = np.minimum(
         np.arange(n_counties) // counties_per_department, n_departments - 1

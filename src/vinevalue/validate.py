@@ -16,7 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import Category, Cell, department_of_insee, exact_sums, reporting_category, write_rows
+from .model import Category, Cell, InputError, department_of_insee, exact_sums, reporting_category
+from .model import write_rows
 
 
 @dataclass
@@ -133,13 +134,13 @@ def _taus(values: np.ndarray, first: np.ndarray, second: np.ndarray) -> list[flo
 
 def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
     """Tie-corrected Kendall rank correlation (tau-b) in [-1, 1]. Raises
-    ValueError on length mismatch, fewer than two points, or when either
-    side is entirely tied (tau undefined)."""
+    ValueError on length mismatch, and :class:`InputError` on fewer than two
+    points or when either side is entirely tied (tau undefined)."""
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
     tau = _taus(np.array([x, y], dtype=float), [0], [1])[0]
     if tau is None:
-        raise ValueError("kendall tau undefined: fewer than two points or a side entirely tied")
+        raise InputError("kendall tau undefined: fewer than two points or a side entirely tied")
     return tau
 
 
@@ -161,11 +162,11 @@ def compare_solutions(
     (cells missing from a solution count as zero), plus the same restricted
     to cells whose maximum across solutions reaches the threshold."""
     if len(solutions) < 2:
-        raise ValueError("need at least two solutions to compare")
+        raise InputError("need at least two solutions to compare")
     support, values = align(solutions)
     taus = _pairwise_taus(values)
     if not taus:
-        raise ValueError("pairwise tau undefined for every solution pair")
+        raise InputError("pairwise tau undefined for every solution pair")
     keep = values.max(axis=0) >= restrict_min_hectares
     restricted = _pairwise_taus(values[:, keep]) if keep.any() else []
     return ComparisonReport(
@@ -203,7 +204,7 @@ def compare_aggregates(
     model = aggregate_allocation(cells, categories_by_code)
     keys, values = align([model, reference])
     if len(keys) < 2:
-        raise ValueError("need at least two aggregate keys to compare")
+        raise InputError("need at least two aggregate keys to compare")
     keep = values[1] >= restrict_min_hectares
     return ComparisonReport(
         pair_count=len(keys),

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .linkage import LabelMatch
-from .model import AppellationRecord, Category, Cell, ProductionMode, write_rows
+from .model import AppellationRecord, Category, Cell, InputError, ProductionMode, write_rows
 from .model import exact_sums, reporting_category
 from .yields import ExpectedYield
 
@@ -74,7 +74,7 @@ class ValueReport:
 def harvest_value(surface: float, expected_yield: float, price: float) -> float:
     """Exact product of surface (ha), yield (hl/ha) and price (eur/hl)."""
     if surface < 0 or expected_yield < 0 or price < 0:
-        raise ValueError("harvest value factors must be nonnegative")
+        raise InputError("harvest value factors must be nonnegative")
     return surface * expected_yield * price
 
 
@@ -113,7 +113,7 @@ def build_portfolio(
         if app is not None:
             prices_by_category.setdefault(reporting_category(app.category), []).append(price)
     if not price_by_code:
-        raise ValueError("no resolved prices; cannot value the portfolio")
+        raise InputError("no resolved prices; cannot value the portfolio")
     overall_median = statistics.median(price_by_code.values())
 
     records = []
@@ -123,9 +123,9 @@ def build_portfolio(
             continue
         app = appellations.get(code)
         if app is None:
-            raise ValueError(f"allocation references unknown appellation {code!r}")
+            raise InputError(f"allocation references unknown appellation {code!r}")
         if code not in expected_yields:
-            raise ValueError(f"no expected yield for appellation {code!r}")
+            raise InputError(f"no expected yield for appellation {code!r}")
         ey = expected_yields[code].value
         if code not in price_by_code:
             in_category = prices_by_category.get(reporting_category(app.category))
@@ -158,7 +158,7 @@ def summarize_by_category(
     """Totals and shares per category in the fixed presentation order.
     Pseudo non-PGI appellations are reported as non-PGI."""
     if not portfolio:
-        raise ValueError("empty portfolio")
+        raise InputError("empty portfolio")
     keys = [reporting_category(categories_by_code.get(r.appellation_code)) for r in portfolio]
     values = exact_sums(zip(keys, (r.value for r in portfolio)))
     surfaces = exact_sums(zip(keys, (r.surface for r in portfolio)))

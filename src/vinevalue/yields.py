@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .model import AppellationRecord, Category, exact_sums, read_rows, write_rows
+from .model import AppellationRecord, Category, exact_sums, finite_float, read_rows, write_rows
 
 #: Flat fallback when neither the appellation nor its category has a usable
 #: five-year history.
@@ -133,6 +133,6 @@ def write_expected_yields(table: Mapping[str, ExpectedYield], path: str | Path) 
 
 def read_expected_yields(path: str | Path) -> dict[str, ExpectedYield]:
     def row(code: str, value: str, provenance: str) -> tuple[str, ExpectedYield]:
-        return code, ExpectedYield(code, float(value), YieldProvenance(provenance))
+        return code, ExpectedYield(code, finite_float(value), YieldProvenance(provenance))
 
     return dict(read_rows(path, YIELDS_HEADER, row))

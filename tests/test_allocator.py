@@ -457,9 +457,15 @@ class TestMultiStart:
     def test_calling_thread_runs_starts(self, monkeypatch, k_starts, most_threads):
         real = allocator.solve
         threads = set()
+        # Each thread's first start waits for the others' first, so the
+        # helpers cannot drain the queue before the calling thread takes a
+        # seed; two blocked helpers hold only two of the seven.
+        first_starts = threading.Barrier(most_threads, timeout=10)
 
         def recording_solve(*args):
-            threads.add(threading.current_thread())
+            if threading.current_thread() not in threads:
+                threads.add(threading.current_thread())
+                first_starts.wait()
             return real(*args)
 
         monkeypatch.setattr(allocator, "_cpu_count", lambda: 3)

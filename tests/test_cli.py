@@ -245,8 +245,23 @@ class TestStageIsolation:
         ("value", "solution.csv",
          lambda row: row if row[0] == "appellation" else [*row[:2], "abc"],
          " line 2: could not convert string to float: 'abc'; "),
+        # A number field that parses but is not finite.
+        ("value", "solution.csv",
+         lambda row: row if row[0] == "appellation" else [*row[:2], "nan"],
+         " line 2: non-finite number 'nan'; "),
+        ("value", "expected_yields.csv",
+         lambda row: row if row[0] == "code" else [row[0], "nan", row[2]],
+         " line 2: non-finite number 'nan'; "),
+        # A yield history that is JSON but not an object of numbers.
+        ("yields", "appellations.csv",
+         lambda row: row if row[0] == "code" else [*row[:4], "[1]"],
+         " line 2: yield history '[1]' is not an object of numbers; "),
+        ("yields", "appellations.csv",
+         lambda row: row if row[0] == "code" else [*row[:4], '"{""2018"": [1]}"'],
+         """ line 2: yield history '{"2018": [1]}' is not an object of numbers; """),
     ], ids=["appellations", "matches", "yields-provenance", "matches-distance",
-            "solution-surface"])
+            "solution-surface", "solution-nan", "yields-nan", "history-list",
+            "history-nested-list"])
     def test_stale_layout_is_a_one_line_stage_error(
         self, alsace_config, pipeline_out, tmp_path, caplog, stage, name, old_layout, error
     ):
@@ -594,8 +609,11 @@ class TestOptionalInputs:
         assert rc == 2
         assert any(message in record.getMessage() for record in caplog.records)
 
-    @pytest.mark.parametrize("key", ["ra_map", "region_map"])
-    def test_one_field_map_row_is_a_stage_error(self, extended_config, tmp_path, caplog, key):
+    @pytest.mark.parametrize("key, stage", [("ra_map", "value"), ("region_map", "link")],
+                             ids=["ra_map", "region_map"])
+    def test_one_field_map_row_is_a_stage_error(
+        self, extended_config, tmp_path, caplog, key, stage
+    ):
         (extended_config.parent / "data" / "map.csv").write_text(
             "key;value\n67003\n", encoding="utf-8"
         )
@@ -609,7 +627,7 @@ class TestOptionalInputs:
         with caplog.at_level(logging.ERROR):
             assert run_cli("run", "--config", str(extended_config), "--output-dir", str(out)) == 2
         assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
-            f"[run] {key}: malformed row at line 2"
+            f"[{stage}] {key}: malformed row at line 2"
         ]
 
 
@@ -785,6 +803,19 @@ class TestErrors:
             f"{per_department}; a county index has 3 digits"
         ]
 
+    def test_value_error_from_a_defect_is_a_traceback(
+        self, alsace_config, pipeline_out, tmp_path, monkeypatch
+    ):
+        # Only a PipelineError (or OSError) ends a stage in one line; any
+        # other ValueError is a defect and must show where it was raised.
+        def defect(*args, **kwargs):
+            raise ValueError("a defect")
+
+        monkeypatch.setattr(validate, "compare_solutions", defect)
+        out = shutil.copytree(pipeline_out, tmp_path / "out")
+        with pytest.raises(ValueError, match="a defect"):
+            run_cli("validate", "--config", str(alsace_config), "--output-dir", str(out))
+
     def test_missing_configured_column_stops_ingest(self, alsace_config, tmp_path, caplog):
         fixture = shutil.copytree(alsace_config.parent, tmp_path / "alsace")
         config = fixture / "pipeline.ini"
@@ -807,7 +838,7 @@ class TestErrors:
             rc = run_cli("run", "--config", str(config), "--output-dir", str(tmp_path / "out"))
         assert rc == 2
         assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
-            "[run] acronyms.txt: line 1 is not SHORT=Long form: 'BOURG Bourgogne'"
+            "[link] acronyms.txt: line 1 is not SHORT=Long form: 'BOURG Bourgogne'"
         ]
 
     def test_repeated_acronym_stops_link(self, alsace_config, tmp_path, caplog):

@@ -221,7 +221,8 @@ def test_removed_keys_are_ignored_like_unknown_keys(alsace_copy, section, key):
     ("counties_per_department", "0", "synth.counties_per_department must be >= 1, got 0"),
     ("appellations", "0", "synth.appellations must be >= 1, got 0"),
     ("counties", "-3", "synth.counties must be >= 1, got -3"),
-    ("extra_mask_factor", "-0.5", "synth.extra_mask_factor must be >= 0, got -0.5"),
+    ("extra_mask_factor", "-0.5", "synth.extra_mask_factor must be finite and >= 0, got -0.5"),
+    ("extra_mask_factor", "inf", "synth.extra_mask_factor must be finite and >= 0, got inf"),
     ("restrict_min_hectares", "nan",
      "solver.restrict_min_hectares must be finite and >= 0, got nan"),
     ("restrict_min_hectares", "-1",
