@@ -4,11 +4,16 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
+from scipy.optimize import linprog
+
+from vinevalue import allocator
 from vinevalue.allocator import (
     AllocationMatrix,
     AllocationProblem,
     OptimalFace,
     optimal_value,
+    project_feasible,
+    random_init,
     solve,
 )
 from vinevalue.linkage import (
@@ -128,6 +133,23 @@ def phase1_multi_start(
     face = optimal_value(problem)
     return face, [solve(problem, seed, face)
                   for seed in range(seed_base, seed_base + k_starts)]
+
+
+def default_pricing_solve(problem: AllocationProblem, seed: int,
+                          face: OptimalFace) -> AllocationMatrix:
+    """``allocator.solve`` with its phase-2 LP priced at the HiGHS default,
+    steepest-devex: the same ``linprog`` call without the devex key."""
+    options = dict(allocator._PHASE2_OPTIONS)
+    del options["simplex_dual_edge_weight_strategy"]
+    res = linprog(
+        -random_init(problem, seed) / problem.upper_bounds,
+        A_ub=face.a_ub, b_ub=face.b_ub, A_eq=face.a_eq, b_eq=face.b_eq,
+        bounds=face.bounds, method="highs", options=options,
+    )
+    assert res.status == 0, res.message
+    x = project_feasible(problem, res.x)
+    x[x < 1e-12] = 0.0
+    return AllocationMatrix({cell: float(v) for cell, v in zip(problem.cells, x) if v > 0.0})
 
 
 def kendall_tau_oracle(x, y) -> float:

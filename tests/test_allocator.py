@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from baselines import brute_force_optimum, greedy_baseline, phase1_multi_start
+from baselines import (
+    brute_force_optimum,
+    default_pricing_solve,
+    greedy_baseline,
+    phase1_multi_start,
+)
 from vinevalue import allocator, synth
 from vinevalue.allocator import (
     SolveError,
@@ -695,6 +700,56 @@ class TestFilledRowsFace:
             for solution in (*result.solutions, result.average):
                 assert feasibility_violations(problem, solution.cells) == []
         assert tight_county_faces >= 30 and fixed_column_faces >= 25
+
+
+def criterion_2_problem(rng, county_scale=1.0):
+    """One of criterion 2's random instances, drawn from ``rng``, with every
+    county cap multiplied by ``county_scale``."""
+    n_apps = int(rng.integers(2, 51))
+    n_counties = int(rng.integers(5, 201))
+    density = float(rng.uniform(0.02, 0.3))
+    instance = synth.generate(
+        (n_apps, n_counties, density), seed=int(rng.integers(1 << 62)),
+        counties_per_department=max(2, n_counties // 5),
+    ).problem
+    return problem_from_caps(
+        instance.appellation_caps,
+        {insee: county_scale * cap for insee, cap in instance.county_caps.items()},
+        instance.weights, instance.cells,
+    )
+
+
+class TestPhaseTwoPricing:
+    """The starts price their LPs with devex; priced at the HiGHS default,
+    each start lands on the same vertex, within 1e-9 ha."""
+
+    @staticmethod
+    def same_as_default_pricing(problem, face, k_starts, seed_base):
+        result = multi_start_average(problem, k_starts=k_starts, seed_base=seed_base)
+        same_starts(result, face, [default_pricing_solve(problem, seed, face)
+                                   for seed in range(seed_base, seed_base + k_starts)])
+
+    def test_criterion_2_instances(self):
+        rng = np.random.default_rng(2424)
+        for i in range(40):
+            problem = criterion_2_problem(rng)
+            face = allocator._saturated_face(problem) or optimal_value(problem)
+            self.same_as_default_pricing(problem, face, 2, i)
+
+    def test_phase_one_face_with_contested_county_caps(self):
+        problem = criterion_2_problem(np.random.default_rng(2424), county_scale=0.8)
+        face = optimal_value(problem)
+        # More equality rows than appellations: some county rows are tight.
+        assert face.a_eq.shape[0] > len(problem.row_codes)
+        low, high = face.bounds.T
+        assert np.any((low == high) & (problem.lower_bounds == 0))
+        self.same_as_default_pricing(problem, face, 4, 0)
+
+    def test_labels_shape(self):
+        problem = synth.generate((1100, 900, 0.0096), seed=7,
+                                 counties_per_department=90).problem
+        assert problem.n_cells == 14797
+        self.same_as_default_pricing(problem, allocator._saturated_face(problem), 2, 11)
 
 
 class TestProjectFeasible:

@@ -281,6 +281,22 @@ class TestStageIsolation:
         assert message.startswith(f"[{stage}] {name}{error}")
         assert message.endswith("re-run the stage that writes it")
 
+    def test_negative_surface_is_a_one_line_stage_error(
+        self, alsace_config, pipeline_out, tmp_path, caplog
+    ):
+        out = shutil.copytree(pipeline_out, tmp_path / "out")
+        header, first, *rest = (out / SOLUTION_CSV).read_text(encoding="utf-8").splitlines()
+        first = ";".join([*first.split(";")[:2], "-13.2"])
+        (out / SOLUTION_CSV).write_text(
+            "".join(line + "\r\n" for line in (header, first, *rest)), encoding="utf-8")
+        with caplog.at_level(logging.ERROR):
+            rc = run_cli("value", "--config", str(alsace_config), "--output-dir", str(out))
+        assert rc == 2
+        [record] = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert record.getMessage() == (
+            f"[value] {SOLUTION_CSV} line 2: negative surface '-13.2'; "
+            "re-run the stage that writes it")
+
 
 class TestSharedProblem:
     """``solve`` reads nothing but ``problem/``, so a bad value there is a
@@ -645,7 +661,7 @@ class TestPinnedTotals:
                           b"AOP;4789837.09;1.0;281.2;1.0\r\n",
             REGION_CSV: b"agricultural_region;value_eur;surface_ha;value_eur_per_ha\r\n"
                         b"RA-6701;811418.3725;48.7;16661.5682238193\r\n"
-                        b"RA-6702;3978418.7175;232.5;17111.47835483871\r\n",
+                        b"RA-6702;3978418.7175;232.49999999999997;17111.47835483871\r\n",
             VALUE_REPORT: b'{"fallback_codes": [], "price_fallbacks": 0, "records": 19, '
                           b'"total_surface_ha": 281.2, "total_value_eur": 4789837.09}\n',
         }
@@ -657,7 +673,7 @@ class TestPinnedTotals:
         assert rc == 0
         assert (out / SYNTH_REPORT).read_bytes() == (
             b'{"aggregate_tau": 0.9696969696969697, "average_objective": 1592.6749448905134, '
-            b'"cell_tau": 0.073397202841077, "max_row_relative_error": 6.028692092459169e-16, '
+            b'"cell_tau": 0.07330039169751495, "max_row_relative_error": 3.6172152554755014e-16, '
             b'"n_active_cells": 265, "seed": 77, "shape": [20, 100, 0.1], '
             b'"truth_objective": 1592.6749448905134}\n'
         )
