@@ -74,6 +74,20 @@ _HIGHS_OPTIONS = {
 }
 _PHASE2_OPTIONS = {**_HIGHS_OPTIONS, "simplex_dual_edge_weight_strategy": "devex"}
 
+#: The most cells one phase-2 LP holds when it solves several starts. On a
+#: small problem scipy's checks and set-up around a ``linprog`` call cost far
+#: more than HiGHS's solve: one start of the 19-cell Alsace problem takes
+#: 2.5 ms a call, and all 20 starts in one LP 6.3 ms. So the starts share
+#: one block-diagonal LP. A sweep of ``multi_start_average`` with k = 20 on
+#: 2 CPUs (median of 9, one start per LP against this budget): 19 cells
+#: 59.5 -> 7.8 ms (all 20 starts in one LP), 208 cells 98.6 -> 35.9 ms,
+#: 537 cells 104 -> 68.7 ms, 923 cells 123 -> 104 ms. Budgets of
+#: 4,000-8,000 cells did better from about 900 cells up but worse below,
+#: where fewer batches than CPUs leave one idle, and 16,000 lost at 537 and
+#: 923 cells. A problem of more than half this many cells solves one start
+#: per LP.
+_BATCH_CELLS = 2000
+
 #: The range of a cap or known surface and of a weight, as (rule text, test);
 #: NaN fails both tests.
 _SURFACE_RULE = (">= 0", lambda value: 0 <= value < math.inf)
@@ -245,7 +259,8 @@ def _saturated_face(problem: AllocationProblem) -> OptimalFace | None:
     cells cannot hold its cap."""
     rows = len(problem.row_codes)
     room = np.bincount(problem.row_index, weights=problem.upper_bounds, minlength=rows)
-    if problem.row_caps.sum() > problem.col_caps.sum() or np.any(room < problem.row_caps):
+    if (math.fsum(problem.row_caps.tolist()) > math.fsum(problem.col_caps.tolist())
+            or np.any(room < problem.row_caps)):
         return None
     matrix, rhs = _constraints(problem)
     value = math.fsum(problem.weights[code] * cap
@@ -321,26 +336,42 @@ def optimal_value(problem: AllocationProblem) -> OptimalFace:
     )
 
 
-def solve(problem: AllocationProblem, seed: int, face: OptimalFace) -> AllocationMatrix:
-    """Solve the start of ``seed``: the vertex of ``face`` that maximizes
-    ``random_init(problem, seed) / upper_bounds``.
+def solve(problem: AllocationProblem, seeds: Sequence[int],
+          face: OptimalFace) -> list[AllocationMatrix]:
+    """Solve the starts of ``seeds`` as one LP, and return one matrix per
+    seed, in order. The LP is block-diagonal: one copy of ``face`` per start,
+    and each block maximizes its start's ``random_init(problem, seed) /
+    upper_bounds``. The blocks share no row or column, so each block's
+    optimum is the vertex its start reaches alone.
 
     ``face`` is an optimal face of ``problem``, such as
-    ``optimal_value(problem)``. The returned matrix is exactly feasible and
-    its objective equals the LP optimum up to float rounding.
+    ``optimal_value(problem)``. Each returned matrix is exactly feasible and
+    its objective equals the LP optimum up to float rounding. An LP that
+    HiGHS does not solve fails every start of the batch.
     """
-    if problem.n_cells == 0:
-        return AllocationMatrix({})
+    m, n = problem.n_cells, len(seeds)
+    if m == 0:
+        return [AllocationMatrix({}) for _ in seeds]
+    if n == 1:
+        # A batch of one solves the face itself: copying it raised the peak
+        # RSS of the full-scale benchmark run from 320 to 346 MB.
+        a_ub, a_eq, bounds = face.a_ub, face.a_eq, face.bounds
+    else:
+        a_ub, a_eq = (sparse.block_diag([a] * n, format="csr") for a in (face.a_ub, face.a_eq))
+        bounds = np.tile(face.bounds, (n, 1))
     res = linprog(
-        -random_init(problem, seed) / problem.upper_bounds,
-        A_ub=face.a_ub, b_ub=face.b_ub, A_eq=face.a_eq, b_eq=face.b_eq,
-        bounds=face.bounds, method="highs", options=_PHASE2_OPTIONS,
+        np.concatenate([-random_init(problem, seed) / problem.upper_bounds for seed in seeds]),
+        A_ub=a_ub, b_ub=np.tile(face.b_ub, n), A_eq=a_eq, b_eq=np.tile(face.b_eq, n),
+        bounds=bounds, method="highs", options=_PHASE2_OPTIONS,
     )
     if res.status != 0:
         raise SolveError(f"phase-2 LP failed (status {res.status}): {res.message}")
-    x = project_feasible(problem, res.x)
-    x[x < 1e-12] = 0.0
-    return _matrix_from_vector(problem, x)
+    solutions = []
+    for x in res.x.reshape(n, m):
+        x = project_feasible(problem, x)
+        x[x < 1e-12] = 0.0
+        solutions.append(_matrix_from_vector(problem, x))
+    return solutions
 
 
 @dataclass(eq=False)
@@ -367,32 +398,38 @@ def _run_starts(
     workers: int,
     problem: AllocationProblem,
     face: OptimalFace,
-    seeds: Sequence[int],
+    batches: Sequence[Sequence[int]],
     probe: bool,
 ) -> dict[int, AllocationMatrix | SolveError] | None:
-    """Solve the start of every seed on ``face``, on ``workers`` threads: this
-    one and ``workers - 1`` of ``pool``. The seeds wait in one queue, and
+    """Solve every batch of starts on ``face``, on ``workers`` threads: this
+    one and ``workers - 1`` of ``pool``. The batches wait in one queue, and
     each thread takes the next until none is left. With ``probe``, the first
-    start that fails rejects the face: no thread takes a seed after it, the
-    starts already running finish, and the result is None."""
-    pending: queue.SimpleQueue[int] = queue.SimpleQueue()
-    for seed in seeds:
-        pending.put(seed)
+    batch that fails rejects the face: no thread takes a batch after it, the
+    batches already running finish, and the result is None. Without it, a
+    failed batch of several starts goes back on the queue as batches of one,
+    so a start that fails never fails its neighbours."""
+    pending: queue.SimpleQueue[Sequence[int]] = queue.SimpleQueue()
+    for batch in batches:
+        pending.put(batch)
     outcomes: dict[int, AllocationMatrix | SolveError] = {}
     rejected = threading.Event()
 
     def run() -> None:
         while not rejected.is_set():
             try:
-                seed = pending.get_nowait()
+                batch = pending.get_nowait()
             except queue.Empty:
                 return
             try:
-                outcomes[seed] = solve(problem, seed, face)
+                outcomes.update(zip(batch, solve(problem, batch, face)))
             except SolveError as exc:
-                outcomes[seed] = exc
                 if probe:
                     rejected.set()
+                elif len(batch) > 1:
+                    for seed in batch:
+                        pending.put((seed,))
+                else:
+                    outcomes[batch[0]] = exc
 
     helpers = [pool.submit(run) for _ in range(workers - 1)]
     run()
@@ -408,30 +445,33 @@ def multi_start_average(
 ) -> MultiStartResult:
     """Average the solutions of ``k_starts`` random starts cell-wise.
 
-    The starts first run on the face where every appellation row is filled;
-    if an LP on that face fails, phase 1 computes the optimal face and every
-    start runs again on it, so no start on the rejected face counts
-    as failed. The starts run on ``min(k_starts, CPUs)`` threads, this one
-    included: HiGHS releases the GIL, and each helper thread builds its own
-    LP working set. Outcomes are kept by seed and reduced in seed order, so
-    results are bit-identical whatever the thread count. The average is
-    feasible by convexity of the constraint set. Failed starts are excluded
-    and reported; all starts failing is fatal, and any other error in a start
-    propagates. Agreement between the starts is measured by
-    ``validate.compare_solutions``.
+    The starts run in batches of ``max(1, _BATCH_CELLS // n_cells)``, each
+    batch one LP (:func:`solve`); the batches depend only on the problem
+    size and ``k_starts``. They first run on the face where every appellation
+    row is filled; if a batch fails there, phase 1 computes the optimal face
+    and every batch runs again on it, so no start on the rejected face
+    counts as failed. The batches run on ``min(batches, CPUs)`` threads,
+    this one included: HiGHS releases the GIL, and each helper thread builds
+    its own LP working set. Outcomes are kept by seed and reduced in seed
+    order, so results are bit-identical whatever the thread count. The average is feasible by convexity of the constraint set.
+    Failed starts are excluded and reported; all starts failing is fatal,
+    and any other error in a batch propagates. Agreement between the starts
+    is measured by ``validate.compare_solutions``.
     """
     if k_starts < 1:
         raise ValueError("k_starts must be >= 1")
 
     seeds = range(seed_base, seed_base + k_starts)
-    workers = min(k_starts, _cpu_count())
+    size = max(1, _BATCH_CELLS // max(problem.n_cells, 1))
+    batches = [seeds[i:i + size] for i in range(0, k_starts, size)]
+    workers = min(len(batches), _cpu_count())
     with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
         face = _saturated_face(problem)
         outcomes = None if face is None else _run_starts(
-            pool, workers, problem, face, seeds, probe=True)
+            pool, workers, problem, face, batches, probe=True)
         if outcomes is None:
             face = optimal_value(problem)
-            outcomes = _run_starts(pool, workers, problem, face, seeds, probe=False)
+            outcomes = _run_starts(pool, workers, problem, face, batches, probe=False)
 
     solutions: list[AllocationMatrix] = []
     vectors: list[np.ndarray] = []

@@ -131,14 +131,14 @@ def phase1_multi_start(
     with the face always read from the phase-1 duals, the starts solved one
     at a time in seed order."""
     face = optimal_value(problem)
-    return face, [solve(problem, seed, face)
+    return face, [solve(problem, [seed], face)[0]
                   for seed in range(seed_base, seed_base + k_starts)]
 
 
 def default_pricing_solve(problem: AllocationProblem, seed: int,
                           face: OptimalFace) -> AllocationMatrix:
-    """``allocator.solve`` with its phase-2 LP priced at the HiGHS default,
-    steepest-devex: the same ``linprog`` call without the devex key."""
+    """One start of ``allocator.solve``, alone in its LP and priced at the
+    HiGHS default, steepest-devex: a batch of one without the devex key."""
     options = dict(allocator._PHASE2_OPTIONS)
     del options["simplex_dual_edge_weight_strategy"]
     res = linprog(
