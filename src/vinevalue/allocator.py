@@ -35,6 +35,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
 
 from .model import (
     AppellationRecord,
@@ -72,21 +73,12 @@ _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-9,
     "dual_feasibility_tolerance": 1e-9,
 }
-_PHASE2_OPTIONS = {**_HIGHS_OPTIONS, "simplex_dual_edge_weight_strategy": "devex"}
-
-#: The most cells one phase-2 LP holds when it solves several starts. On a
-#: small problem scipy's checks and set-up around a ``linprog`` call cost far
-#: more than HiGHS's solve: one start of the 19-cell Alsace problem takes
-#: 2.5 ms a call, and all 20 starts in one LP 6.3 ms. So the starts share
-#: one block-diagonal LP. A sweep of ``multi_start_average`` with k = 20 on
-#: 2 CPUs (median of 9, one start per LP against this budget): 19 cells
-#: 59.5 -> 7.8 ms (all 20 starts in one LP), 208 cells 98.6 -> 35.9 ms,
-#: 537 cells 104 -> 68.7 ms, 923 cells 123 -> 104 ms. Budgets of
-#: 4,000-8,000 cells did better from about 900 cells up but worse below,
-#: where fewer batches than CPUs leave one idle, and 16,000 lost at 537 and
-#: 923 cells. A problem of more than half this many cells solves one start
-#: per LP.
-_BATCH_CELLS = 2000
+#: ``_HIGHS_OPTIONS`` as HiGHS spells them, plus what ``linprog`` sets on every call.
+_PHASE2_OPTIONS = {
+    **_HIGHS_OPTIONS, "presolve": "off", "output_flag": False,
+    "simplex_strategy": 1,  # dual
+    "simplex_dual_edge_weight_strategy": 1,  # devex
+}
 
 #: The range of a cap or known surface and of a weight, as (rule text, test);
 #: NaN fails both tests.
@@ -319,6 +311,9 @@ def optimal_value(problem: AllocationProblem) -> OptimalFace:
     bounds = np.column_stack([problem.lower_bounds, problem.upper_bounds])
     if m == 0:
         return OptimalFace(0.0, matrix, rhs, matrix, rhs, bounds)
+    # Still ``linprog``, not a :func:`_face_model` model: the benchmark's
+    # tracer counts phase-1 iterations by wrapping ``allocator.linprog``, and
+    # its contract test pins that name.
     res = linprog(
         -problem.alpha, A_ub=matrix, b_ub=rhs, bounds=bounds,
         method="highs", options=_HIGHS_OPTIONS,
@@ -336,42 +331,56 @@ def optimal_value(problem: AllocationProblem) -> OptimalFace:
     )
 
 
-def solve(problem: AllocationProblem, seeds: Sequence[int],
-          face: OptimalFace) -> list[AllocationMatrix]:
-    """Solve the starts of ``seeds`` as one LP, and return one matrix per
-    seed, in order. The LP is block-diagonal: one copy of ``face`` per start,
-    and each block maximizes its start's ``random_init(problem, seed) /
-    upper_bounds``. The blocks share no row or column, so each block's
-    optimum is the vertex its start reaches alone.
+def _checked(status: _core.HighsStatus, step: str) -> None:
+    if status == _core.HighsStatus.kError:
+        raise SolveError(f"phase-2 LP failed: HiGHS {step} returned an error")
 
-    ``face`` is an optimal face of ``problem``, such as
-    ``optimal_value(problem)``. Each returned matrix is exactly feasible and
-    its objective equals the LP optimum up to float rounding. An LP that
-    HiGHS does not solve fails every start of the batch.
-    """
-    m, n = problem.n_cells, len(seeds)
+
+def _face_model(face: OptimalFace) -> _core._Highs:
+    """A HiGHS model of ``face`` without costs, laid out as ``linprog`` lays
+    out its LP: the inequality rows first, then the equality rows, and the
+    matrix by column."""
+    matrix = sparse.vstack([face.a_ub, face.a_eq]).tocsc()
+    lp = _core.HighsLp()
+    lp.num_row_, lp.num_col_ = lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = matrix.shape
+    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = (
+        matrix.indptr, matrix.indices, matrix.data)
+    lp.col_cost_ = np.zeros(matrix.shape[1])
+    lp.col_lower_, lp.col_upper_ = face.bounds.T.copy()
+    lp.row_lower_ = np.concatenate([np.full(len(face.b_ub), -_core.kHighsInf), face.b_eq])
+    lp.row_upper_ = np.concatenate([face.b_ub, face.b_eq])
+    highs = _core._Highs()
+    for key, value in _PHASE2_OPTIONS.items():
+        _checked(highs.setOptionValue(key, value), f"setOptionValue({key!r})")
+    _checked(highs.passModel(lp), "passModel")
+    return highs
+
+
+def solve(problem: AllocationProblem, seed: int, face: OptimalFace,
+          highs: _core._Highs | None = None) -> AllocationMatrix:
+    """The vertex of ``face``, an optimal face of ``problem`` such as
+    ``optimal_value(problem)``, that maximizes ``random_init(problem, seed) /
+    upper_bounds``: exactly feasible, its objective the optimum up to float
+    rounding. ``highs`` is a model of the face (:func:`_face_model`), reused
+    between starts; the start clears its solver state, so it lands on the
+    vertex of one ``linprog`` call, bit for bit. Without one, the start
+    builds its own."""
+    m = problem.n_cells
     if m == 0:
-        return [AllocationMatrix({}) for _ in seeds]
-    if n == 1:
-        # A batch of one solves the face itself: copying it raised the peak
-        # RSS of the full-scale benchmark run from 320 to 346 MB.
-        a_ub, a_eq, bounds = face.a_ub, face.a_eq, face.bounds
-    else:
-        a_ub, a_eq = (sparse.block_diag([a] * n, format="csr") for a in (face.a_ub, face.a_eq))
-        bounds = np.tile(face.bounds, (n, 1))
-    res = linprog(
-        np.concatenate([-random_init(problem, seed) / problem.upper_bounds for seed in seeds]),
-        A_ub=a_ub, b_ub=np.tile(face.b_ub, n), A_eq=a_eq, b_eq=np.tile(face.b_eq, n),
-        bounds=bounds, method="highs", options=_PHASE2_OPTIONS,
-    )
-    if res.status != 0:
-        raise SolveError(f"phase-2 LP failed (status {res.status}): {res.message}")
-    solutions = []
-    for x in res.x.reshape(n, m):
-        x = project_feasible(problem, x)
-        x[x < 1e-12] = 0.0
-        solutions.append(_matrix_from_vector(problem, x))
-    return solutions
+        return AllocationMatrix({})
+    if highs is None:
+        highs = _face_model(face)
+    highs.clearSolver()
+    costs = -random_init(problem, seed) / problem.upper_bounds
+    _checked(highs.changeColsCost(m, np.arange(m, dtype=np.int32), costs), "changeColsCost")
+    _checked(highs.run(), "run")
+    status = highs.getModelStatus()
+    if status != _core.HighsModelStatus.kOptimal:
+        raise SolveError(f"phase-2 LP failed ({highs.modelStatusToString(status)})")
+    x = project_feasible(problem, np.array(highs.getSolution().col_value))
+    x[x < 1e-12] = 0.0
+    return _matrix_from_vector(problem, x)
 
 
 @dataclass(eq=False)
@@ -393,43 +402,37 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_starts(
-    pool: ThreadPoolExecutor,
-    workers: int,
-    problem: AllocationProblem,
-    face: OptimalFace,
-    batches: Sequence[Sequence[int]],
-    probe: bool,
-) -> dict[int, AllocationMatrix | SolveError] | None:
-    """Solve every batch of starts on ``face``, on ``workers`` threads: this
-    one and ``workers - 1`` of ``pool``. The batches wait in one queue, and
-    each thread takes the next until none is left. With ``probe``, the first
-    batch that fails rejects the face: no thread takes a batch after it, the
-    batches already running finish, and the result is None. Without it, a
-    failed batch of several starts goes back on the queue as batches of one,
-    so a start that fails never fails its neighbours."""
-    pending: queue.SimpleQueue[Sequence[int]] = queue.SimpleQueue()
-    for batch in batches:
-        pending.put(batch)
+def _run_starts(pool: ThreadPoolExecutor, workers: int, problem: AllocationProblem,
+                face: OptimalFace, seeds: Sequence[int],
+                probe: bool) -> dict[int, AllocationMatrix | SolveError] | None:
+    """Solve every start on ``face`` on ``workers`` threads: this one and
+    ``workers - 1`` of ``pool``. Each thread takes seeds from one queue until
+    none is left, and solves them on one model of the face, built at its first
+    seed. With ``probe``, the first failed start rejects the face: no thread
+    takes a seed after it, the starts already running finish, and the result
+    is None. Without it, a failed start records its error."""
+    pending: queue.SimpleQueue[int] = queue.SimpleQueue()
+    for seed in seeds:
+        pending.put(seed)
     outcomes: dict[int, AllocationMatrix | SolveError] = {}
     rejected = threading.Event()
 
     def run() -> None:
+        highs = None
         while not rejected.is_set():
             try:
-                batch = pending.get_nowait()
+                seed = pending.get_nowait()
             except queue.Empty:
                 return
             try:
-                outcomes.update(zip(batch, solve(problem, batch, face)))
+                if highs is None:
+                    highs = _face_model(face)
+                outcomes[seed] = solve(problem, seed, face, highs)
             except SolveError as exc:
                 if probe:
                     rejected.set()
-                elif len(batch) > 1:
-                    for seed in batch:
-                        pending.put((seed,))
                 else:
-                    outcomes[batch[0]] = exc
+                    outcomes[seed] = exc
 
     helpers = [pool.submit(run) for _ in range(workers - 1)]
     run()
@@ -445,33 +448,29 @@ def multi_start_average(
 ) -> MultiStartResult:
     """Average the solutions of ``k_starts`` random starts cell-wise.
 
-    The starts run in batches of ``max(1, _BATCH_CELLS // n_cells)``, each
-    batch one LP (:func:`solve`); the batches depend only on the problem
-    size and ``k_starts``. They first run on the face where every appellation
-    row is filled; if a batch fails there, phase 1 computes the optimal face
-    and every batch runs again on it, so no start on the rejected face
-    counts as failed. The batches run on ``min(batches, CPUs)`` threads,
-    this one included: HiGHS releases the GIL, and each helper thread builds
-    its own LP working set. Outcomes are kept by seed and reduced in seed
-    order, so results are bit-identical whatever the thread count. The average is feasible by convexity of the constraint set.
-    Failed starts are excluded and reported; all starts failing is fatal,
-    and any other error in a batch propagates. Agreement between the starts
-    is measured by ``validate.compare_solutions``.
+    Each start is one LP (:func:`solve`). The starts first run on the face
+    where every appellation row is filled; if one fails there, phase 1
+    computes the optimal face and every start runs again on it, so no start
+    on the rejected face counts as failed. The starts run on
+    ``min(k_starts, CPUs)`` threads, this one included, as HiGHS releases the
+    GIL. Outcomes are kept by seed and reduced in seed order, so results are
+    bit-identical whatever the thread count. The average is feasible by
+    convexity of the constraint set. Failed starts are excluded and reported;
+    all starts failing is fatal, and any other error in a start propagates.
+    Agreement between the starts is measured by ``validate.compare_solutions``.
     """
     if k_starts < 1:
         raise ValueError("k_starts must be >= 1")
 
     seeds = range(seed_base, seed_base + k_starts)
-    size = max(1, _BATCH_CELLS // max(problem.n_cells, 1))
-    batches = [seeds[i:i + size] for i in range(0, k_starts, size)]
-    workers = min(len(batches), _cpu_count())
+    workers = min(k_starts, _cpu_count())
     with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
         face = _saturated_face(problem)
         outcomes = None if face is None else _run_starts(
-            pool, workers, problem, face, batches, probe=True)
+            pool, workers, problem, face, seeds, probe=True)
         if outcomes is None:
             face = optimal_value(problem)
-            outcomes = _run_starts(pool, workers, problem, face, batches, probe=False)
+            outcomes = _run_starts(pool, workers, problem, face, seeds, probe=False)
 
     solutions: list[AllocationMatrix] = []
     vectors: list[np.ndarray] = []
@@ -483,9 +482,7 @@ def multi_start_average(
             failures.append((seed, str(outcome)))
             continue
         solutions.append(outcome)
-        vectors.append(
-            np.array([outcome.cells.get(cell, 0.0) for cell in problem.cells])
-        )
+        vectors.append(np.array([outcome.cells.get(cell, 0.0) for cell in problem.cells]))
     if not solutions:
         raise SolveError(f"all {k_starts} starts failed")
 

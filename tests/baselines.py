@@ -131,20 +131,20 @@ def phase1_multi_start(
     with the face always read from the phase-1 duals, the starts solved one
     at a time in seed order."""
     face = optimal_value(problem)
-    return face, [solve(problem, [seed], face)[0]
-                  for seed in range(seed_base, seed_base + k_starts)]
+    return face, [solve(problem, seed, face) for seed in range(seed_base, seed_base + k_starts)]
 
 
-def default_pricing_solve(problem: AllocationProblem, seed: int,
-                          face: OptimalFace) -> AllocationMatrix:
-    """One start of ``allocator.solve``, alone in its LP and priced at the
-    HiGHS default, steepest-devex: a batch of one without the devex key."""
-    options = dict(allocator._PHASE2_OPTIONS)
-    del options["simplex_dual_edge_weight_strategy"]
+def linprog_start(problem: AllocationProblem, seed: int, face: OptimalFace,
+                  pricing: str) -> AllocationMatrix:
+    """One start of ``allocator.solve`` as a ``linprog`` call of its own,
+    priced by ``pricing``, a ``simplex_dual_edge_weight_strategy`` of
+    ``linprog``: ``"devex"``, as the starts price, or ``"steepest-devex"``,
+    the HiGHS default."""
     res = linprog(
         -random_init(problem, seed) / problem.upper_bounds,
         A_ub=face.a_ub, b_ub=face.b_ub, A_eq=face.a_eq, b_eq=face.b_eq,
-        bounds=face.bounds, method="highs", options=options,
+        bounds=face.bounds, method="highs",
+        options={**allocator._HIGHS_OPTIONS, "simplex_dual_edge_weight_strategy": pricing},
     )
     assert res.status == 0, res.message
     x = project_feasible(problem, res.x)

@@ -61,7 +61,7 @@ def test_criterion_1_solver_matches_brute_force_oracle():
         except ValueError:
             continue
         checked += 1
-        [solution] = solve(problem, [checked], optimal_value(problem))
+        solution = solve(problem, checked, optimal_value(problem))
         best = objective(problem.weights, oracle.cells)
         scale = max(abs(best), 1.0)
         gap = abs(objective(problem.weights, solution.cells) - best) / scale
@@ -105,7 +105,8 @@ def test_criterion_3_priority_weighting():
     face = optimal_value(problem)
     aop_ok = True
     np_ok = True
-    for solution in solve(problem, range(10), face):
+    for seed in range(10):
+        solution = solve(problem, seed, face)
         aop = solution.cells.get(("AOP1", "01001"), 0.0)
         non_pgi = solution.cells.get(("NP1", "01001"), 0.0)
         aop_ok = aop_ok and abs(aop - 10.0) <= 1e-6

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from baselines import (
     brute_force_optimum,
-    default_pricing_solve,
     greedy_baseline,
+    linprog_start,
     phase1_multi_start,
 )
-from vinevalue import allocator, synth
+from vinevalue import allocator, cli, synth
 from vinevalue.allocator import (
     SolveError,
     assert_feasible,
@@ -32,6 +32,7 @@ from vinevalue.allocator import (
     solve,
     write_solution,
 )
+from vinevalue.config import load_config
 from vinevalue.ingest import IntegrityError
 from vinevalue.model import AppellationRecord, Category, CountyRecord
 from vinevalue.validate import compare_solutions
@@ -248,14 +249,15 @@ class TestRandomInit:
 class TestSolve:
     def test_one_by_one_forced_by_caps(self):
         problem = _simple({"A": 5.0}, {"00001": 3.0}, {"A": 1.0}, [("A", "00001")])
-        [solution] = solve(problem, [0], optimal_value(problem))
+        solution = solve(problem, 0, optimal_value(problem))
         assert solution.cells[("A", "00001")] == pytest.approx(3.0, abs=1e-9)
         assert objective(problem.weights, solution.cells) == pytest.approx(3.0, abs=1e-9)
 
     def test_priority_weighting(self):
         problem = priority_problem()
         face = optimal_value(problem)
-        for solution in solve(problem, range(5), face):
+        for seed in range(5):
+            solution = solve(problem, seed, face)
             assert solution.cells.get(("AOP1", "01001"), 0.0) == pytest.approx(10.0, abs=1e-6)
             assert solution.cells.get(("NP1", "01001"), 0.0) == pytest.approx(0.0, abs=1e-6)
 
@@ -263,14 +265,15 @@ class TestSolve:
         rng = np.random.default_rng(5)
         for _ in range(20):
             problem = random_small_problem(rng, max_rows=4, max_cols=4, integer_caps=False)
-            for solution in solve(problem, [1, 2, 3], optimal_value(problem)):
-                assert feasibility_violations(problem, solution.cells) == []
+            face = optimal_value(problem)
+            for seed in (1, 2, 3):
+                assert feasibility_violations(problem, solve(problem, seed, face).cells) == []
 
     def test_empty_problem(self):
         problem = _simple({"A": 0.0}, {"00001": 0.0}, {"A": 1.0}, [("A", "00001")])
-        solutions = solve(problem, [0, 1], optimal_value(problem))
-        assert [s.cells for s in solutions] == [{}, {}]
-        assert [objective(problem.weights, s.cells) for s in solutions] == [0.0, 0.0]
+        solution = solve(problem, 0, optimal_value(problem))
+        assert solution.cells == {}
+        assert objective(problem.weights, solution.cells) == 0.0
 
     def test_non_unique_optimum_depends_on_start(self):
         # Degenerate instance with two optimal vertices: different starts
@@ -280,27 +283,32 @@ class TestSolve:
             {"A": 1.0, "B": 1.0},
             [("A", "00001"), ("A", "00002"), ("B", "00001"), ("B", "00002")],
         )
-        first, second = solve(problem, [0, 2], optimal_value(problem))
+        face = optimal_value(problem)
+        first, second = (solve(problem, seed, face) for seed in (0, 2))
         assert first.cells != second.cells
         value = objective(problem.weights, first.cells)
         assert value == pytest.approx(objective(problem.weights, second.cells), rel=1e-9)
         assert value == pytest.approx(2.0, rel=1e-9)
 
     @pytest.mark.parametrize("county_scale", [1.0, 0.8], ids=["filled rows", "phase 1"])
-    def test_batch_reaches_each_start_s_own_vertex(self, county_scale):
-        """The blocks of a batch share no row or column, so each start lands
-        on the vertex it reaches alone, up to float rounding."""
+    def test_reused_model_reaches_each_start_s_own_vertex(self, county_scale):
+        """Each start clears the solver state of the model it shares with the
+        starts before it, so it lands on the vertex of a model of its own."""
         problem = criterion_2_problem(np.random.default_rng(2424), county_scale)
         face = allocator._saturated_face(problem) if county_scale == 1.0 \
             else optimal_value(problem)
         assert face is not None
-        batch = solve(problem, range(10), face)
-        assert len(batch) == 10
-        for seed, solution in enumerate(batch):
-            [alone] = solve(problem, [seed], face)
-            assert solution.cells.keys() == alone.cells.keys()
-            for cell, value in alone.cells.items():
-                assert solution.cells[cell] == pytest.approx(value, rel=0, abs=1e-12)
+        highs = allocator._face_model(face)
+        for seed in range(10):
+            assert solve(problem, seed, face, highs).cells == solve(problem, seed, face).cells
+
+    def test_a_highs_error_names_the_call(self, monkeypatch):
+        problem = priority_problem()
+        face = optimal_value(problem)
+        monkeypatch.setattr(allocator._core._Highs, "run",
+                            lambda highs: allocator._core.HighsStatus.kError)
+        with pytest.raises(SolveError, match=r"^phase-2 LP failed: HiGHS run returned an error$"):
+            solve(problem, 0, face)
 
 
 class TestBruteForce:
@@ -372,7 +380,8 @@ class TestSolverAgainstOracles:
         for problem in (fixed_columns_problem(), stable_face_problem()):
             best = brute_force_optimum(problem, 1.0)
             face = optimal_value(problem)
-            for solution in solve(problem, range(10), face):
+            for seed in range(10):
+                solution = solve(problem, seed, face)
                 assert objective(problem.weights, solution.cells) == pytest.approx(
                     objective(problem.weights, best.cells), rel=1e-12)
                 assert solution.cells.keys() == best.cells.keys()
@@ -385,7 +394,7 @@ class TestSolverAgainstOracles:
             problem = random_small_problem(rng, max_rows=5, max_cols=5, integer_caps=False)
             greedy = greedy_baseline(problem)
             assert feasibility_violations(problem, greedy.cells) == []
-            [solution] = solve(problem, [3], optimal_value(problem))
+            solution = solve(problem, 3, optimal_value(problem))
             # The solver returns a point of the exact optimal face, so it can
             # fall short of greedy by float rounding only.
             greedy_value = objective(problem.weights, greedy.cells)
@@ -402,7 +411,7 @@ class TestMultiStart:
     def test_single_start_equals_solve(self):
         problem = priority_problem()
         result = multi_start_average(problem, k_starts=1, seed_base=5)
-        [direct] = solve(problem, [5], optimal_value(problem))
+        direct = solve(problem, 5, optimal_value(problem))
         assert result.average.cells == direct.cells
 
     def test_average_is_feasible(self):
@@ -451,7 +460,6 @@ class TestMultiStart:
         must still lose no start."""
         problem = random_small_problem(np.random.default_rng(37), max_rows=6, max_cols=8,
                                        integer_caps=False)
-        one_start_per_lp(monkeypatch)
         fail_starts(monkeypatch, [3, 20, 42])
         results = []
         interval = sys.getswitchinterval()
@@ -471,11 +479,11 @@ class TestMultiStart:
         assert one.failures == many.failures == [
             (seed, f"start {seed} made to fail") for seed in (3, 20, 42)]
 
-    def test_same_result_for_any_cpu_count_with_several_batches(self, monkeypatch):
-        """Batches depend on the problem size and the start count only; a
-        failed batch runs again one start at a time on any thread."""
+    def test_same_result_for_any_cpu_count_on_a_synth_instance(self, monkeypatch):
+        """Each thread reuses its model of the face for the starts it takes,
+        whichever they are, and a failed start fails alone."""
         problem = synth.generate((30, 60, 0.2), seed=5, counties_per_department=12).problem
-        assert lp_batches(problem, 20) == 7
+        assert problem.n_cells == 537
         fail_starts(monkeypatch, [9])
         results = []
         interval = sys.getswitchinterval()
@@ -499,9 +507,9 @@ class TestMultiStart:
     def test_calling_thread_runs_starts(self, monkeypatch, k_starts, most_threads):
         real = allocator.solve
         threads = set()
-        # Each thread's first batch waits for the others' first, so the
+        # Each thread's first start waits for the others' first, so the
         # helpers cannot drain the queue before the calling thread takes a
-        # batch; two blocked helpers hold only two of the seven.
+        # start; two blocked helpers hold only two of the seven.
         first_starts = threading.Barrier(most_threads, timeout=10)
 
         def recording_solve(*args):
@@ -512,40 +520,24 @@ class TestMultiStart:
 
         monkeypatch.setattr(allocator, "_cpu_count", lambda: 3)
         monkeypatch.setattr(allocator, "solve", recording_solve)
-        one_start_per_lp(monkeypatch)
         multi_start_average(priority_problem(), k_starts=k_starts)
         assert threading.main_thread() in threads
         assert len(threads) <= most_threads
 
 
 def fail_starts(monkeypatch, seeds):
-    """Make ``allocator.solve`` raise ``SolveError`` on every batch that holds
-    a start of ``seeds``, on every face, naming the first such start. A
-    failure on the filled-rows face rejects that face, as an LP that HiGHS
-    does not solve does, so the batches run again on the phase-1 face; a
-    failed batch there runs again one start at a time, and the starts of
-    ``seeds`` fail for good."""
+    """Make ``allocator.solve`` raise ``SolveError`` on the starts of
+    ``seeds``, on every face. A failure on the filled-rows face rejects that
+    face, as an LP that HiGHS does not solve does, so the starts run again on
+    the phase-1 face, where the starts of ``seeds`` fail for good."""
     real = allocator.solve
 
-    def solve_or_fail(problem, batch, face):
-        failing = [seed for seed in batch if seed in seeds]
-        if failing:
-            raise SolveError(f"start {failing[0]} made to fail")
-        return real(problem, batch, face)
+    def solve_or_fail(problem, seed, face, highs=None):
+        if seed in seeds:
+            raise SolveError(f"start {seed} made to fail")
+        return real(problem, seed, face, highs)
 
     monkeypatch.setattr(allocator, "solve", solve_or_fail)
-
-
-def one_start_per_lp(monkeypatch):
-    """Make every batch hold one start, so that each start is an item of the
-    thread queue of its own."""
-    monkeypatch.setattr(allocator, "_BATCH_CELLS", 0)
-
-
-def lp_batches(problem, k_starts):
-    """The phase-2 LPs that one face costs: one per batch of
-    ``_BATCH_CELLS // n_cells`` starts, and at least one start per batch."""
-    return -(-k_starts // max(1, allocator._BATCH_CELLS // problem.n_cells))
 
 
 class TestFailedStarts:
@@ -574,33 +566,10 @@ class TestFailedStarts:
                                    (15, "start 15 made to fail")]
         [face] = faces
         assert result.optimal_value == face.value
-        # The failed batch of six ran again one start at a time.
         assert [s.cells for s in result.solutions] == [
-            solve(problem, [seed], face)[0].cells for seed in (10, 12, 14)]
-
-    def test_a_failed_batch_runs_again_one_start_at_a_time(self, monkeypatch):
-        problem = self.problem()
-        assert lp_batches(problem, 6) == 1
-        fail_starts(monkeypatch, [12])
-        failing_solve = allocator.solve
-        batches = []
-
-        def recording_solve(problem_, batch, face):
-            batches.append(tuple(batch))
-            return failing_solve(problem_, batch, face)
-
-        monkeypatch.setattr(allocator, "solve", recording_solve)
-        result = multi_start_average(problem, k_starts=6, seed_base=10)
-        # The batch rejects the filled-rows face, fails again on the phase-1
-        # face, and then only its start 12 fails.
-        assert batches == [tuple(range(10, 16))] * 2 + [(seed,) for seed in range(10, 16)]
-        assert result.failures == [(12, "start 12 made to fail")]
-        assert len(result.solutions) == 5
+            solve(problem, seed, face).cells for seed in (10, 12, 14)]
 
     def test_average_over_the_starts_that_succeeded(self, monkeypatch):
-        # A failed batch runs its starts again alone, so the survivors are
-        # compared with a run whose starts run alone as well.
-        one_start_per_lp(monkeypatch)
         problem = self.problem()
         survivors = multi_start_average(problem, k_starts=4, seed_base=12)
         fail_starts(monkeypatch, [10, 11])
@@ -628,23 +597,37 @@ class TestFailedStarts:
             return real(*args)
 
         monkeypatch.setattr(allocator, "solve", solve_off_main)
-        one_start_per_lp(monkeypatch)
         with pytest.raises(RuntimeError, match="helper broke"):
             multi_start_average(priority_problem(), k_starts=4)
         assert helper_called.is_set()
 
 
-def count_linprog(monkeypatch) -> list[int]:
-    """Record one entry per ``allocator.linprog`` call, from any thread."""
-    real = allocator.linprog
-    calls: list[int] = []
+def count_lps(monkeypatch) -> tuple[list[int], list[int]]:
+    """Record one entry per phase-1 LP (an ``allocator.linprog`` call) and
+    one per phase-2 LP (a ``run()`` of a HiGHS model outside ``linprog``),
+    from any thread."""
+    phase1: list[int] = []
+    phase2: list[int] = []
+    in_linprog = threading.local()
+    real_linprog = allocator.linprog
+    real_run = allocator._core._Highs.run
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted_linprog(*args, **kwargs):
+        phase1.append(1)
+        in_linprog.active = True
+        try:
+            return real_linprog(*args, **kwargs)
+        finally:
+            in_linprog.active = False
 
-    monkeypatch.setattr(allocator, "linprog", counted)
-    return calls
+    def counted_run(highs):
+        if not getattr(in_linprog, "active", False):
+            phase2.append(1)
+        return real_run(highs)
+
+    monkeypatch.setattr(allocator, "linprog", counted_linprog)
+    monkeypatch.setattr(allocator._core._Highs, "run", counted_run)
+    return phase1, phase2
 
 
 def same_starts(result, oracle_face, oracle_solutions):
@@ -691,9 +674,9 @@ def small_problems(draw):
 class TestFilledRowsFace:
     def test_filled_rows_run_no_phase_one(self, monkeypatch):
         problem = synth.generate((6, 12, 0.4), seed=3, counties_per_department=4).problem
-        calls = count_linprog(monkeypatch)
+        phase1, phase2 = count_lps(monkeypatch)
         result = multi_start_average(problem, k_starts=3, seed_base=1)
-        assert lp_batches(problem, 3) == len(calls) == 1
+        assert (len(phase1), len(phase2)) == (0, 3)
         assert result.optimal_value == math.fsum(
             problem.weights[code] * cap for code, cap in problem.appellation_caps.items())
         same_starts(result, *phase1_multi_start(problem, 3, 1))
@@ -705,30 +688,27 @@ class TestFilledRowsFace:
                 [("A", "01"), ("B", "02")]),
     ], ids=["county caps short", "row cells short"])
     def test_rows_that_clearly_cannot_fill_go_straight_to_phase_one(self, monkeypatch, problem):
-        calls = count_linprog(monkeypatch)
+        phase1, phase2 = count_lps(monkeypatch)
         result = multi_start_average(problem, k_starts=4, seed_base=2)
-        assert len(calls) == 1 + lp_batches(problem, 4) == 1 + 1
+        assert (len(phase1), len(phase2)) == (1, 4)
         same_starts(result, *phase1_multi_start(problem, 4, 2))
 
     @pytest.mark.parametrize("cpus", [1, 3, 8])
     def test_rejected_face_costs_at_most_one_lp_per_thread(self, monkeypatch, cpus):
         """8 workers exceed the cores here; with a thread switch every
-        microsecond, no thread may start a second LP on the rejected face.
-        Each batch holds one start, so that six batches wait in the queue."""
+        microsecond, no thread may start a second LP on the rejected face."""
         problem = contested_problem()
         oracle = phase1_multi_start(problem, 6, 4)
         monkeypatch.setattr(allocator, "_cpu_count", lambda: cpus)
-        one_start_per_lp(monkeypatch)
-        calls = count_linprog(monkeypatch)
+        phase1, phase2 = count_lps(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             result = multi_start_average(problem, k_starts=6, seed_base=4)
         finally:
             sys.setswitchinterval(interval)
-        batches = lp_batches(problem, 6)
-        assert batches == 6
-        assert 1 + 1 + batches <= len(calls) <= min(cpus, batches) + 1 + batches
+        assert len(phase1) == 1
+        assert 1 + 6 <= len(phase2) <= min(cpus, 6) + 6
         same_starts(result, *oracle)
         assert result.average.cells == pytest.approx(
             {("AOP1", "01001"): 10.0, ("PGI1", "01002"): 1.0}, abs=1e-9)
@@ -746,34 +726,20 @@ class TestFilledRowsFace:
             tied += 1
             rounded_over += bool(problem.row_caps.sum() > problem.col_caps.sum())
             with monkeypatch.context() as patch:
-                calls = count_linprog(patch)
+                phase1, phase2 = count_lps(patch)
                 result = multi_start_average(problem, k_starts=2, seed_base=i)
-            assert len(calls) == lp_batches(problem, 2)
+            assert (len(phase1), len(phase2)) == (0, 2)
             assert result.failures == []
             assert result.optimal_value == math.fsum(
                 problem.weights[code] * cap for code, cap in problem.appellation_caps.items())
         assert (tied, rounded_over) == (36, 10)
 
-    def test_small_problem_solves_its_starts_in_one_lp(self, monkeypatch):
-        """An Alsace-size problem solves all 20 starts in one phase-2 LP; a
-        problem over the cell budget solves one start per LP."""
-        small = synth.generate((7, 3, 0.8), seed=1, counties_per_department=2).problem
-        large = synth.generate((50, 150, 0.2), seed=5, counties_per_department=30).problem
-        assert small.n_cells == 19 and large.n_cells > allocator._BATCH_CELLS
-        for problem, k_starts, lps in ((small, 20, 1), (large, 3, 3)):
-            assert allocator._saturated_face(problem) is not None
-            with monkeypatch.context() as patch:
-                calls = count_linprog(patch)
-                result = multi_start_average(problem, k_starts=k_starts)
-            assert len(calls) == lps
-            assert len(result.solutions) == k_starts
-
     def test_rejection_carries_the_highs_status(self):
         problem = contested_problem()
         face = allocator._saturated_face(problem)
         assert face.value == 10.0 + 10.0 * 0.25 + 1.0 / 3.0
-        with pytest.raises(SolveError, match=r"^phase-2 LP failed \(status 2\)"):
-            solve(problem, [0, 1], face)
+        with pytest.raises(SolveError, match=r"^phase-2 LP failed \(Infeasible\)$"):
+            solve(problem, 0, face)
 
     @settings(max_examples=150, deadline=None)
     @given(problem=small_problems(), k_starts=st.integers(1, 4),
@@ -809,9 +775,9 @@ class TestFilledRowsFace:
             low, high = face.bounds.T
             fixed_column_faces += bool(np.any((low == high) & (problem.lower_bounds == 0)))
             with monkeypatch.context() as patch:
-                calls = count_linprog(patch)
+                phase1, phase2 = count_lps(patch)
                 result = multi_start_average(problem, k_starts=2, seed_base=i)
-            assert len(calls) == 1 + lp_batches(problem, 2)
+            assert (len(phase1), len(phase2)) == (1, 2)
             same_starts(result, face, solutions)
             for solution in (*result.solutions, result.average):
                 assert feasibility_violations(problem, solution.cells) == []
@@ -835,6 +801,37 @@ def criterion_2_problem(rng, county_scale=1.0):
     )
 
 
+class TestOneLinprogPerStart:
+    """Each start is bit for bit the start of one ``linprog`` call with the
+    same options, although a thread reuses its model of the face."""
+
+    @staticmethod
+    def same_as_linprog(problem, k_starts, seed_base):
+        face = allocator._saturated_face(problem) or optimal_value(problem)
+        result = multi_start_average(problem, k_starts=k_starts, seed_base=seed_base)
+        assert result.failures == []
+        assert [s.cells for s in result.solutions] == [
+            linprog_start(problem, seed, face, "devex").cells
+            for seed in range(seed_base, seed_base + k_starts)]
+
+    def test_alsace(self, alsace_config, tmp_path):
+        cfg = load_config(alsace_config, overrides={"output.directory": str(tmp_path)})
+        cli.stage_ingest(cfg)
+        problem = load_problem(tmp_path / cli.PROBLEM_DIR)
+        assert problem.n_cells == 19
+        self.same_as_linprog(problem, cfg.k_starts, cfg.seed)
+
+    def test_synth_instance(self):
+        problem = synth.generate((50, 150, 0.2), seed=5, counties_per_department=30).problem
+        assert problem.n_cells == 2213
+        self.same_as_linprog(problem, 4, 0)
+
+    def test_criterion_2_draws(self):
+        rng = np.random.default_rng(2424)
+        for i in range(6):
+            self.same_as_linprog(criterion_2_problem(rng), 3, i)
+
+
 class TestPhaseTwoPricing:
     """The starts price their LPs with devex; priced at the HiGHS default,
     each start lands on the same vertex, within 1e-9 ha."""
@@ -842,7 +839,7 @@ class TestPhaseTwoPricing:
     @staticmethod
     def same_as_default_pricing(problem, face, k_starts, seed_base):
         result = multi_start_average(problem, k_starts=k_starts, seed_base=seed_base)
-        same_starts(result, face, [default_pricing_solve(problem, seed, face)
+        same_starts(result, face, [linprog_start(problem, seed, face, "steepest-devex")
                                    for seed in range(seed_base, seed_base + k_starts)])
 
     def test_criterion_2_instances(self):

@@ -133,7 +133,7 @@ class TestRecovery:
             for factor, bucket in ((0.25, low), (2.0, high)):
                 instance = generate((8, 40, 0.12), seed=seed, extra_mask_factor=factor)
                 problem = instance.problem
-                [solution] = allocator.solve(problem, [seed], allocator.optimal_value(problem))
+                solution = allocator.solve(problem, seed, allocator.optimal_value(problem))
                 bucket.append(kendall_tau(*align([instance.truth.cells, solution.cells])[1]))
         low_mean = np.mean(low)
         high_mean = np.mean(high)
