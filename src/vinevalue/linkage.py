@@ -25,7 +25,8 @@ DEFAULT_STOPWORDS = frozenset({"ET", "DE", "DU", "DES", "D", "LA", "LE", "LES"})
 
 #: Contractions rewritten to their explicit form before matching. Expansion
 #: values must not themselves contain acronym keys (normalization is a
-#: single pass and must be idempotent).
+#: single pass and must be idempotent); :func:`load_acronyms` refuses such
+#: tables.
 DEFAULT_ACRONYMS: Mapping[str, str] = {"CDR": "COTE DU RHONE"}
 
 _TOKEN_SPLIT = re.compile(r"[^0-9A-Z]+")
@@ -47,7 +48,7 @@ def normalize_label(
 
     Accents and special characters are removed, acronym tokens are expanded,
     stopword tokens dropped and whitespace collapsed. Idempotent for the
-    default dictionaries.
+    default dictionaries and for any table :func:`load_acronyms` accepts.
     """
     if acronyms is None:
         acronyms = DEFAULT_ACRONYMS
@@ -65,16 +66,23 @@ def normalize_label(
     return " ".join(t for t in tokens if t not in stopwords)
 
 
-def edit_distance(a: str, b: str) -> float:
+def edit_distance(a: str, b: str, limit: float = math.inf) -> float:
     """Unrestricted Damerau-Levenshtein distance: the fewest insertions,
     deletions, substitutions and transpositions of adjacent characters that
-    turn ``a`` into ``b``."""
+    turn ``a`` into ``b``.
+
+    The result is exact when it is at most ``limit``; otherwise it is some
+    value above ``limit``.
+    """
     if a == b:
         return 0.0
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
         return float(la + lb)
     inf = float("inf")
+    # Cell (i, j) is at least |i - j|, so with a finite limit only the band
+    # |i - j| <= limit is computed (Ukkonen); the cells outside stay inf.
+    band = int(limit) if limit < max(la, lb) else max(la, lb)
     # Lowrance-Wagner: d has two sentinel rows/columns so the transposition
     # lookup d[i1-1][j1-1] is always in range.
     d = [[inf] * (lb + 2) for _ in range(la + 2)]
@@ -85,22 +93,37 @@ def edit_distance(a: str, b: str) -> float:
         d[1][j + 1] = float(j)
     last_row: dict[str, int] = {}
     for i in range(1, la + 1):
+        ai = a[i - 1]
+        prev, cur = d[i], d[i + 1]
+        row_min = cur[1]
         last_col = 0
-        for j in range(1, lb + 1):
-            i1 = last_row.get(b[j - 1], 0)
-            j1 = last_col
-            if a[i - 1] == b[j - 1]:
-                sub = 0.0
+        for j in range(max(1, i - band), min(lb, i + band) + 1):
+            bj = b[j - 1]
+            best = prev[j]
+            if ai == bj:
+                # A match on the diagonal is never beaten: neighbouring cells
+                # differ by at most one, and a transposition here costs more.
                 last_col = j
             else:
-                sub = 1.0
-            best = min(d[i][j] + sub, d[i][j + 1] + 1.0, d[i + 1][j] + 1.0)
-            if i1 > 0 and j1 > 0:
-                trans = d[i1][j1] + (i - i1 - 1) + 1.0 + (j - j1 - 1)
-                if trans < best:
-                    best = trans
-            d[i + 1][j + 1] = best
-        last_row[a[i - 1]] = i
+                if prev[j + 1] < best:
+                    best = prev[j + 1]
+                if cur[j] < best:
+                    best = cur[j]
+                best += 1.0
+                if last_col:
+                    i1 = last_row.get(bj, 0)
+                    if i1:
+                        trans = d[i1][last_col] + (i - i1 - 1) + 1.0 + (j - last_col - 1)
+                        if trans < best:
+                            best = trans
+            cur[j + 1] = best
+            if best < row_min:
+                row_min = best
+        # Every row holds a cell no larger than the distance: a transposition
+        # charges the rows it skips as deletions.
+        if row_min > limit:
+            return inf
+        last_row[ai] = i
     return d[la + 1][lb + 1]
 
 
@@ -154,7 +177,8 @@ def match_labels(
 
     The result is that of scoring every pair with :func:`edit_distance`, but
     a target is scored only while its character-count lower bound
-    (:func:`_bag_bounds`) could still beat or tie the best so far.
+    (:func:`_bag_bounds`) could still beat or tie the best so far, and only
+    up to that best distance.
     """
     norm_kwargs = {"acronyms": acronyms, "stopwords": stopwords}
     targets = sorted(
@@ -176,7 +200,8 @@ def match_labels(
         for k in np.argsort(bounds, kind="stable").tolist():
             if (bounds[k], k) > (best_dist, best):
                 break
-            dist = edit_distance(source, names[k])
+            # Exact up to the best so far; above it, some larger value that loses.
+            dist = edit_distance(source, names[k], best_dist)
             if (dist, k) < (best_dist, best):
                 best_dist, best = dist, k
         best_code, best_name = targets[best] if best >= 0 else ("", "")
@@ -224,10 +249,13 @@ def load_wordlist(path: str | Path) -> frozenset[str]:
 
 def load_acronyms(path: str | Path) -> dict[str, str]:
     """Acronym file: one ``SHORT=Long form`` entry per line; blank lines are
-    skipped, and any other line without ``=``, or one that repeats an
-    acronym, is a :class:`ConfigError`."""
+    skipped. A :class:`ConfigError` is any other line without ``=``, one that
+    repeats an acronym, or a long form that contains an acronym, since that
+    would make :func:`normalize_label` expand the text again on a second
+    pass."""
     name = Path(path).name
     acronyms: dict[str, str] = {}
+    numbers: dict[str, int] = {}
     for number, line in enumerate(open_source(path).read().splitlines(), 1):
         line = line.strip()
         if not line:
@@ -238,6 +266,12 @@ def load_acronyms(path: str | Path) -> dict[str, str]:
         if short in acronyms:
             raise ConfigError(f"{name}: repeated acronym {short!r} at line {number}")
         acronyms[short] = long_form
+        numbers[short] = number
+    for short, long_form in acronyms.items():
+        for token in filter(None, _TOKEN_SPLIT.split(long_form)):
+            if token in acronyms:
+                raise ConfigError(f"{name}: line {numbers[short]} expands {short!r} to "
+                                  f"{long_form!r}, which contains the acronym {token!r}")
     return acronyms
 
 

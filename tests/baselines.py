@@ -16,12 +16,7 @@ from vinevalue.allocator import (
     random_init,
     solve,
 )
-from vinevalue.linkage import (
-    LabelMatch,
-    edit_distance,
-    expand_price_entries,
-    normalize_label,
-)
+from vinevalue.linkage import LabelMatch, expand_price_entries, normalize_label
 from vinevalue.model import AppellationRecord, Cell, PriceEntry
 
 BRUTE_FORCE_MAX_CELLS = 9
@@ -172,6 +167,45 @@ def kendall_tau_oracle(x, y) -> float:
     return con_minus_dis / math.sqrt((n0 - ties_x) * (n0 - ties_y))
 
 
+def full_edit_distance(a: str, b: str) -> float:
+    """Unrestricted Damerau-Levenshtein distance over the full Lowrance-Wagner
+    table, with no cutoff: the reference ``linkage.edit_distance`` must equal
+    at or under its limit."""
+    if a == b:
+        return 0.0
+    la, lb = len(a), len(b)
+    if la == 0 or lb == 0:
+        return float(la + lb)
+    inf = float("inf")
+    # Lowrance-Wagner: d has two sentinel rows/columns so the transposition
+    # lookup d[i1-1][j1-1] is always in range.
+    d = [[inf] * (lb + 2) for _ in range(la + 2)]
+    d[1][1] = 0.0
+    for i in range(1, la + 1):
+        d[i + 1][1] = float(i)
+    for j in range(1, lb + 1):
+        d[1][j + 1] = float(j)
+    last_row: dict[str, int] = {}
+    for i in range(1, la + 1):
+        last_col = 0
+        for j in range(1, lb + 1):
+            i1 = last_row.get(b[j - 1], 0)
+            j1 = last_col
+            if a[i - 1] == b[j - 1]:
+                sub = 0.0
+                last_col = j
+            else:
+                sub = 1.0
+            best = min(d[i][j] + sub, d[i][j + 1] + 1.0, d[i + 1][j] + 1.0)
+            if i1 > 0 and j1 > 0:
+                trans = d[i1][j1] + (i - i1 - 1) + 1.0 + (j - j1 - 1)
+                if trans < best:
+                    best = trans
+            d[i + 1][j + 1] = best
+        last_row[a[i - 1]] = i
+    return d[la + 1][lb + 1]
+
+
 def match_labels_oracle(
     prices: Sequence[PriceEntry],
     appellations: Sequence[AppellationRecord],
@@ -182,7 +216,8 @@ def match_labels_oracle(
     stopwords: frozenset[str] | set[str] | None = None,
 ) -> list[LabelMatch]:
     """``linkage.match_labels`` without pruning: every label is scored
-    against every appellation, and the first minimum in code order wins."""
+    against every appellation by :func:`full_edit_distance`, and the first
+    minimum in code order wins."""
     norm_kwargs = {"acronyms": acronyms, "stopwords": stopwords}
     targets = sorted(
         (app.code, normalize_label(app.name, **norm_kwargs)) for app in appellations
@@ -198,7 +233,7 @@ def match_labels_oracle(
         best_name = ""
         best_dist = float("inf")
         for code, name in targets:
-            dist = edit_distance(source, name)
+            dist = full_edit_distance(source, name)
             if dist < best_dist:
                 best_code, best_name, best_dist = code, name, dist
         limit = threshold_fraction * max(len(source), len(best_name))

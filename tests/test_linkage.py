@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from baselines import match_labels_oracle
+from baselines import full_edit_distance, match_labels_oracle
 from vinevalue import linkage
 from vinevalue.ingest import ConfigError
 from vinevalue.linkage import (
@@ -58,6 +61,20 @@ def oracle_edit_distance(a: str, b: str) -> float:
     raise AssertionError("unreachable")
 
 
+#: Acronyms, long-form words and label words in one pool, so that generated
+#: tables often expand to one of their own keys.
+_WORDS = ["CDR", "cdr", "Côte", "COTE", "du", "RHONE", "Rhône", "VALLEY", "STE"]
+
+
+@st.composite
+def _pair_and_limit(draw):
+    alphabet = draw(st.sampled_from(["AB", "ABCD "]))
+    a = draw(st.text(alphabet=alphabet, max_size=10))
+    b = draw(st.text(alphabet=alphabet, max_size=10))
+    limit = draw(st.integers(0, max(len(a), len(b))) | st.just(math.inf))
+    return a, b, limit
+
+
 class TestNormalizeLabel:
     def test_accents_and_stopwords(self):
         assert normalize_label("Côte du Rhône") == "COTE RHONE"
@@ -76,6 +93,26 @@ class TestNormalizeLabel:
         once = normalize_label(text)
         assert normalize_label(once) == once
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        table=st.dictionaries(
+            st.sampled_from(_WORDS),
+            st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join),
+            max_size=3,
+        ),
+        words=st.lists(st.sampled_from(_WORDS), max_size=4),
+    )
+    def test_idempotent_under_every_accepted_acronym_table(self, table, words):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "acronyms.txt"
+            path.write_text("".join(f"{k}={v}\n" for k, v in table.items()), encoding="utf-8")
+            try:
+                acronyms = load_acronyms(path)
+            except ConfigError:
+                return
+        once = normalize_label(" ".join(words), acronyms=acronyms)
+        assert normalize_label(once, acronyms=acronyms) == once
+
 
 class TestEditDistance:
     def test_identity(self):
@@ -90,9 +127,27 @@ class TestEditDistance:
             strings.extend("".join(t) for t in itertools.product("AB", repeat=length))
         strings.extend(["ABC", "CBA", "BCA", "CAB", "ACB"])
         for a, b in itertools.product(strings, repeat=2):
+            expected = oracle_edit_distance(a, b)
+            assert full_edit_distance(a, b) == expected, (a, b)
             distance = edit_distance(a, b)
             assert type(distance) is float
-            assert distance == oracle_edit_distance(a, b), (a, b)
+            assert distance == expected, (a, b)
+            for limit in range(4):
+                bounded = edit_distance(a, b, limit)
+                assert bounded == expected if expected <= limit else bounded > limit, \
+                    (a, b, limit)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_pair_and_limit())
+    def test_exact_up_to_the_limit(self, case):
+        a, b, limit = case
+        expected = full_edit_distance(a, b)
+        distance = edit_distance(a, b, limit)
+        assert type(distance) is float
+        if expected <= limit:
+            assert distance == expected
+        else:
+            assert distance > limit
 
     @given(st.text(alphabet="ABC", max_size=5), st.text(alphabet="ABC", max_size=5))
     def test_symmetric_for_symmetric_costs(self, a, b):
@@ -220,12 +275,13 @@ class TestPrunedMatching:
         assert matches == match_labels_oracle([_price("ab")], targets, threshold_fraction=0.5)
 
     @staticmethod
-    def _scored(monkeypatch) -> list[str]:
+    def _scored(monkeypatch) -> list[tuple[str, float]]:
+        """Record each scored target with the limit it was scored under."""
         calls = []
 
-        def counted(a, b):
-            calls.append(b)
-            return edit_distance(a, b)
+        def counted(a, b, limit=math.inf):
+            calls.append((b, limit))
+            return edit_distance(a, b, limit)
 
         monkeypatch.setattr(linkage, "edit_distance", counted)
         return calls
@@ -235,7 +291,7 @@ class TestPrunedMatching:
         targets = [_app("A1", "CHABLIS GRAND CRU"), _app("B2", "ROUGE"), _app("C3", "BLANC")]
         matches = match_labels([_price("rouge")], targets)
         assert matches == [LabelMatch("rouge", "B2", 0.0, True, 100.0, ProductionMode.CONVENTIONAL)]
-        assert calls == ["ROUGE"]
+        assert calls == [("ROUGE", math.inf)]
 
     def test_bound_equal_to_the_best_at_a_later_code_is_not_scored(self, monkeypatch):
         # Both bounds are 1. Once A1 scores 1, B2 could at best tie it and
@@ -244,7 +300,16 @@ class TestPrunedMatching:
         targets = [_app("A1", "ROUGX"), _app("B2", "ROUGY")]
         matches = match_labels([_price("rouge")], targets)
         assert matches == [LabelMatch("rouge", "A1", 1.0, False, 100.0, ProductionMode.CONVENTIONAL)]
-        assert calls == ["ROUGX"]
+        assert calls == [("ROUGX", math.inf)]
+
+    def test_each_target_is_scored_up_to_the_best_distance_so_far(self, monkeypatch):
+        # A1 and B2 are anagrams of ROUGE (bound 0) at distances 4 and 3; C3
+        # has bound 2 and distance 2. Each improves on the one before.
+        calls = self._scored(monkeypatch)
+        targets = [_app("A1", "EGUOR"), _app("B2", "OGUER"), _app("C3", "ROUGEXY")]
+        matches = match_labels([_price("rouge")], targets)
+        assert matches == [LabelMatch("rouge", "C3", 2.0, False, 100.0, ProductionMode.CONVENTIONAL)]
+        assert calls == [("EGUOR", math.inf), ("OGUER", 4.0), ("ROUGEXY", 3.0)]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -281,6 +346,20 @@ class TestWordlists:
         acronyms_file.write_text("CDR=Cote du Rhone\n\ncdr=Cotes de Bourg\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="^acronyms.txt: repeated acronym 'CDR' at line 3$"):
             load_acronyms(acronyms_file)
+
+    @pytest.mark.parametrize("lines, number, short, long_form, acronym", [
+        # CDR expands to text holding the acronym RHONE of the next line.
+        ("CDR=Cote du Rhone\nRHONE=Rhone Valley\n", 1, "CDR", "COTE DU RHONE", "RHONE"),
+        ("\nRHONE=Rhône Valley\n", 2, "RHONE", "RHONE VALLEY", "RHONE"),
+    ])
+    def test_long_form_holding_an_acronym_is_config_error(self, tmp_path, lines, number,
+                                                          short, long_form, acronym):
+        acronyms_file = tmp_path / "acronyms.txt"
+        acronyms_file.write_text(lines, encoding="utf-8")
+        with pytest.raises(ConfigError) as error:
+            load_acronyms(acronyms_file)
+        assert str(error.value) == (f"acronyms.txt: line {number} expands {short!r} to "
+                                    f"{long_form!r}, which contains the acronym {acronym!r}")
 
     def test_latin1_files_decode(self, tmp_path):
         stopwords_file = tmp_path / "stopwords.txt"
