@@ -43,13 +43,13 @@ from .model import (
     Cell,
     CountyRecord,
     DEFAULT_WEIGHTS,
+    IntegrityError,
     PipelineError,
     exact_sums,
     finite_float,
     read_rows,
     write_rows,
 )
-from .ingest import IntegrityError
 
 logger = logging.getLogger(__name__)
 
@@ -126,7 +126,7 @@ class AllocationMatrix:
     itself, and :func:`objective` values it.
 
     It stays while the benchmark reads ``.cells`` of the per-start solutions
-    and of the synthetic truth; ROADMAP item 4, after item 3, replaces it
+    and of the synthetic truth; ROADMAP item 5, after item 3, replaces it
     with one ``(k, m)`` array over ``AllocationProblem.cells``."""
 
     cells: dict[Cell, float]
@@ -216,30 +216,27 @@ def build_problem(
 
 @dataclass(frozen=True, eq=False)
 class OptimalFace:
-    """The LP optimum ``value`` and the constraints of its optimal face, tight
-    rows as equalities and fixed columns as equal bounds: either every
-    appellation row filled (:func:`_saturated_face`) or the face read from
-    the phase-1 duals (:func:`optimal_value`). Every start solves over these
-    with its own costs."""
+    """The LP optimum ``value`` and its optimal face: ``tight`` marks the rows
+    of :func:`_constraints` (appellation rows, then county rows) that hold
+    with equality on it, and ``bounds`` holds each column's (lower, upper)
+    bound, equal for a fixed column. Either every appellation row is tight
+    (:func:`_saturated_face`) or the face is read from the phase-1 duals
+    (:func:`optimal_value`). Every start solves over it with its own costs."""
 
     value: float
-    a_eq: sparse.csr_matrix
-    b_eq: np.ndarray
-    a_ub: sparse.csr_matrix
-    b_ub: np.ndarray
+    tight: np.ndarray
     bounds: np.ndarray
 
 
-def _constraints(problem: AllocationProblem):
+def _constraints(problem: AllocationProblem) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """The row-sum matrix and its caps: one row per appellation, then one per county."""
     m = problem.n_cells
-    ones = np.ones(m)
-    a_rows = sparse.csr_matrix(
-        (ones, (problem.row_index, np.arange(m))), shape=(len(problem.row_codes), m)
+    rows = len(problem.row_codes)
+    matrix = sparse.csr_matrix(
+        (np.ones(2 * m), (np.concatenate([problem.row_index, rows + problem.col_index]),
+                          np.tile(np.arange(m), 2))),
+        shape=(rows + len(problem.col_codes), m),
     )
-    a_cols = sparse.csr_matrix(
-        (ones, (problem.col_index, np.arange(m))), shape=(len(problem.col_codes), m)
-    )
-    matrix = sparse.vstack([a_rows, a_cols]).tocsr()
     return matrix, np.concatenate([problem.row_caps, problem.col_caps])
 
 
@@ -254,11 +251,11 @@ def _saturated_face(problem: AllocationProblem) -> OptimalFace | None:
     if (math.fsum(problem.row_caps.tolist()) > math.fsum(problem.col_caps.tolist())
             or np.any(room < problem.row_caps)):
         return None
-    matrix, rhs = _constraints(problem)
     value = math.fsum(problem.weights[code] * cap
                       for code, cap in zip(problem.row_codes, problem.row_caps.tolist()))
+    tight = np.arange(rows + len(problem.col_codes)) < rows
     bounds = np.column_stack([problem.lower_bounds, problem.upper_bounds])
-    return OptimalFace(value, matrix[:rows], rhs[:rows], matrix[rows:], rhs[rows:], bounds)
+    return OptimalFace(value, tight, bounds)
 
 
 def project_feasible(problem: AllocationProblem, point: np.ndarray) -> np.ndarray:
@@ -306,11 +303,10 @@ def optimal_value(problem: AllocationProblem) -> OptimalFace:
     optimal exactly when every row with a nonzero dual is tight and every
     column with a nonzero reduced cost sits at the bound it presses against.
     """
-    m = problem.n_cells
     matrix, rhs = _constraints(problem)
     bounds = np.column_stack([problem.lower_bounds, problem.upper_bounds])
-    if m == 0:
-        return OptimalFace(0.0, matrix, rhs, matrix, rhs, bounds)
+    if problem.n_cells == 0:
+        return OptimalFace(0.0, np.zeros(len(rhs), dtype=bool), bounds)
     # Still ``linprog``, not a :func:`_face_model` model: the benchmark's
     # tracer counts phase-1 iterations by wrapping ``allocator.linprog``, and
     # its contract test pins that name.
@@ -321,14 +317,11 @@ def optimal_value(problem: AllocationProblem) -> OptimalFace:
     if res.status != 0:
         raise SolveError(f"phase-1 LP failed (status {res.status}): {res.message}")
     tol = _HIGHS_OPTIONS["dual_feasibility_tolerance"]
-    tight = np.abs(res.ineqlin.marginals) > tol
     at_cap = np.abs(res.upper.marginals) > tol
     at_floor = np.abs(res.lower.marginals) > tol
     bounds[at_cap, 0] = bounds[at_cap, 1]
     bounds[at_floor, 1] = bounds[at_floor, 0]
-    return OptimalFace(
-        float(-res.fun), matrix[tight], rhs[tight], matrix[~tight], rhs[~tight], bounds
-    )
+    return OptimalFace(float(-res.fun), np.abs(res.ineqlin.marginals) > tol, bounds)
 
 
 def _checked(status: _core.HighsStatus, step: str) -> None:
@@ -336,11 +329,14 @@ def _checked(status: _core.HighsStatus, step: str) -> None:
         raise SolveError(f"phase-2 LP failed: HiGHS {step} returned an error")
 
 
-def _face_model(face: OptimalFace) -> _core._Highs:
+def _face_model(problem: AllocationProblem, face: OptimalFace) -> _core._Highs:
     """A HiGHS model of ``face`` without costs, laid out as ``linprog`` lays
-    out its LP: the inequality rows first, then the equality rows, and the
-    matrix by column."""
-    matrix = sparse.vstack([face.a_ub, face.a_eq]).tocsc()
+    out the face's LP: the rows of :func:`_constraints` that may be slack
+    first, as inequalities, then the tight ones, as equalities, each group in
+    its order there, and the matrix by column."""
+    matrix, rhs = _constraints(problem)
+    order = np.argsort(face.tight, kind="stable")  # the slack rows, then the tight ones
+    matrix, rhs = matrix[order].tocsc(), rhs[order]
     lp = _core.HighsLp()
     lp.num_row_, lp.num_col_ = lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = matrix.shape
     lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
@@ -348,8 +344,8 @@ def _face_model(face: OptimalFace) -> _core._Highs:
         matrix.indptr, matrix.indices, matrix.data)
     lp.col_cost_ = np.zeros(matrix.shape[1])
     lp.col_lower_, lp.col_upper_ = face.bounds.T.copy()
-    lp.row_lower_ = np.concatenate([np.full(len(face.b_ub), -_core.kHighsInf), face.b_eq])
-    lp.row_upper_ = np.concatenate([face.b_ub, face.b_eq])
+    lp.row_lower_ = np.where(face.tight[order], rhs, -_core.kHighsInf)
+    lp.row_upper_ = rhs
     highs = _core._Highs()
     for key, value in _PHASE2_OPTIONS.items():
         _checked(highs.setOptionValue(key, value), f"setOptionValue({key!r})")
@@ -357,20 +353,16 @@ def _face_model(face: OptimalFace) -> _core._Highs:
     return highs
 
 
-def solve(problem: AllocationProblem, seed: int, face: OptimalFace,
-          highs: _core._Highs | None = None) -> AllocationMatrix:
-    """The vertex of ``face``, an optimal face of ``problem`` such as
-    ``optimal_value(problem)``, that maximizes ``random_init(problem, seed) /
-    upper_bounds``: exactly feasible, its objective the optimum up to float
-    rounding. ``highs`` is a model of the face (:func:`_face_model`), reused
-    between starts; the start clears its solver state, so it lands on the
-    vertex of one ``linprog`` call, bit for bit. Without one, the start
-    builds its own."""
+def solve(problem: AllocationProblem, seed: int, highs: _core._Highs) -> AllocationMatrix:
+    """The vertex of an optimal face of ``problem`` that maximizes
+    ``random_init(problem, seed) / upper_bounds``: exactly feasible, its
+    objective the optimum up to float rounding. ``highs`` is the model of the
+    face (:func:`_face_model`), reused between starts; the start clears its
+    solver state, so it lands on the vertex of one ``linprog`` call over the
+    face's tight rows and fixed bounds, bit for bit."""
     m = problem.n_cells
     if m == 0:
         return AllocationMatrix({})
-    if highs is None:
-        highs = _face_model(face)
     highs.clearSolver()
     costs = -random_init(problem, seed) / problem.upper_bounds
     _checked(highs.changeColsCost(m, np.arange(m, dtype=np.int32), costs), "changeColsCost")
@@ -426,8 +418,8 @@ def _run_starts(pool: ThreadPoolExecutor, workers: int, problem: AllocationProbl
                 return
             try:
                 if highs is None:
-                    highs = _face_model(face)
-                outcomes[seed] = solve(problem, seed, face, highs)
+                    highs = _face_model(problem, face)
+                outcomes[seed] = solve(problem, seed, highs)
             except SolveError as exc:
                 if probe:
                     rejected.set()

@@ -17,8 +17,9 @@ from pathlib import Path
 
 from . import allocator, ingest, linkage, synth, validate, valuation, yields
 from .config import PipelineConfig, load_config
-from .ingest import ConfigError, IngestReport
-from .model import AppellationRecord, Category, Cell, InputError, PipelineError, exact_sums
+from .ingest import IngestReport
+from .model import (AppellationRecord, Category, Cell, ConfigError, InputError, PipelineError,
+                    exact_sums)
 
 logger = logging.getLogger(__name__)
 
@@ -105,10 +106,8 @@ def stage_ingest(cfg: PipelineConfig) -> None:
         appellations, mask = ingest.inject_pseudo_appellations(
             appellations, counties, mask, by_department
         )
-        pseudo_report = IngestReport(dataset="pseudo_appellations")
-        pseudo_report.rows_read = len(by_department)
-        pseudo_report.records_out = len(appellations) - before
-        reports.append(pseudo_report)
+        reports.append(IngestReport("pseudo_appellations", rows_read=len(by_department),
+                                    records_out=len(appellations) - before))
 
     known: dict[Cell, float] = {}
     if cfg.champagne_cells:
@@ -124,10 +123,8 @@ def stage_ingest(cfg: PipelineConfig) -> None:
                               marginal_surface=caps[code])
             for code in added
         )]
-        supplemental = IngestReport(dataset="champagne_cells")
-        supplemental.rows_read = len(cells)
-        supplemental.records_out = len(added)
-        reports.append(supplemental)
+        reports.append(IngestReport("champagne_cells", rows_read=len(cells),
+                                    records_out=len(added)))
 
     problem = allocator.build_problem(appellations, counties, mask, known, cfg.weights)
     ingest.write_appellations(appellations, out / APPELLATIONS_CSV)

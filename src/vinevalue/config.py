@@ -13,8 +13,7 @@ from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
-from .ingest import ConfigError
-from .model import Category, DEFAULT_WEIGHTS
+from .model import Category, ConfigError, DEFAULT_WEIGHTS
 
 #: An allowed range as (rule text, test of the cast value).
 Rule = tuple[str, Callable[[Any], bool]]

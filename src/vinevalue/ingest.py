@@ -21,8 +21,9 @@ from .model import (
     AppellationRecord,
     Category,
     Cell,
+    ConfigError,
     CountyRecord,
-    PipelineError,
+    IntegrityError,
     PriceEntry,
     ProductionMode,
     cvi_prefix,
@@ -50,14 +51,6 @@ _CATEGORY_ALIASES = {
     "VSIG": Category.NON_PGI,
     "PSEUDO_NON_PGI": Category.PSEUDO_NON_PGI,
 }
-
-
-class ConfigError(PipelineError):
-    """Fatal configuration problem (missing configured column, bad mapping)."""
-
-
-class IntegrityError(PipelineError):
-    """Fatal referential-integrity violation in the parsed data."""
 
 
 @dataclass

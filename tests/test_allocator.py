@@ -7,12 +7,14 @@ import threading
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from baselines import (
     brute_force_optimum,
     greedy_baseline,
     linprog_start,
     phase1_multi_start,
+    solve_start,
 )
 from vinevalue import allocator, cli, synth
 from vinevalue.allocator import (
@@ -33,8 +35,7 @@ from vinevalue.allocator import (
     write_solution,
 )
 from vinevalue.config import load_config
-from vinevalue.ingest import IntegrityError
-from vinevalue.model import AppellationRecord, Category, CountyRecord
+from vinevalue.model import AppellationRecord, Category, CountyRecord, IntegrityError
 from vinevalue.validate import compare_solutions
 
 
@@ -249,7 +250,7 @@ class TestRandomInit:
 class TestSolve:
     def test_one_by_one_forced_by_caps(self):
         problem = _simple({"A": 5.0}, {"00001": 3.0}, {"A": 1.0}, [("A", "00001")])
-        solution = solve(problem, 0, optimal_value(problem))
+        solution = solve_start(problem, 0, optimal_value(problem))
         assert solution.cells[("A", "00001")] == pytest.approx(3.0, abs=1e-9)
         assert objective(problem.weights, solution.cells) == pytest.approx(3.0, abs=1e-9)
 
@@ -257,7 +258,7 @@ class TestSolve:
         problem = priority_problem()
         face = optimal_value(problem)
         for seed in range(5):
-            solution = solve(problem, seed, face)
+            solution = solve_start(problem, seed, face)
             assert solution.cells.get(("AOP1", "01001"), 0.0) == pytest.approx(10.0, abs=1e-6)
             assert solution.cells.get(("NP1", "01001"), 0.0) == pytest.approx(0.0, abs=1e-6)
 
@@ -267,11 +268,11 @@ class TestSolve:
             problem = random_small_problem(rng, max_rows=4, max_cols=4, integer_caps=False)
             face = optimal_value(problem)
             for seed in (1, 2, 3):
-                assert feasibility_violations(problem, solve(problem, seed, face).cells) == []
+                assert feasibility_violations(problem, solve_start(problem, seed, face).cells) == []
 
     def test_empty_problem(self):
         problem = _simple({"A": 0.0}, {"00001": 0.0}, {"A": 1.0}, [("A", "00001")])
-        solution = solve(problem, 0, optimal_value(problem))
+        solution = solve_start(problem, 0, optimal_value(problem))
         assert solution.cells == {}
         assert objective(problem.weights, solution.cells) == 0.0
 
@@ -284,7 +285,7 @@ class TestSolve:
             [("A", "00001"), ("A", "00002"), ("B", "00001"), ("B", "00002")],
         )
         face = optimal_value(problem)
-        first, second = (solve(problem, seed, face) for seed in (0, 2))
+        first, second = (solve_start(problem, seed, face) for seed in (0, 2))
         assert first.cells != second.cells
         value = objective(problem.weights, first.cells)
         assert value == pytest.approx(objective(problem.weights, second.cells), rel=1e-9)
@@ -298,9 +299,9 @@ class TestSolve:
         face = allocator._saturated_face(problem) if county_scale == 1.0 \
             else optimal_value(problem)
         assert face is not None
-        highs = allocator._face_model(face)
+        highs = allocator._face_model(problem, face)
         for seed in range(10):
-            assert solve(problem, seed, face, highs).cells == solve(problem, seed, face).cells
+            assert solve(problem, seed, highs).cells == solve_start(problem, seed, face).cells
 
     def test_a_highs_error_names_the_call(self, monkeypatch):
         problem = priority_problem()
@@ -308,7 +309,7 @@ class TestSolve:
         monkeypatch.setattr(allocator._core._Highs, "run",
                             lambda highs: allocator._core.HighsStatus.kError)
         with pytest.raises(SolveError, match=r"^phase-2 LP failed: HiGHS run returned an error$"):
-            solve(problem, 0, face)
+            solve_start(problem, 0, face)
 
 
 class TestBruteForce:
@@ -381,7 +382,7 @@ class TestSolverAgainstOracles:
             best = brute_force_optimum(problem, 1.0)
             face = optimal_value(problem)
             for seed in range(10):
-                solution = solve(problem, seed, face)
+                solution = solve_start(problem, seed, face)
                 assert objective(problem.weights, solution.cells) == pytest.approx(
                     objective(problem.weights, best.cells), rel=1e-12)
                 assert solution.cells.keys() == best.cells.keys()
@@ -394,7 +395,7 @@ class TestSolverAgainstOracles:
             problem = random_small_problem(rng, max_rows=5, max_cols=5, integer_caps=False)
             greedy = greedy_baseline(problem)
             assert feasibility_violations(problem, greedy.cells) == []
-            solution = solve(problem, 3, optimal_value(problem))
+            solution = solve_start(problem, 3, optimal_value(problem))
             # The solver returns a point of the exact optimal face, so it can
             # fall short of greedy by float rounding only.
             greedy_value = objective(problem.weights, greedy.cells)
@@ -411,7 +412,7 @@ class TestMultiStart:
     def test_single_start_equals_solve(self):
         problem = priority_problem()
         result = multi_start_average(problem, k_starts=1, seed_base=5)
-        direct = solve(problem, 5, optimal_value(problem))
+        direct = solve_start(problem, 5, optimal_value(problem))
         assert result.average.cells == direct.cells
 
     def test_average_is_feasible(self):
@@ -532,10 +533,10 @@ def fail_starts(monkeypatch, seeds):
     the phase-1 face, where the starts of ``seeds`` fail for good."""
     real = allocator.solve
 
-    def solve_or_fail(problem, seed, face, highs=None):
+    def solve_or_fail(problem, seed, highs):
         if seed in seeds:
             raise SolveError(f"start {seed} made to fail")
-        return real(problem, seed, face, highs)
+        return real(problem, seed, highs)
 
     monkeypatch.setattr(allocator, "solve", solve_or_fail)
 
@@ -567,7 +568,7 @@ class TestFailedStarts:
         [face] = faces
         assert result.optimal_value == face.value
         assert [s.cells for s in result.solutions] == [
-            solve(problem, seed, face).cells for seed in (10, 12, 14)]
+            solve_start(problem, seed, face).cells for seed in (10, 12, 14)]
 
     def test_average_over_the_starts_that_succeeded(self, monkeypatch):
         problem = self.problem()
@@ -739,7 +740,7 @@ class TestFilledRowsFace:
         face = allocator._saturated_face(problem)
         assert face.value == 10.0 + 10.0 * 0.25 + 1.0 / 3.0
         with pytest.raises(SolveError, match=r"^phase-2 LP failed \(Infeasible\)$"):
-            solve(problem, 0, face)
+            solve_start(problem, 0, face)
 
     @settings(max_examples=150, deadline=None)
     @given(problem=small_problems(), k_starts=st.integers(1, 4),
@@ -768,10 +769,7 @@ class TestFilledRowsFace:
                 instance.weights, instance.cells,
             )
             face, solutions = phase1_multi_start(problem, 2, i)
-            county_rows = {tuple(np.flatnonzero(problem.col_index == j))
-                           for j in range(len(problem.col_codes))}
-            equalities = {tuple(sorted(face.a_eq[r].indices)) for r in range(face.a_eq.shape[0])}
-            tight_county_faces += bool(equalities & county_rows)
+            tight_county_faces += bool(face.tight[len(problem.row_codes):].any())
             low, high = face.bounds.T
             fixed_column_faces += bool(np.any((low == high) & (problem.lower_bounds == 0)))
             with monkeypatch.context() as patch:
@@ -799,6 +797,53 @@ def criterion_2_problem(rng, county_scale=1.0):
         {insee: county_scale * cap for insee, cap in instance.county_caps.items()},
         instance.weights, instance.cells,
     )
+
+
+class TestFaceModel:
+    """``_face_model`` lays out a face's LP as ``linprog`` does: the rows of
+    ``_constraints`` that may be slack, then the tight ones."""
+
+    @staticmethod
+    def same_layout(problem, face):
+        matrix, rhs = allocator._constraints(problem)
+        slack, tight = ~face.tight, face.tight
+        expected = sparse.vstack([matrix[slack], matrix[tight]]).tocsc()
+        lp = allocator._face_model(problem, face).getLp()
+        assert (lp.num_row_, lp.num_col_) == expected.shape
+        assert lp.a_matrix_.format_ == allocator._core.MatrixFormat.kColwise
+        assert np.array_equal(lp.a_matrix_.start_, expected.indptr)
+        assert np.array_equal(lp.a_matrix_.index_, expected.indices)
+        assert np.array_equal(lp.a_matrix_.value_, expected.data)
+        assert np.array_equal(lp.row_lower_,
+                              np.concatenate([np.full(slack.sum(), -np.inf), rhs[tight]]))
+        assert np.array_equal(lp.row_upper_, np.concatenate([rhs[slack], rhs[tight]]))
+        assert np.array_equal(lp.col_lower_, face.bounds[:, 0])
+        assert np.array_equal(lp.col_upper_, face.bounds[:, 1])
+
+    def test_alsace_filled_rows_face(self, alsace_config, tmp_path):
+        cfg = load_config(alsace_config, overrides={"output.directory": str(tmp_path)})
+        cli.stage_ingest(cfg)
+        problem = load_problem(tmp_path / cli.PROBLEM_DIR)
+        face = allocator._saturated_face(problem)
+        rows = len(problem.row_codes)
+        assert face.tight.tolist() == [True] * rows + [False] * len(problem.col_codes)
+        self.same_layout(problem, face)
+
+    def test_contested_phase_one_face(self):
+        problem = criterion_2_problem(np.random.default_rng(2424), county_scale=0.8)
+        face = optimal_value(problem)
+        rows = len(problem.row_codes)
+        # Tight county rows, and a tight row ahead of a slack one, which the
+        # layout moves behind it.
+        assert face.tight[rows:].any()
+        assert face.tight.tolist() != sorted(face.tight.tolist())
+        self.same_layout(problem, face)
+
+    def test_empty_problem_has_no_tight_row(self):
+        problem = _simple({"A": 0.0}, {"00001": 0.0}, {"A": 1.0}, [("A", "00001")])
+        face = optimal_value(problem)
+        assert face.tight.dtype == bool and not face.tight.any()
+        self.same_layout(problem, face)
 
 
 class TestOneLinprogPerStart:
@@ -852,8 +897,8 @@ class TestPhaseTwoPricing:
     def test_phase_one_face_with_contested_county_caps(self):
         problem = criterion_2_problem(np.random.default_rng(2424), county_scale=0.8)
         face = optimal_value(problem)
-        # More equality rows than appellations: some county rows are tight.
-        assert face.a_eq.shape[0] > len(problem.row_codes)
+        # More tight rows than appellations: some county rows are tight.
+        assert face.tight.sum() > len(problem.row_codes)
         low, high = face.bounds.T
         assert np.any((low == high) & (problem.lower_bounds == 0))
         self.same_as_default_pricing(problem, face, 4, 0)

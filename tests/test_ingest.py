@@ -10,8 +10,6 @@ from hypothesis import given, strategies as st
 
 from vinevalue.allocator import build_problem
 from vinevalue.ingest import (
-    ConfigError,
-    IntegrityError,
     inject_pseudo_appellations,
     parse_cell_surfaces,
     parse_customs_by_appellation,
@@ -34,8 +32,10 @@ from vinevalue.linkage import match_labels
 from vinevalue.model import (
     AppellationRecord,
     Category,
+    ConfigError,
     CountyRecord,
     DEFAULT_WEIGHTS,
+    IntegrityError,
     PriceEntry,
     ProductionMode,
     cvi_prefix,

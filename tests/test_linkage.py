@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from baselines import full_edit_distance, match_labels_oracle
 from vinevalue import linkage
-from vinevalue.ingest import ConfigError
 from vinevalue.linkage import (
     LabelMatch,
     edit_distance,
@@ -23,7 +22,7 @@ from vinevalue.linkage import (
     read_match_report,
     write_match_report,
 )
-from vinevalue.model import AppellationRecord, PriceEntry, ProductionMode
+from vinevalue.model import AppellationRecord, ConfigError, PriceEntry, ProductionMode
 
 
 def oracle_edit_distance(a: str, b: str) -> float:
@@ -360,6 +359,23 @@ class TestWordlists:
             load_acronyms(acronyms_file)
         assert str(error.value) == (f"acronyms.txt: line {number} expands {short!r} to "
                                     f"{long_form!r}, which contains the acronym {acronym!r}")
+
+    @pytest.mark.parametrize("load, lines, number, what, entry", [
+        # Labels are split on every character but letters and digits before
+        # any lookup, so none of these entries could ever apply.
+        (load_wordlist, "de\nSaint Emilion\n", 2, "stopword", "SAINT EMILION"),
+        (load_acronyms, "CDR=Cote du Rhone\nST EM=Saint Emilion\n", 2, "acronym", "ST EM"),
+        (load_acronyms, "\nC-R=Cote Rotie\n", 2, "acronym", "C-R"),
+        (load_acronyms, "=Cote Rotie\n", 1, "acronym", ""),
+    ])
+    def test_entry_that_is_not_one_token_is_config_error(self, tmp_path, load, lines, number,
+                                                         what, entry):
+        wordlist = tmp_path / "words.txt"
+        wordlist.write_text(lines, encoding="utf-8")
+        with pytest.raises(ConfigError) as error:
+            load(wordlist)
+        assert str(error.value) == (f"words.txt: line {number}: {what} {entry!r} is not one "
+                                    "token of letters and digits, so no label token can equal it")
 
     def test_latin1_files_decode(self, tmp_path):
         stopwords_file = tmp_path / "stopwords.txt"

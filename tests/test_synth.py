@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from baselines import uniform_spread_baseline
+from baselines import solve_start, uniform_spread_baseline
 from vinevalue import allocator
 from vinevalue.model import Category, DEFAULT_WEIGHTS, exact_sums
 from vinevalue.synth import CATEGORY_MIX, generate
@@ -133,7 +133,7 @@ class TestRecovery:
             for factor, bucket in ((0.25, low), (2.0, high)):
                 instance = generate((8, 40, 0.12), seed=seed, extra_mask_factor=factor)
                 problem = instance.problem
-                solution = allocator.solve(problem, seed, allocator.optimal_value(problem))
+                solution = solve_start(problem, seed, allocator.optimal_value(problem))
                 bucket.append(kendall_tau(*align([instance.truth.cells, solution.cells])[1]))
         low_mean = np.mean(low)
         high_mean = np.mean(high)
