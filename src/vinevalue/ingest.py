@@ -115,9 +115,9 @@ def _read_fields(source, delimiter: str, dataset: str):
     header = [h.strip() for h in header]
     rows = []
     for fields in reader:
-        if not fields or all(not f.strip() for f in fields):
-            continue
-        rows.append((reader.line_num, [f.strip() for f in fields]))
+        stripped = [f.strip() for f in fields]
+        if any(stripped):
+            rows.append((reader.line_num, stripped))
     return header, rows
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
+import numpy as np
 from scipy.optimize import linprog
 
 from vinevalue import allocator
@@ -11,10 +12,10 @@ from vinevalue.allocator import (
     AllocationMatrix,
     AllocationProblem,
     OptimalFace,
+    SolveError,
     optimal_value,
     project_feasible,
     random_init,
-    solve,
 )
 from vinevalue.linkage import LabelMatch, expand_price_entries, normalize_label
 from vinevalue.model import AppellationRecord, Cell, PriceEntry
@@ -120,8 +121,22 @@ def brute_force_optimum(problem: AllocationProblem, grid_step: float) -> Allocat
 
 
 def solve_start(problem: AllocationProblem, seed: int, face: OptimalFace) -> AllocationMatrix:
-    """One start of ``allocator.solve`` on a model of ``face`` of its own."""
-    return solve(problem, seed, allocator._face_model(problem, face))
+    """One start of ``allocator.solve`` as one LP over the whole face, with
+    no working set: every column in the model from the start."""
+    m = problem.n_cells
+    if m == 0:
+        return AllocationMatrix({})
+    costs = -random_init(problem, seed) / problem.upper_bounds
+    highs = allocator._phase2_highs()
+    lp = allocator._FaceLP(problem, face).model(np.arange(m), costs)
+    assert highs.passModel(lp) == allocator._core.HighsStatus.kOk
+    assert highs.run() == allocator._core.HighsStatus.kOk
+    status = highs.getModelStatus()
+    if status != allocator._core.HighsModelStatus.kOptimal:
+        raise SolveError(f"phase-2 LP failed ({highs.modelStatusToString(status)})")
+    x = project_feasible(problem, np.array(highs.getSolution().col_value))
+    x[x < 1e-12] = 0.0
+    return AllocationMatrix({cell: float(v) for cell, v in zip(problem.cells, x) if v > 0.0})
 
 
 def phase1_multi_start(

@@ -293,15 +293,17 @@ class TestSolve:
 
     @pytest.mark.parametrize("county_scale", [1.0, 0.8], ids=["filled rows", "phase 1"])
     def test_reused_model_reaches_each_start_s_own_vertex(self, county_scale):
-        """Each start clears the solver state of the model it shares with the
-        starts before it, so it lands on the vertex of a model of its own."""
+        """Each start passes a model of its own to the HiGHS instance it
+        shares with the starts before it, so it lands on the bits of an
+        instance of its own."""
         problem = criterion_2_problem(np.random.default_rng(2424), county_scale)
         face = allocator._saturated_face(problem) if county_scale == 1.0 \
             else optimal_value(problem)
         assert face is not None
-        highs = allocator._face_model(problem, face)
+        lp, highs = allocator._FaceLP(problem, face), allocator._phase2_highs()
         for seed in range(10):
-            assert solve(problem, seed, highs).cells == solve_start(problem, seed, face).cells
+            assert np.array_equal(solve(problem, seed, lp, highs),
+                                  solve(problem, seed, lp, allocator._phase2_highs()))
 
     def test_a_highs_error_names_the_call(self, monkeypatch):
         problem = priority_problem()
@@ -309,7 +311,7 @@ class TestSolve:
         monkeypatch.setattr(allocator._core._Highs, "run",
                             lambda highs: allocator._core.HighsStatus.kError)
         with pytest.raises(SolveError, match=r"^phase-2 LP failed: HiGHS run returned an error$"):
-            solve_start(problem, 0, face)
+            solve(problem, 0, allocator._FaceLP(problem, face), allocator._phase2_highs())
 
 
 class TestBruteForce:
@@ -481,7 +483,7 @@ class TestMultiStart:
             (seed, f"start {seed} made to fail") for seed in (3, 20, 42)]
 
     def test_same_result_for_any_cpu_count_on_a_synth_instance(self, monkeypatch):
-        """Each thread reuses its model of the face for the starts it takes,
+        """Each thread reuses its HiGHS instance for the starts it takes,
         whichever they are, and a failed start fails alone."""
         problem = synth.generate((30, 60, 0.2), seed=5, counties_per_department=12).problem
         assert problem.n_cells == 537
@@ -533,10 +535,10 @@ def fail_starts(monkeypatch, seeds):
     the phase-1 face, where the starts of ``seeds`` fail for good."""
     real = allocator.solve
 
-    def solve_or_fail(problem, seed, highs):
+    def solve_or_fail(problem, seed, *args):
         if seed in seeds:
             raise SolveError(f"start {seed} made to fail")
-        return real(problem, seed, highs)
+        return real(problem, seed, *args)
 
     monkeypatch.setattr(allocator, "solve", solve_or_fail)
 
@@ -605,13 +607,14 @@ class TestFailedStarts:
 
 def count_lps(monkeypatch) -> tuple[list[int], list[int]]:
     """Record one entry per phase-1 LP (an ``allocator.linprog`` call) and
-    one per phase-2 LP (a ``run()`` of a HiGHS model outside ``linprog``),
-    from any thread."""
+    one per phase-2 LP (a model passed to a HiGHS instance outside
+    ``linprog``: one per start, however many times its sifted LP runs), from
+    any thread."""
     phase1: list[int] = []
     phase2: list[int] = []
     in_linprog = threading.local()
     real_linprog = allocator.linprog
-    real_run = allocator._core._Highs.run
+    real_pass = allocator._core._Highs.passModel
 
     def counted_linprog(*args, **kwargs):
         phase1.append(1)
@@ -621,13 +624,13 @@ def count_lps(monkeypatch) -> tuple[list[int], list[int]]:
         finally:
             in_linprog.active = False
 
-    def counted_run(highs):
+    def counted_pass(highs, *args):
         if not getattr(in_linprog, "active", False):
             phase2.append(1)
-        return real_run(highs)
+        return real_pass(highs, *args)
 
     monkeypatch.setattr(allocator, "linprog", counted_linprog)
-    monkeypatch.setattr(allocator._core._Highs, "run", counted_run)
+    monkeypatch.setattr(allocator._core._Highs, "passModel", counted_pass)
     return phase1, phase2
 
 
@@ -800,25 +803,40 @@ def criterion_2_problem(rng, county_scale=1.0):
 
 
 class TestFaceModel:
-    """``_face_model`` lays out a face's LP as ``linprog`` does: the rows of
-    ``_constraints`` that may be slack, then the tight ones."""
+    """``_FaceLP`` lays out a face's LP as ``linprog`` does, the rows of
+    ``_constraints`` that may be slack, then the tight ones, over the whole
+    face and over a subset of its columns, in the order given."""
 
     @staticmethod
     def same_layout(problem, face):
         matrix, rhs = allocator._constraints(problem)
         slack, tight = ~face.tight, face.tight
-        expected = sparse.vstack([matrix[slack], matrix[tight]]).tocsc()
-        lp = allocator._face_model(problem, face).getLp()
-        assert (lp.num_row_, lp.num_col_) == expected.shape
-        assert lp.a_matrix_.format_ == allocator._core.MatrixFormat.kColwise
-        assert np.array_equal(lp.a_matrix_.start_, expected.indptr)
-        assert np.array_equal(lp.a_matrix_.index_, expected.indices)
-        assert np.array_equal(lp.a_matrix_.value_, expected.data)
-        assert np.array_equal(lp.row_lower_,
-                              np.concatenate([np.full(slack.sum(), -np.inf), rhs[tight]]))
-        assert np.array_equal(lp.row_upper_, np.concatenate([rhs[slack], rhs[tight]]))
-        assert np.array_equal(lp.col_lower_, face.bounds[:, 0])
-        assert np.array_equal(lp.col_upper_, face.bounds[:, 1])
+        full = sparse.vstack([matrix[slack], matrix[tight]]).tocsc()
+        costs = -random_init(problem, 3) / problem.upper_bounds
+        face_lp = allocator._FaceLP(problem, face)
+        m = problem.n_cells
+        models = [(columns, costs, face_lp.model(columns, costs))
+                  for columns in (np.arange(m), np.arange(m)[::-3], np.arange(0))]
+        # The whole face without costs, shared by the starts, when every row
+        # fits in a start's first LP.
+        fits = np.bincount(problem.row_index).max(initial=0) <= allocator._SIFT_ROW_CELLS
+        assert (face_lp.whole is not None) == fits
+        if fits:
+            models.append((np.arange(m), np.zeros(m), face_lp.whole))
+        for columns, costs, lp in models:
+            expected = full[:, columns]
+            assert (lp.num_row_, lp.num_col_) == expected.shape
+            assert (lp.a_matrix_.num_row_, lp.a_matrix_.num_col_) == expected.shape
+            assert lp.a_matrix_.format_ == allocator._core.MatrixFormat.kColwise
+            assert np.array_equal(lp.a_matrix_.start_, expected.indptr)
+            assert np.array_equal(lp.a_matrix_.index_, expected.indices)
+            assert np.array_equal(lp.a_matrix_.value_, expected.data)
+            assert np.array_equal(lp.row_lower_,
+                                  np.concatenate([np.full(slack.sum(), -np.inf), rhs[tight]]))
+            assert np.array_equal(lp.row_upper_, np.concatenate([rhs[slack], rhs[tight]]))
+            assert np.array_equal(lp.col_cost_, costs[columns])
+            assert np.array_equal(lp.col_lower_, face.bounds[columns, 0])
+            assert np.array_equal(lp.col_upper_, face.bounds[columns, 1])
 
     def test_alsace_filled_rows_face(self, alsace_config, tmp_path):
         cfg = load_config(alsace_config, overrides={"output.directory": str(tmp_path)})
@@ -847,11 +865,15 @@ class TestFaceModel:
 
 
 class TestOneLinprogPerStart:
-    """Each start is bit for bit the start of one ``linprog`` call with the
-    same options, although a thread reuses its model of the face."""
+    """A start whose first LP holds the whole face is bit for bit the start
+    of one ``linprog`` call with the same options, although a thread reuses
+    its HiGHS instance. Alsace's rows fit in the first LP; on the other
+    instances, some rows have more cells than it takes, so the tests let it
+    take them all (``TestSifting`` checks their sifted starts)."""
 
     @staticmethod
-    def same_as_linprog(problem, k_starts, seed_base):
+    def same_as_linprog(monkeypatch, problem, k_starts, seed_base):
+        monkeypatch.setattr(allocator, "_SIFT_ROW_CELLS", max(problem.n_cells, 1))
         face = allocator._saturated_face(problem) or optimal_value(problem)
         result = multi_start_average(problem, k_starts=k_starts, seed_base=seed_base)
         assert result.failures == []
@@ -859,22 +881,234 @@ class TestOneLinprogPerStart:
             linprog_start(problem, seed, face, "devex").cells
             for seed in range(seed_base, seed_base + k_starts)]
 
-    def test_alsace(self, alsace_config, tmp_path):
+    def test_alsace(self, alsace_config, tmp_path, monkeypatch):
         cfg = load_config(alsace_config, overrides={"output.directory": str(tmp_path)})
         cli.stage_ingest(cfg)
         problem = load_problem(tmp_path / cli.PROBLEM_DIR)
         assert problem.n_cells == 19
-        self.same_as_linprog(problem, cfg.k_starts, cfg.seed)
+        assert np.bincount(problem.row_index).max() <= allocator._SIFT_ROW_CELLS
+        self.same_as_linprog(monkeypatch, problem, cfg.k_starts, cfg.seed)
 
-    def test_synth_instance(self):
+    def test_synth_instance(self, monkeypatch):
         problem = synth.generate((50, 150, 0.2), seed=5, counties_per_department=30).problem
         assert problem.n_cells == 2213
-        self.same_as_linprog(problem, 4, 0)
+        self.same_as_linprog(monkeypatch, problem, 4, 0)
 
-    def test_criterion_2_draws(self):
+    def test_criterion_2_draws(self, monkeypatch):
         rng = np.random.default_rng(2424)
         for i in range(6):
-            self.same_as_linprog(criterion_2_problem(rng), 3, i)
+            self.same_as_linprog(monkeypatch, criterion_2_problem(rng), 3, i)
+
+
+def first_lp_columns(monkeypatch) -> list[np.ndarray]:
+    """Record the columns of each LP that ``_FaceLP.model`` lays out, from
+    any thread: the first LP of each start on a face whose rows do not all
+    fit in it."""
+    columns: list[np.ndarray] = []
+    real = allocator._FaceLP.model
+
+    def recording(lp, cols, costs):
+        columns.append(cols.copy())
+        return real(lp, cols, costs)
+
+    monkeypatch.setattr(allocator._FaceLP, "model", recording)
+    return columns
+
+
+def sift_runs(monkeypatch) -> list[tuple[int, bool]]:
+    """Record each phase-2 ``run()`` as (columns in the model, optimal)."""
+    runs: list[tuple[int, bool]] = []
+    real = allocator._core._Highs.run
+
+    def recording(highs):
+        status = real(highs)
+        runs.append((highs.getNumCol(),
+                     highs.getModelStatus() == allocator._core.HighsModelStatus.kOptimal))
+        return status
+
+    monkeypatch.setattr(allocator._core._Highs, "run", recording)
+    return runs
+
+
+def with_known_cells(problem, every):
+    """``problem`` with every ``every``-th cell known at 1 ha, the caps of its
+    row and county raised by as much."""
+    caps_r, caps_c = dict(problem.appellation_caps), dict(problem.county_caps)
+    known = {}
+    for code, insee in problem.cells[::every]:
+        known[code, insee] = 1.0
+        caps_r[code] += 1.0
+        caps_c[insee] += 1.0
+    mask = [cell for cell in problem.cells if cell not in known]
+    return problem_from_caps(caps_r, caps_c, problem.weights, mask, known)
+
+
+def overflowing_problem():
+    """A synthetic instance with every county cap scaled by 0.8, plus a spare
+    county that only the first row reaches, large enough for every row: the
+    caps in total and every row's cells could hold every row, yet the rows
+    cannot all be filled."""
+    base = synth.generate((50, 150, 0.2), seed=5, counties_per_department=30).problem
+    county_caps = {insee: 0.8 * cap for insee, cap in base.county_caps.items()}
+    county_caps["99999"] = sum(base.appellation_caps.values())
+    return problem_from_caps(base.appellation_caps, county_caps, base.weights,
+                             [*base.cells, (base.row_codes[0], "99999")])
+
+
+class TestSifting:
+    """A start solves over a working set of its cheapest columns and prices
+    the rest in. Checked against ``solve_start``, one LP over the whole face,
+    on instances whose rows have more cells than the first LP takes."""
+
+    @staticmethod
+    def same_as_full_lp(problem, face, seeds):
+        """The support as written (cells above 1e-9 ha) is the full LP's,
+        every cell agrees within 1e-9 relative (1e-9 ha near zero), and the
+        objective is the face's within 1e-12 relative."""
+        lp = allocator._FaceLP(problem, face)
+        for seed in seeds:
+            sifted = solve(problem, seed, lp, allocator._phase2_highs())
+            full = solve_start(problem, seed, face).cells
+            expected = np.array([full.get(cell, 0.0) for cell in problem.cells])
+            assert np.array_equal(sifted > 1e-9, expected > 1e-9)
+            assert np.all(np.abs(sifted - expected) <= 1e-9 * np.maximum(expected, 1.0))
+            cells = {cell: float(v) for cell, v in zip(problem.cells, sifted) if v > 0}
+            assert objective(problem.weights, cells) == pytest.approx(face.value, rel=1e-12)
+
+    @staticmethod
+    def restricted(problem, columns):
+        """Some row has more cells than the first LP takes, and no start's
+        first LP holds every column."""
+        assert np.bincount(problem.row_index).max() > allocator._SIFT_ROW_CELLS
+        assert columns and all(len(cols) < problem.n_cells for cols in columns)
+
+    @pytest.mark.parametrize(("shape", "seed", "per_department"), [
+        ((40, 600, 0.1), 5, 100),
+        ((30, 3000, 0.05), 11, 100),
+    ])
+    def test_starts_match_the_full_lp(self, monkeypatch, shape, seed, per_department):
+        problem = synth.generate(shape, seed=seed, counties_per_department=per_department).problem
+        face = allocator._saturated_face(problem)
+        columns = first_lp_columns(monkeypatch)
+        runs = sift_runs(monkeypatch)
+        self.same_as_full_lp(problem, face, range(6))
+        # Every other first LP and run is the oracle's.
+        self.restricted(problem, columns[::2])
+        sifted = [run for run in runs if run[0] < problem.n_cells]
+        # Some start priced columns in, and every LP solved.
+        assert len(sifted) > 6 and all(optimal for _, optimal in runs)
+
+    def test_criterion_2_draws(self, monkeypatch):
+        rng = np.random.default_rng(2424)
+        columns = first_lp_columns(monkeypatch)
+        restricted = 0
+        for i in range(12):
+            problem = criterion_2_problem(rng)
+            face = allocator._saturated_face(problem) or optimal_value(problem)
+            columns.clear()
+            self.same_as_full_lp(problem, face, (i, i + 100))
+            restricted += any(len(cols) < problem.n_cells for cols in columns[::2])
+        assert restricted >= 6
+
+    @pytest.mark.parametrize(("row_cells", "county_cells"), [(0, 0), (32, 2)])
+    @pytest.mark.parametrize("face_of", ["contested phase-1 face", "known cells"])
+    def test_columns_with_a_positive_lower_bound_are_in_every_first_lp(
+            self, monkeypatch, face_of, row_cells, county_cells):
+        """Also when no row or county takes a cell: then the first LP holds
+        exactly the columns with a positive lower bound."""
+        if face_of == "known cells":
+            problem = with_known_cells(synth.generate(
+                (50, 150, 0.2), seed=5, counties_per_department=30).problem, 37)
+            assert np.count_nonzero(problem.lower_bounds) == 60
+        else:
+            rng = np.random.default_rng(2424)
+            criterion_2_problem(rng, county_scale=0.8)
+            problem = criterion_2_problem(rng, county_scale=0.8)
+        face = optimal_value(problem)
+        positive = np.flatnonzero(face.bounds[:, 0] > 0)
+        if face_of == "contested phase-1 face":
+            # Cells fixed at their cap, none of them known.
+            assert len(positive) == 8 and not problem.lower_bounds.any()
+        monkeypatch.setattr(allocator, "_SIFT_ROW_CELLS", row_cells)
+        monkeypatch.setattr(allocator, "_SIFT_COUNTY_CELLS", county_cells)
+        columns = first_lp_columns(monkeypatch)
+        self.same_as_full_lp(problem, face, range(4))
+        self.restricted(problem, columns[::2])
+        for cols in columns:
+            assert np.isin(positive, cols).all()
+        if row_cells == 0:
+            assert all(np.array_equal(cols, positive) for cols in columns[::2])
+
+    def test_infeasible_working_set_falls_back_to_the_whole_face(self, monkeypatch):
+        problem = synth.generate((50, 150, 0.2), seed=5, counties_per_department=30).problem
+        face = allocator._saturated_face(problem)
+        monkeypatch.setattr(allocator, "_SIFT_ROW_CELLS", 1)
+        runs = sift_runs(monkeypatch)
+        self.same_as_full_lp(problem, face, range(4))
+        # Each start's first LP cannot fill every row, and the LP after it
+        # holds the whole face; then comes the oracle's LP.
+        whole = (problem.n_cells, True)
+        assert len(runs) == 3 * 4
+        for first, fallback, oracle in zip(runs[0::3], runs[1::3], runs[2::3]):
+            assert first[0] < problem.n_cells and not first[1]
+            assert fallback == oracle == whole
+
+    def test_fallback_does_not_reject_a_filled_rows_face(self, monkeypatch):
+        problem = synth.generate((50, 150, 0.2), seed=5, counties_per_department=30).problem
+        face = allocator._saturated_face(problem)
+        oracle = [solve_start(problem, seed, face) for seed in range(3, 7)]
+        monkeypatch.setattr(allocator, "_SIFT_ROW_CELLS", 1)
+        runs = sift_runs(monkeypatch)
+        phase1, _ = count_lps(monkeypatch)
+        result = multi_start_average(problem, k_starts=4, seed_base=3)
+        assert phase1 == [] and sum(not optimal for _, optimal in runs) == 4
+        same_starts(result, face, oracle)
+
+    def test_fallback_rejects_a_face_only_on_the_whole_face(self, monkeypatch):
+        """The filled-rows face of ``overflowing_problem`` passes the cheap
+        checks; the LP over the whole face rejects it, and the starts run
+        again on phase 1's face."""
+        problem = overflowing_problem()
+        assert allocator._saturated_face(problem) is not None
+        oracle = phase1_multi_start(problem, 3, 0)
+        monkeypatch.setattr(allocator, "_SIFT_ROW_CELLS", 1)
+        monkeypatch.setattr(allocator, "_cpu_count", lambda: 1)
+        runs = sift_runs(monkeypatch)
+        phase1, _ = count_lps(monkeypatch)
+        result = multi_start_average(problem, k_starts=3, seed_base=0)
+        assert len(phase1) == 1
+        # The probe's first LP, then its LP over the whole face, both infeasible.
+        assert runs[0][0] < problem.n_cells
+        assert [optimal for _, optimal in runs[:2]] == [False, False]
+        assert runs[1][0] == problem.n_cells
+        same_starts(result, *oracle)
+
+    def test_rows_within_the_first_lp_give_the_full_lp_s_bits(self, monkeypatch):
+        problem = synth.generate((30, 60, 0.2), seed=5, counties_per_department=12).problem
+        assert np.bincount(problem.row_index).max() <= allocator._SIFT_ROW_CELLS
+        face = allocator._saturated_face(problem)
+        lp = allocator._FaceLP(problem, face)
+        assert lp.whole is not None
+        runs = sift_runs(monkeypatch)
+        for seed in range(5):
+            x = solve(problem, seed, lp, allocator._phase2_highs())
+            assert {cell: float(v) for cell, v in zip(problem.cells, x) if v > 0} \
+                == solve_start(problem, seed, face).cells
+        # One run a start over every column, and one for the oracle's LP.
+        assert runs == [(problem.n_cells, True)] * 10
+
+    def test_same_bits_for_any_cpu_count(self, monkeypatch):
+        problem = synth.generate((40, 600, 0.1), seed=5, counties_per_department=100).problem
+        columns = first_lp_columns(monkeypatch)
+        results = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(allocator, "_cpu_count", lambda: cpus)
+            results.append(multi_start_average(problem, k_starts=6, seed_base=8))
+        self.restricted(problem, columns)
+        one, two = results
+        assert one.failures == two.failures == []
+        assert [s.cells for s in one.solutions] == [s.cells for s in two.solutions]
+        assert one.average.cells == two.average.cells
 
 
 class TestPhaseTwoPricing:

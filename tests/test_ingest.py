@@ -222,6 +222,15 @@ class TestParseCustomsByCounty:
             (4, "malformed surface 'nan'"), (5, "malformed surface 'inf'"),
         ]
 
+    def test_blank_rows_are_skipped_and_lines_keep_their_numbers(self):
+        # An empty line, a row of empty fields, and a row of spaces and tabs.
+        text = "insee;surface_ha\n\n;\n01001;abc\n \t; \n01002; 2.5 \n01003;-1\n"
+        records, report = parse_customs_by_county(_src(text))
+        assert report.rows_read == 3
+        assert [(r.insee_code, r.marginal_surface) for r in records] == [("01002", 2.5)]
+        assert report.row_errors == [(4, "malformed surface 'abc'"),
+                                     (7, "negative surface '-1'")]
+
     def test_leading_zeros_preserved(self):
         records, _ = parse_customs_by_county(_src("insee;surface_ha\n01001;1.0\n"))
         assert records[0].insee_code == "01001"
