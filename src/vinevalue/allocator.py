@@ -93,6 +93,8 @@ _PHASE2_OPTIONS = {
 #: back to the whole face; from 48 up, the first LP costs more than it saves.
 _SIFT_ROW_CELLS = 32
 _SIFT_COUNTY_CELLS = 2
+#: An allocation holds a cell above this many hectares, in memory as in its file.
+_SUPPORT_HA = 1e-9
 
 #: The range of a cap or known surface and of a weight, as (rule text, test);
 #: NaN fails both tests.
@@ -135,9 +137,9 @@ class AllocationProblem:
 
 @dataclass(eq=False)
 class AllocationMatrix:
-    """Solver output: the sparse nonnegative surfaces, support inside the
-    mask. Functions that read an allocation take the ``cells`` mapping
-    itself, and :func:`objective` values it.
+    """Solver output: the cells of the mask above ``_SUPPORT_HA``, the cells
+    its file holds. Functions that read an allocation take the ``cells``
+    mapping itself, and :func:`objective` values it.
 
     It stays while the benchmark reads ``.cells`` of the per-start solutions
     and of the synthetic truth; ROADMAP item 5, after item 3, replaces it
@@ -171,7 +173,7 @@ def problem_from_caps(
     active: list[Cell] = []
     lower: list[float] = []
     upper: list[float] = []
-    for code, insee in sorted(set(mask_cells) | set(known)):
+    for code, insee in sorted(dict.fromkeys([*mask_cells, *known])):
         if code not in appellation_caps:
             raise IntegrityError(f"cell references unknown appellation {code!r}")
         if insee not in county_caps:
@@ -306,7 +308,7 @@ def objective(weights: Mapping[str, float], cells: Mapping[Cell, float]) -> floa
 
 
 def _matrix_from_vector(problem: AllocationProblem, x: np.ndarray) -> AllocationMatrix:
-    return AllocationMatrix({cell: float(v) for cell, v in zip(problem.cells, x) if v > 0.0})
+    return AllocationMatrix({c: float(v) for c, v in zip(problem.cells, x) if v > _SUPPORT_HA})
 
 
 def optimal_value(problem: AllocationProblem) -> OptimalFace:
@@ -412,8 +414,8 @@ def solve(problem: AllocationProblem, seed: int, lp: _FaceLP,
     """The vertex of the face ``lp`` lays out that maximizes
     ``random_init(problem, seed) / upper_bounds``, as a vector over
     ``problem.cells``: exactly feasible, its objective the optimum up to float
-    rounding. ``highs`` is any :func:`_phase2_highs` instance; the start
-    passes it a model of its own.
+    rounding, zero at or below ``_SUPPORT_HA``. ``highs`` is any
+    :func:`_phase2_highs` instance; the start passes it a model of its own.
 
     The LP is sifted. It starts on a working set of columns: each appellation
     row's ``_SIFT_ROW_CELLS`` cheapest cells, each county's
@@ -469,14 +471,14 @@ def solve(problem: AllocationProblem, seed: int, lp: _FaceLP,
     x = np.zeros(m)
     x[columns] = highs.getSolution().col_value
     x = project_feasible(problem, x)
-    x[x < 1e-12] = 0.0
+    x[x <= _SUPPORT_HA] = 0.0
     return x
 
 
 @dataclass(eq=False)
 class MultiStartResult:
-    """Averaged allocation plus the per-start solutions and the failed
-    starts as (seed, message)."""
+    """Averaged allocation, the per-start solutions in seed order, each one
+    holding exactly the cells of its file, and the failed starts as (seed, message)."""
 
     average: AllocationMatrix
     solutions: list[AllocationMatrix]
@@ -543,12 +545,12 @@ def multi_start_average(
 
     Each start is one sifted LP (:func:`solve`). The starts first run on the
     face where every appellation row is filled; if one fails there, phase 1
-    computes the optimal face and every start runs again on it, so no start
-    on the rejected face counts as failed. The starts run on
-    ``min(k_starts, CPUs)`` threads, this one included, as HiGHS releases the
-    GIL. Outcomes are kept by seed and reduced in seed order, so results are
-    bit-identical whatever the thread count. The average is feasible by
-    convexity of the constraint set. Failed starts are excluded and reported;
+    computes the optimal face and every start runs again on it, so no start on
+    the rejected face counts as failed. The starts run on ``min(k_starts,
+    CPUs)`` threads, this one included, as HiGHS releases the GIL. Outcomes are
+    kept by seed and reduced in seed order, so results are bit-identical
+    whatever the thread count. The average, feasible by convexity, and each
+    start are cut at ``_SUPPORT_HA``. Failed starts are excluded and reported;
     all starts failing is fatal, and any other error in a start propagates.
     Agreement between the starts is measured by ``validate.compare_solutions``.
     """
@@ -565,7 +567,6 @@ def multi_start_average(
             face = optimal_value(problem)
             outcomes = _run_starts(pool, workers, problem, face, seeds, probe=False)
 
-    solutions: list[AllocationMatrix] = []
     vectors: list[np.ndarray] = []
     failures: list[tuple[int, str]] = []
     for i, seed in enumerate(seeds):
@@ -574,14 +575,13 @@ def multi_start_average(
             logger.warning("start %d (seed %d) failed: %s", i, seed, outcome)
             failures.append((seed, str(outcome)))
             continue
-        solutions.append(_matrix_from_vector(problem, outcome))
         vectors.append(outcome)
-    if not solutions:
+    if not vectors:
         raise SolveError(f"all {k_starts} starts failed")
 
     avg = project_feasible(problem, np.vstack(vectors).sum(axis=0) / len(vectors))
-    average = _matrix_from_vector(problem, avg)
-    return MultiStartResult(average, solutions, failures, optimal_value=face.value)
+    solutions = [_matrix_from_vector(problem, x) for x in vectors]
+    return MultiStartResult(_matrix_from_vector(problem, avg), solutions, failures, face.value)
 
 
 def feasibility_violations(
@@ -675,10 +675,10 @@ def load_problem(directory: str | Path) -> AllocationProblem:
 
 def write_solution(cells: Mapping[Cell, float], path: str | Path) -> None:
     """Sparse allocation CSV in cell order, values by ``repr`` so they read
-    back bit-exact; cells at or below 1e-9 ha are omitted."""
+    back bit-exact; cells at or below ``_SUPPORT_HA`` are omitted."""
     write_rows(
         path, SOLUTION_HEADER,
-        ([*cell, repr(cells[cell])] for cell in sorted(cells) if cells[cell] > 1e-9),
+        ([*cell, repr(cells[cell])] for cell in sorted(cells) if cells[cell] > _SUPPORT_HA),
     )
 
 

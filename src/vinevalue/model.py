@@ -22,8 +22,8 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Ty
 
 #: An (appellation code, INSEE county code) pair. Allocation readers take a
 #: ``Mapping[Cell, float]`` of hectares: a solution read back from CSV, or the
-#: ``cells`` of an ``allocator.AllocationMatrix`` (solver output, synthetic
-#: truth). ``allocator.objective`` computes its weighted objective.
+#: ``cells`` of an ``allocator.AllocationMatrix`` (the synthetic truth, or solver
+#: output, equal to its CSV). ``allocator.objective`` computes its weighted objective.
 Cell = tuple[str, str]
 
 

@@ -135,8 +135,8 @@ def solve_start(problem: AllocationProblem, seed: int, face: OptimalFace) -> All
     if status != allocator._core.HighsModelStatus.kOptimal:
         raise SolveError(f"phase-2 LP failed ({highs.modelStatusToString(status)})")
     x = project_feasible(problem, np.array(highs.getSolution().col_value))
-    x[x < 1e-12] = 0.0
-    return AllocationMatrix({cell: float(v) for cell, v in zip(problem.cells, x) if v > 0.0})
+    return AllocationMatrix({cell: float(v) for cell, v in zip(problem.cells, x)
+                             if v > allocator._SUPPORT_HA})
 
 
 def phase1_multi_start(
@@ -166,8 +166,8 @@ def linprog_start(problem: AllocationProblem, seed: int, face: OptimalFace,
     )
     assert res.status == 0, res.message
     x = project_feasible(problem, res.x)
-    x[x < 1e-12] = 0.0
-    return AllocationMatrix({cell: float(v) for cell, v in zip(problem.cells, x) if v > 0.0})
+    return AllocationMatrix({cell: float(v) for cell, v in zip(problem.cells, x)
+                             if v > allocator._SUPPORT_HA})
 
 
 def kendall_tau_oracle(x, y) -> float:

@@ -457,6 +457,20 @@ class TestMultiStart:
         with pytest.raises(ValueError):
             multi_start_average(priority_problem(), k_starts=0)
 
+    def test_no_allocation_holds_a_cell_at_or_below_the_support_cut_off(
+            self, monkeypatch, tmp_path):
+        """Cells of 5e-10 and 2e-12 ha in a start's vector, float noise that
+        no file holds, are in neither the start nor the average handed out."""
+        problem = _simple({"A": 1.0, "B": 1.0, "C": 1.0}, {"01": 3.0},
+                          {"A": 1.0, "B": 1.0, "C": 1.0}, [("A", "01"), ("B", "01"), ("C", "01")])
+        monkeypatch.setattr(allocator, "solve",
+                            lambda *args: np.array([1.0, 5e-10, 2e-12]))
+        result = multi_start_average(problem, k_starts=2)
+        for solution in (*result.solutions, result.average):
+            assert solution.cells == {("A", "01"): 1.0}
+            write_solution(solution.cells, tmp_path / "solution.csv")
+            assert read_solution(tmp_path / "solution.csv") == solution.cells
+
     @pytest.mark.parametrize("cpus", [3, 8])
     def test_same_result_for_any_worker_count(self, monkeypatch, cpus):
         """8 workers exceed the cores here; a thread switch every microsecond
@@ -962,15 +976,15 @@ class TestSifting:
 
     @staticmethod
     def same_as_full_lp(problem, face, seeds):
-        """The support as written (cells above 1e-9 ha) is the full LP's,
-        every cell agrees within 1e-9 relative (1e-9 ha near zero), and the
-        objective is the face's within 1e-12 relative."""
+        """The support is the full LP's, every cell agrees within 1e-9
+        relative (1e-9 ha near zero), and the objective is the face's within
+        1e-12 relative."""
         lp = allocator._FaceLP(problem, face)
         for seed in seeds:
             sifted = solve(problem, seed, lp, allocator._phase2_highs())
             full = solve_start(problem, seed, face).cells
             expected = np.array([full.get(cell, 0.0) for cell in problem.cells])
-            assert np.array_equal(sifted > 1e-9, expected > 1e-9)
+            assert np.array_equal(sifted > 0, expected > 0)
             assert np.all(np.abs(sifted - expected) <= 1e-9 * np.maximum(expected, 1.0))
             cells = {cell: float(v) for cell, v in zip(problem.cells, sifted) if v > 0}
             assert objective(problem.weights, cells) == pytest.approx(face.value, rel=1e-12)
@@ -1198,6 +1212,11 @@ class TestPersistence:
         assert loaded.cells == problem.cells
         assert loaded.lower_bounds.tolist() == [0.0, 5e-10, 1e-9]
         assert loaded.upper_bounds.tolist() == [1.0, 5e-10, 1e-9]
+        # Known cells at or below the support cut-off leave every allocation
+        # handed out, as they leave its file.
+        result = multi_start_average(loaded, k_starts=2)
+        for solution in (*result.solutions, result.average):
+            assert solution.cells == {("A", "01"): 1.0 - 5e-10}
 
     def test_solution_round_trip(self, tmp_path):
         cells = {("A", "00001"): 1.2345678901234567, ("B", "00002"): 1e-12}

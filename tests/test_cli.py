@@ -192,6 +192,60 @@ class TestSolutionAgreement:
         assert notes == {"solution_count": 2, "tau_pairs": 1}
 
 
+def scale_county_surfaces(fixture: Path, factor: float) -> None:
+    """Multiply every county surface of the Alsace inputs in ``fixture`` by
+    ``factor``; at 0.8 the counties cannot hold every appellation row, so the
+    starts run on the phase-1 face."""
+    path = fixture / "customs_counties.csv"
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    scaled = [f"{insee};{factor * float(surface)!r}"
+              for insee, surface in (row.split(";") for row in rows)]
+    path.write_text("\n".join([header, *scaled]) + "\n", encoding="utf-8")
+
+
+class TestAllocationsEqualTheirFiles:
+    """Every allocation the solver hands out holds exactly the cells of the
+    file it is written to, in keys and float bits."""
+
+    @staticmethod
+    def run_and_compare(monkeypatch, command, config, out):
+        results = []
+        average = allocator.multi_start_average
+
+        def kept(*args, **kwargs):
+            results.append(average(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(allocator, "multi_start_average", kept)
+        assert run_cli(command, "--config", str(config), "--output-dir", str(out)) == 0
+        [result] = results
+        paths = sorted((out / "solutions").glob("start_*.csv"))
+        assert len(paths) == len(result.solutions)
+        for solution, path in zip(result.solutions, paths):
+            assert solution.cells == allocator.read_solution(path)
+        assert result.average.cells == allocator.read_solution(out / SOLUTION_CSV)
+        return result
+
+    def test_alsace(self, alsace_config, tmp_path, monkeypatch):
+        result = self.run_and_compare(monkeypatch, "run", alsace_config, tmp_path / "out")
+        assert len(result.solutions) == 20
+
+    def test_alsace_on_the_phase_one_face(self, alsace_config, tmp_path, monkeypatch):
+        fixture = shutil.copytree(alsace_config.parent, tmp_path / "alsace")
+        scale_county_surfaces(fixture, 0.8)
+        out = tmp_path / "out"
+        result = self.run_and_compare(monkeypatch, "run", fixture / "pipeline.ini", out)
+        problem = allocator.load_problem(out / "problem")
+        filled = math.fsum(problem.weights[code] * cap
+                           for code, cap in problem.appellation_caps.items())
+        assert result.optimal_value < filled
+
+    def test_sifted_synth(self, tmp_path, monkeypatch):
+        config = Path(__file__).parent / "fixtures" / "sifted_synth.ini"
+        result = self.run_and_compare(monkeypatch, "synth", config, tmp_path / "out")
+        assert len(result.solutions) == 8
+
+
 class TestStageIsolation:
     def test_missing_intermediate_names_prior_stage(self, alsace_config, tmp_path, caplog):
         out = tmp_path / "empty"

@@ -4,11 +4,13 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from baselines import kendall_tau_oracle
 
+from vinevalue import validate
 from vinevalue.ingest import parse_reference_aggregates
 from vinevalue.model import Category
 from vinevalue.validate import (
@@ -166,6 +168,37 @@ class TestCompareSolutions:
     def test_needs_two_solutions(self):
         with pytest.raises(ValueError):
             compare_solutions([{("A", "00001"): 1.0}])
+
+    @pytest.mark.parametrize("pairs_per_batch", [1, 4])
+    def test_pairs_scored_in_batches(self, monkeypatch, pairs_per_batch):
+        """Six tie-heavy solutions over 50 cells give 15 pairs. Scored in
+        batches of one pair or of a few, every statistic is the one-batch
+        result and the oracle's."""
+        rng = np.random.default_rng(6)
+        levels = [0.0, 0.5, 1.0, 2.0, 100.0, 250.0]
+        cells = [(f"A{c % 3}", f"{c:05d}") for c in range(50)]
+        solutions = [{cell: float(rng.choice(levels)) for cell in cells if rng.random() < 0.8}
+                     for _ in range(6)]
+        whole = compare_solutions(solutions).to_dict()
+        support = sorted(set().union(*solutions))
+        assert len(support) == 50
+        batches = []
+        discordant = validate._discordant
+
+        def recorded(sequences):
+            batches.append(len(sequences))
+            return discordant(sequences)
+
+        monkeypatch.setattr(validate, "_discordant", recorded)
+        monkeypatch.setattr(validate, "_BATCH_CELLS", pairs_per_batch * len(support))
+        assert compare_solutions(solutions).to_dict() == whole
+        # The 15 pairs over the whole support, then the restricted pairs.
+        assert batches[:math.ceil(15 / pairs_per_batch)] == [
+            min(pairs_per_batch, 15 - lo) for lo in range(0, 15, pairs_per_batch)]
+        taus = oracle_pairwise_taus([[s.get(cell, 0.0) for cell in support] for s in solutions])
+        assert len(taus) == 15
+        assert whole["kendall_tau"] == math.fsum(taus) / len(taus)
+        assert whole["kendall_tau_min"] == min(taus)
 
 
 def oracle_pairwise_taus(vectors: list[list[float]]) -> list[float]:
