@@ -34,6 +34,7 @@ import math
 import os
 import queue
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -93,7 +94,7 @@ _PHASE2_OPTIONS = {
 #: back to the whole face; from 48 up, the first LP costs more than it saves.
 _SIFT_ROW_CELLS = 32
 _SIFT_COUNTY_CELLS = 2
-#: An allocation holds a cell above this many hectares, in memory as in its file.
+#: A cell is a column of the problem, and held by an allocation, above this many hectares.
 _SUPPORT_HA = 1e-9
 
 #: The range of a cap or known surface and of a weight, as (rule text, test);
@@ -110,10 +111,10 @@ class SolveError(PipelineError):
 class AllocationProblem:
     """Allocation instance: caps, weights and the active masked cells.
 
-    ``cells`` is sorted lexicographically and fixed; random starts draw one
-    uniform value per cell in this order, which makes seeds portable. Known
-    cells are columns with ``lower_bounds`` equal to ``upper_bounds``; every
-    other lower bound is zero.
+    ``cells``, those whose upper bound is above ``_SUPPORT_HA``, is sorted and
+    fixed; random starts draw one uniform value per cell in this order, which
+    makes seeds portable. Known cells are columns with ``lower_bounds`` equal
+    to ``upper_bounds``; every other lower bound is zero.
     """
 
     appellation_caps: dict[str, float]
@@ -159,8 +160,8 @@ def problem_from_caps(
     finite and >= 0, weights finite and > 0. A mask cell is bounded by
     ``min(row cap, column cap)``; a ``known`` cell is fixed at its surface,
     which counts against its caps (any excess over a cap, however small, is an
-    :class:`IntegrityError`). Cells whose upper bound is zero are dropped
-    from the active set."""
+    :class:`IntegrityError`). A cell whose upper bound (a known cell's
+    surface) is at or below ``_SUPPORT_HA`` is no column: no allocation holds it."""
     for values, what, (rule, test) in (
         (appellation_caps, f"{CAPS_APPELLATIONS_FILE}: appellation caps", _SURFACE_RULE),
         (weights, f"{CAPS_APPELLATIONS_FILE}: weights", _WEIGHT_RULE),
@@ -182,7 +183,7 @@ def problem_from_caps(
             lb = ub = known[code, insee]
         else:
             lb, ub = 0.0, min(appellation_caps[code], county_caps[insee])
-        if ub > 0:
+        if ub > _SUPPORT_HA:
             active.append((code, insee))
             lower.append(lb)
             upper.append(ub)
@@ -205,8 +206,8 @@ def problem_from_caps(
         col_index=np.array([col_pos[i] for _, i in active], dtype=np.intp),
         alpha=np.array([weights[c] for c, _ in active], dtype=float),
     )
-    known_positive = {cell: s for cell, s in known.items() if s > 0}
-    over = feasibility_violations(problem, known_positive, rel_tol=0.0, abs_tol=0.0)
+    kept = {active[i]: lower[i] for i in np.flatnonzero(problem.lower_bounds)}
+    over = feasibility_violations(problem, kept, rel_tol=0.0, abs_tol=0.0)
     if over:
         raise IntegrityError("known cells exceed their caps: " + "; ".join(over[:10]))
     return problem
@@ -483,7 +484,7 @@ class MultiStartResult:
     average: AllocationMatrix
     solutions: list[AllocationMatrix]
     failures: list[tuple[int, str]]
-    optimal_value: float = 0.0
+    optimal_value: float
 
 
 def _cpu_count() -> int:
@@ -650,13 +651,13 @@ def dump_problem(problem: AllocationProblem, directory: str | Path) -> None:
 
 def load_problem(directory: str | Path) -> AllocationProblem:
     """Read a problem written by :func:`dump_problem`. A malformed row is a
-    ``model.LayoutError`` naming the file and line, and a value out of the
-    ranges :func:`problem_from_caps` checks an :class:`IntegrityError`
-    naming the file."""
+    ``model.LayoutError`` naming the file and line, and a repeated key or a
+    value out of the ranges :func:`problem_from_caps` checks an
+    :class:`IntegrityError` naming the file."""
     directory = Path(directory)
     appellations = list(read_rows(directory / CAPS_APPELLATIONS_FILE, CAPS_APPELLATIONS_HEADER,
                                   lambda code, cap, alpha: (code, float(cap), float(alpha))))
-    county_caps = dict(read_rows(directory / CAPS_COUNTIES_FILE, CAPS_COUNTIES_HEADER,
+    county_caps = list(read_rows(directory / CAPS_COUNTIES_FILE, CAPS_COUNTIES_HEADER,
                                  lambda insee, cap: (insee, float(cap))))
 
     def mask_row(code: str, insee: str, known_ha: str) -> tuple[Cell, float | None]:
@@ -665,11 +666,16 @@ def load_problem(directory: str | Path) -> AllocationProblem:
     cells: list[Cell] = []
     known: dict[Cell, float] = {}
     for cell, surface in read_rows(directory / MASK_CELLS_FILE, MASK_CELLS_HEADER, mask_row):
-        if surface is None:
-            cells.append(cell)
-        else:
+        cells.append(cell)
+        if surface is not None:
             known[cell] = surface
-    return problem_from_caps({code: cap for code, cap, _ in appellations}, county_caps,
+    for name, what, keys in ((CAPS_APPELLATIONS_FILE, "code", [c for c, _, _ in appellations]),
+                             (CAPS_COUNTIES_FILE, "county", [i for i, _ in county_caps]),
+                             (MASK_CELLS_FILE, "cell", cells)):
+        if len(set(keys)) < len(keys):
+            repeated = next(key for key, n in Counter(keys).items() if n > 1)
+            raise IntegrityError(f"{name}: {what} {repeated!r} is repeated")
+    return problem_from_caps({code: cap for code, cap, _ in appellations}, dict(county_caps),
                              {code: alpha for code, _, alpha in appellations}, cells, known)
 
 

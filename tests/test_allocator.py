@@ -114,6 +114,19 @@ def random_small_problem(rng, max_rows=3, max_cols=3, integer_caps=True):
     return _simple(caps_r, caps_c, weights, cells[:9])
 
 
+def record_phase1(monkeypatch):
+    """Patches phase 1 to append every face it computes to the list returned."""
+    faces = []
+    real_optimal_value = allocator.optimal_value
+
+    def recording_optimal_value(problem):
+        faces.append(real_optimal_value(problem))
+        return faces[-1]
+
+    monkeypatch.setattr(allocator, "optimal_value", recording_optimal_value)
+    return faces
+
+
 class TestBuildProblem:
     def test_bounds_are_min_of_caps(self):
         problem = _simple(
@@ -133,6 +146,21 @@ class TestBuildProblem:
             [("A", "00001"), ("A", "00002")],
         )
         assert problem.cells == (("A", "00002"),)
+
+    def test_cell_at_or_below_the_support_cut_off_is_no_column(self, monkeypatch):
+        # B's cell in county 02 could hold 5e-10 ha, which no allocation
+        # holds; the optimum leaves it out too. The rows cannot all be filled.
+        problem = _simple(
+            {"A": 1.0, "B": 1.0}, {"01": 1.0, "02": 5e-10}, {"A": 1.0, "B": 1.0},
+            [("A", "01"), ("B", "01"), ("B", "02")],
+        )
+        assert problem.cells == (("A", "01"), ("B", "01"))
+        faces = record_phase1(monkeypatch)
+        result = multi_start_average(problem, k_starts=3)
+        assert len(faces) == 1
+        assert result.optimal_value == 1.0
+        for solution in (*result.solutions, result.average):
+            assert objective(problem.weights, solution.cells) == result.optimal_value
 
     def test_unknown_reference_fatal(self):
         for cells, known, name in (
@@ -569,14 +597,7 @@ class TestFailedStarts:
     def test_failures_reported_in_seed_order(self, monkeypatch):
         problem = self.problem()
         assert allocator._saturated_face(problem) is not None
-        faces = []
-        real_optimal_value = allocator.optimal_value
-
-        def recording_optimal_value(problem_):
-            faces.append(real_optimal_value(problem_))
-            return faces[-1]
-
-        monkeypatch.setattr(allocator, "optimal_value", recording_optimal_value)
+        faces = record_phase1(monkeypatch)
         fail_starts(monkeypatch, [15, 11, 13])
         result = multi_start_average(problem, k_starts=6, seed_base=10)
         assert result.failures == [(11, "start 11 made to fail"), (13, "start 13 made to fail"),
@@ -1203,20 +1224,51 @@ class TestPersistence:
         assert not load_problem(tmp_path).lower_bounds.any()
 
     def test_tiny_known_cells_round_trip(self, tmp_path):
+        # Known cells at or below the support cut-off are no columns, as a
+        # known 0 ha cell is not: the optimum, every allocation and every
+        # file leave them out alike.
         problem = problem_from_caps(
             {"A": 1.0, "K": 1.0}, {"01": 1.0, "02": 1.0}, {"A": 1.0, "K": 1.0},
             [("A", "01")], {("K", "01"): 5e-10, ("K", "02"): 1e-9},
         )
+        assert problem.cells == (("A", "01"),)
         dump_problem(problem, tmp_path)
+        assert (tmp_path / "mask_cells.csv").read_text(encoding="utf-8").splitlines() == [
+            "appellation;insee;known_ha", "A;01;"]
         loaded = load_problem(tmp_path)
         assert loaded.cells == problem.cells
-        assert loaded.lower_bounds.tolist() == [0.0, 5e-10, 1e-9]
-        assert loaded.upper_bounds.tolist() == [1.0, 5e-10, 1e-9]
-        # Known cells at or below the support cut-off leave every allocation
-        # handed out, as they leave its file.
+        assert loaded.lower_bounds.tolist() == [0.0]
+        assert loaded.upper_bounds.tolist() == [1.0]
         result = multi_start_average(loaded, k_starts=2)
+        assert result.optimal_value == 1.0
         for solution in (*result.solutions, result.average):
-            assert solution.cells == {("A", "01"): 1.0 - 5e-10}
+            assert solution.cells == {("A", "01"): 1.0}
+
+    def test_cap_edited_below_the_support_cut_off_drops_its_cells(self, tmp_path):
+        dump_problem(known_cell_problem(), tmp_path)
+        path = tmp_path / "caps_counties.csv"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("01002;3.0", "01002;1e-10"), encoding="utf-8")
+        loaded = load_problem(tmp_path)
+        assert loaded.county_caps["01002"] == 1e-10
+        assert loaded.cells == (("AOP1", "01001"), ("K1", "01001"))
+        assert loaded.col_codes == ("01001",)
+
+    @pytest.mark.parametrize("name, row, message", [
+        ("caps_appellations.csv", "AOP1;5.0;1.0",
+         "caps_appellations.csv: code 'AOP1' is repeated"),
+        ("caps_counties.csv", "01001;1.0", "caps_counties.csv: county '01001' is repeated"),
+        ("mask_cells.csv", "AOP1;01001;0.5",
+         "mask_cells.csv: cell \\('AOP1', '01001'\\) is repeated"),
+    ], ids=["appellations", "counties", "mask"])
+    def test_repeated_row_is_fatal(self, tmp_path, name, row, message):
+        # Read as a dict, the last row would silently win: a cap of 5.0, or a
+        # free cell turned into a known one.
+        dump_problem(known_cell_problem(), tmp_path)
+        with open(tmp_path / name, "a", encoding="utf-8", newline="") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(IntegrityError, match=f"^{message}$"):
+            load_problem(tmp_path)
 
     def test_solution_round_trip(self, tmp_path):
         cells = {("A", "00001"): 1.2345678901234567, ("B", "00002"): 1e-12}
