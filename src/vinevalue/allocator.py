@@ -149,6 +149,15 @@ class AllocationMatrix:
     cells: dict[Cell, float]
 
 
+def _compact(ranks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of ``ranks``, all in ``range(n)``, and the
+    position of each entry among them: ``np.unique(ranks, return_inverse=True)``
+    without its sort."""
+    seen = np.zeros(n, dtype=bool)
+    seen[ranks] = True
+    return np.flatnonzero(seen), (np.cumsum(seen, dtype=np.intp) - 1)[ranks]
+
+
 def problem_from_caps(
     appellation_caps: Mapping[str, float],
     county_caps: Mapping[str, float],
@@ -161,7 +170,12 @@ def problem_from_caps(
     ``min(row cap, column cap)``; a ``known`` cell is fixed at its surface,
     which counts against its caps (any excess over a cap, however small, is an
     :class:`IntegrityError`). A cell whose upper bound (a known cell's
-    surface) is at or below ``_SUPPORT_HA`` is no column: no allocation holds it."""
+    surface) is at or below ``_SUPPORT_HA`` is no column: no allocation holds it.
+
+    A repeated cell counts once. ``cells`` holds the input tuples themselves
+    and ``row_codes``/``col_codes`` the keys of the caps: each cell is carried
+    as the ranks of its code and county among the sorted keys, and a rank
+    pair ``row * n_counties + col`` sorts as the cell does."""
     for values, what, (rule, test) in (
         (appellation_caps, f"{CAPS_APPELLATIONS_FILE}: appellation caps", _SURFACE_RULE),
         (weights, f"{CAPS_APPELLATIONS_FILE}: weights", _WEIGHT_RULE),
@@ -171,45 +185,52 @@ def problem_from_caps(
         bad = [f"{key!r} = {value!r}" for key, value in values.items() if not test(value)]
         if bad:
             raise IntegrityError(f"{what} must be finite and {rule}: " + ", ".join(bad[:10]))
-    active: list[Cell] = []
-    lower: list[float] = []
-    upper: list[float] = []
-    for code, insee in sorted(dict.fromkeys([*mask_cells, *known])):
-        if code not in appellation_caps:
-            raise IntegrityError(f"cell references unknown appellation {code!r}")
-        if insee not in county_caps:
-            raise IntegrityError(f"cell references unknown county {insee!r}")
-        if (code, insee) in known:
-            lb = ub = known[code, insee]
-        else:
-            lb, ub = 0.0, min(appellation_caps[code], county_caps[insee])
-        if ub > _SUPPORT_HA:
-            active.append((code, insee))
-            lower.append(lb)
-            upper.append(ub)
-    row_codes = tuple(sorted({c for c, _ in active}))
-    col_codes = tuple(sorted({i for _, i in active}))
-    row_pos = {code: k for k, code in enumerate(row_codes)}
-    col_pos = {insee: k for k, insee in enumerate(col_codes)}
+    given = [*mask_cells, *known]
+    codes, counties = sorted(appellation_caps), sorted(county_caps)
+    code_rank = {code: r for r, code in enumerate(codes)}
+    county_rank = {insee: r for r, insee in enumerate(counties)}
+    rows = np.fromiter((code_rank.get(code, -1) for code, _ in given), np.intp, len(given))
+    cols = np.fromiter((county_rank.get(insee, -1) for _, insee in given), np.intp, len(given))
+    unknown = np.flatnonzero((rows < 0) | (cols < 0))
+    if len(unknown):
+        code, insee = min(given[k] for k in unknown.tolist())
+        what = (f"appellation {code!r}" if code not in appellation_caps
+                else f"county {insee!r}")
+        raise IntegrityError(f"{MASK_CELLS_FILE}: cell references unknown {what}")
+    ranks = rows * len(counties) + cols
+    keys, first = np.unique(ranks, return_index=True)
+    rows, cols = rows[first], cols[first]
+    code_cap = np.array([appellation_caps[c] for c in codes], dtype=float)
+    county_cap = np.array([county_caps[i] for i in counties], dtype=float)
+    upper = np.minimum(code_cap[rows], county_cap[cols])
+    lower = np.zeros(len(keys))
+    fixed = np.searchsorted(keys, ranks[len(given) - len(known):])  # known cells come last
+    lower[fixed] = upper[fixed] = np.fromiter(known.values(), float, len(known))
+    keep = upper > _SUPPORT_HA
+    used_rows, row_index = _compact(rows[keep], len(codes))
+    used_cols, col_index = _compact(cols[keep], len(counties))
+    row_codes = tuple(codes[r] for r in used_rows.tolist())
+    col_codes = tuple(counties[c] for c in used_cols.tolist())
     problem = AllocationProblem(
         appellation_caps=dict(appellation_caps),
         county_caps=dict(county_caps),
         weights=dict(weights),
-        cells=tuple(active),
-        lower_bounds=np.asarray(lower, dtype=float),
-        upper_bounds=np.asarray(upper, dtype=float),
+        cells=tuple(given[k] for k in first[keep].tolist()),
+        lower_bounds=lower[keep],
+        upper_bounds=upper[keep],
         row_codes=row_codes,
         col_codes=col_codes,
-        row_caps=np.array([appellation_caps[c] for c in row_codes], dtype=float),
-        col_caps=np.array([county_caps[i] for i in col_codes], dtype=float),
-        row_index=np.array([row_pos[c] for c, _ in active], dtype=np.intp),
-        col_index=np.array([col_pos[i] for _, i in active], dtype=np.intp),
-        alpha=np.array([weights[c] for c, _ in active], dtype=float),
+        row_caps=code_cap[used_rows],
+        col_caps=county_cap[used_cols],
+        row_index=row_index,
+        col_index=col_index,
+        alpha=np.array([weights[c] for c in row_codes], dtype=float)[row_index],
     )
-    kept = {active[i]: lower[i] for i in np.flatnonzero(problem.lower_bounds)}
-    over = feasibility_violations(problem, kept, rel_tol=0.0, abs_tol=0.0)
-    if over:
-        raise IntegrityError("known cells exceed their caps: " + "; ".join(over[:10]))
+    kept = _matrix_from_vector(problem, problem.lower_bounds).cells  # the known columns
+    if kept:
+        over = feasibility_violations(problem, kept, rel_tol=0.0, abs_tol=0.0)
+        if over:
+            raise IntegrityError("known cells exceed their caps: " + "; ".join(over[:10]))
     return problem
 
 
@@ -309,7 +330,9 @@ def objective(weights: Mapping[str, float], cells: Mapping[Cell, float]) -> floa
 
 
 def _matrix_from_vector(problem: AllocationProblem, x: np.ndarray) -> AllocationMatrix:
-    return AllocationMatrix({c: float(v) for c, v in zip(problem.cells, x) if v > _SUPPORT_HA})
+    held = np.flatnonzero(x > _SUPPORT_HA)
+    return AllocationMatrix(dict(zip([problem.cells[k] for k in held.tolist()],
+                                     x[held].tolist())))
 
 
 def optimal_value(problem: AllocationProblem) -> OptimalFace:
@@ -659,9 +682,13 @@ def load_problem(directory: str | Path) -> AllocationProblem:
                                   lambda code, cap, alpha: (code, float(cap), float(alpha))))
     county_caps = list(read_rows(directory / CAPS_COUNTIES_FILE, CAPS_COUNTIES_HEADER,
                                  lambda insee, cap: (insee, float(cap))))
+    # A cell holds the caps' own key strings, one per code and per county.
+    codes = {code: code for code, _, _ in appellations}
+    counties = {insee: insee for insee, _ in county_caps}
 
     def mask_row(code: str, insee: str, known_ha: str) -> tuple[Cell, float | None]:
-        return (code, insee), float(known_ha) if known_ha else None
+        return ((codes.get(code, code), counties.get(insee, insee)),
+                float(known_ha) if known_ha else None)
 
     cells: list[Cell] = []
     known: dict[Cell, float] = {}

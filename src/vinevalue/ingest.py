@@ -103,35 +103,41 @@ def open_source(source) -> IO[str]:
     return source
 
 
-def _read_fields(source, delimiter: str, dataset: str):
-    """Header list plus (line_number, fields) pairs, fields stripped and
-    blank rows skipped; the header is mandatory."""
-    fh = open_source(source)
-    reader = csv.reader(fh, delimiter=delimiter)
+def _read_fields(source, delimiter: str,
+                 dataset: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """Header list, read now, plus the (line_number, fields) pairs, read as
+    they are taken, fields stripped and blank rows skipped; the header is
+    mandatory."""
+    reader = csv.reader(open_source(source), delimiter=delimiter)
     try:
-        header = next(reader)
+        header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise ConfigError(f"{dataset}: input has no header row") from None
-    header = [h.strip() for h in header]
-    rows = []
-    for fields in reader:
-        stripped = [f.strip() for f in fields]
-        if any(stripped):
-            rows.append((reader.line_num, stripped))
-    return header, rows
+
+    def rows() -> Iterator[tuple[int, list[str]]]:
+        for fields in reader:
+            stripped = [f.strip() for f in fields]
+            if any(stripped):
+                yield reader.line_num, stripped
+
+    return header, rows()
 
 
 def _read_table(source, delimiter: str, report: IngestReport,
-                columns: Iterable[str | None]) -> list[tuple[int, dict[str, str]]]:
+                columns: Iterable[str | None]) -> Iterator[tuple[int, dict[str, str]]]:
     """(line, row keyed by the header) pairs of a headed input table, after
-    :func:`_read_fields`. Every configured column must be in the header
-    (``None`` is a column that is not configured); sets ``report.rows_read``."""
+    :func:`_read_fields`, read as they are taken. Every configured column
+    must be in the header (``None`` is a column that is not configured),
+    which is checked before the first row; ``report.rows_read`` is set when
+    the rows run out."""
     header, rows = _read_fields(source, delimiter, report.dataset)
     missing = [c for c in columns if c is not None and c not in header]
     if missing:
         raise ConfigError(f"{report.dataset}: missing column(s) {missing} in header {header}")
-    report.rows_read = len(rows)
-    return [(line, dict(zip(header, fields))) for line, fields in rows]
+    count = 0
+    for count, (line, fields) in enumerate(rows, 1):
+        yield line, dict(zip(header, fields))
+    report.rows_read = count
 
 
 def _parse_float(text: str) -> float:
@@ -315,22 +321,23 @@ def parse_inao_authorizations(
 
     Rows referencing unknown appellations or counties are excluded and
     counted, never silently dropped; a repeated row adds no cell and is
-    counted in ``notes["duplicate_rows"]``.
+    counted in ``notes["duplicate_rows"]``. A cell holds the records' own
+    code strings, so the cells of a code or county share one string.
     """
     report = IngestReport(dataset="inao_authorizations")
-    known_codes = {app.code for app in appellations}
-    known_counties = {c.insee_code for c in counties}
+    known_codes = {app.code: app.code for app in appellations}
+    known_counties = {c.insee_code: c.insee_code for c in counties}
     rows = _read_table(source, delimiter, report, [appellation_col, insee_col])
 
     mask: set[Cell] = set()
     for _, row in rows:
-        code = row.get(appellation_col, "")
-        insee = row.get(insee_col, "")
-        if code not in known_codes:
+        code = known_codes.get(row.get(appellation_col, ""))
+        insee = known_counties.get(row.get(insee_col, ""))
+        if code is None:
             report.unmatched += 1
             report.notes["unmatched_appellation"] = report.notes.get("unmatched_appellation", 0) + 1
             continue
-        if insee not in known_counties:
+        if insee is None:
             report.unmatched += 1
             report.notes["unmatched_county"] = report.notes.get("unmatched_county", 0) + 1
             continue

@@ -2,26 +2,93 @@
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
 from vinevalue import allocator
 from vinevalue.allocator import (
+    CAPS_APPELLATIONS_FILE,
+    CAPS_COUNTIES_FILE,
+    MASK_CELLS_FILE,
     AllocationMatrix,
     AllocationProblem,
     OptimalFace,
     SolveError,
+    feasibility_violations,
     optimal_value,
     project_feasible,
     random_init,
 )
 from vinevalue.linkage import LabelMatch, expand_price_entries, normalize_label
-from vinevalue.model import AppellationRecord, Cell, PriceEntry
+from vinevalue.model import AppellationRecord, Cell, IntegrityError, PriceEntry
 
 BRUTE_FORCE_MAX_CELLS = 9
 BRUTE_FORCE_MAX_LEVELS = 12
+
+
+def problem_from_caps_oracle(
+    appellation_caps: Mapping[str, float],
+    county_caps: Mapping[str, float],
+    weights: Mapping[str, float],
+    mask_cells: Iterable[Cell],
+    known: Mapping[Cell, float] = {},
+) -> AllocationProblem:
+    """``allocator.problem_from_caps`` as one Python loop over the sorted
+    cells: a ``min`` and dict lookups per cell. The unknown-reference errors
+    name ``mask_cells.csv``, as the program's do."""
+    _SURFACE_RULE, _WEIGHT_RULE, _SUPPORT_HA = (
+        allocator._SURFACE_RULE, allocator._WEIGHT_RULE, allocator._SUPPORT_HA)
+    for values, what, (rule, test) in (
+        (appellation_caps, f"{CAPS_APPELLATIONS_FILE}: appellation caps", _SURFACE_RULE),
+        (weights, f"{CAPS_APPELLATIONS_FILE}: weights", _WEIGHT_RULE),
+        (county_caps, f"{CAPS_COUNTIES_FILE}: county caps", _SURFACE_RULE),
+        (known, f"{MASK_CELLS_FILE}: known surfaces", _SURFACE_RULE),
+    ):
+        bad = [f"{key!r} = {value!r}" for key, value in values.items() if not test(value)]
+        if bad:
+            raise IntegrityError(f"{what} must be finite and {rule}: " + ", ".join(bad[:10]))
+    active: list[Cell] = []
+    lower: list[float] = []
+    upper: list[float] = []
+    for code, insee in sorted(dict.fromkeys([*mask_cells, *known])):
+        if code not in appellation_caps:
+            raise IntegrityError(f"{MASK_CELLS_FILE}: cell references unknown appellation {code!r}")
+        if insee not in county_caps:
+            raise IntegrityError(f"{MASK_CELLS_FILE}: cell references unknown county {insee!r}")
+        if (code, insee) in known:
+            lb = ub = known[code, insee]
+        else:
+            lb, ub = 0.0, min(appellation_caps[code], county_caps[insee])
+        if ub > _SUPPORT_HA:
+            active.append((code, insee))
+            lower.append(lb)
+            upper.append(ub)
+    row_codes = tuple(sorted({c for c, _ in active}))
+    col_codes = tuple(sorted({i for _, i in active}))
+    row_pos = {code: k for k, code in enumerate(row_codes)}
+    col_pos = {insee: k for k, insee in enumerate(col_codes)}
+    problem = AllocationProblem(
+        appellation_caps=dict(appellation_caps),
+        county_caps=dict(county_caps),
+        weights=dict(weights),
+        cells=tuple(active),
+        lower_bounds=np.asarray(lower, dtype=float),
+        upper_bounds=np.asarray(upper, dtype=float),
+        row_codes=row_codes,
+        col_codes=col_codes,
+        row_caps=np.array([appellation_caps[c] for c in row_codes], dtype=float),
+        col_caps=np.array([county_caps[i] for i in col_codes], dtype=float),
+        row_index=np.array([row_pos[c] for c, _ in active], dtype=np.intp),
+        col_index=np.array([col_pos[i] for _, i in active], dtype=np.intp),
+        alpha=np.array([weights[c] for c, _ in active], dtype=float),
+    )
+    kept = {active[i]: lower[i] for i in np.flatnonzero(problem.lower_bounds)}
+    over = feasibility_violations(problem, kept, rel_tol=0.0, abs_tol=0.0)
+    if over:
+        raise IntegrityError("known cells exceed their caps: " + "; ".join(over[:10]))
+    return problem
 
 
 def greedy_baseline(problem: AllocationProblem) -> AllocationMatrix:

@@ -14,6 +14,7 @@ from baselines import (
     greedy_baseline,
     linprog_start,
     phase1_multi_start,
+    problem_from_caps_oracle,
     solve_start,
 )
 from vinevalue import allocator, cli, synth
@@ -185,6 +186,80 @@ class TestBuildProblem:
             [("B", "00002"), ("A", "00002"), ("B", "00001"), ("A", "00001")],
         )
         assert list(problem.cells) == sorted(problem.cells)
+
+
+#: Codes and counties the property below draws from. A drawn problem has caps
+#: for some of them only, so its cells can name unknown ones.
+_CODES = ("A", "B", "C", "D")
+_COUNTIES = ("01", "02", "03", "04")
+_CELLS = st.tuples(st.sampled_from(_CODES), st.sampled_from(_COUNTIES))
+#: Surfaces at and around the support cut-off, and ordinary ones.
+_SURFACES = st.sampled_from([0.0, 1e-10, 1e-9, 2e-9, 0.1, 0.5, 1.0, 3.0]) | st.floats(0, 10)
+
+
+def _problem_or_error(build, *args):
+    try:
+        return build(*args)
+    except IntegrityError as exc:
+        return f"IntegrityError: {exc}"
+
+
+class TestBuildProblemOnRanks:
+    @settings(max_examples=300, deadline=None)
+    @given(codes=st.lists(st.sampled_from(_CODES), unique=True),
+           counties=st.lists(st.sampled_from(_COUNTIES), unique=True),
+           data=st.data())
+    def test_equals_the_loop_over_cells(self, codes, counties, data):
+        # Cells may repeat, name unknown codes or counties, or be known; a
+        # known cell may lie outside the mask, exceed its caps or sit at the
+        # support cut-off, and the mask may be empty.
+        caps_r = {code: data.draw(_SURFACES) for code in codes}
+        caps_c = {insee: data.draw(_SURFACES) for insee in counties}
+        weights = {code: data.draw(st.sampled_from([1.0, 1.0 / 3.0, 0.25])) for code in codes}
+        cells = _CELLS
+        if codes and counties and data.draw(st.booleans()):  # only known codes and counties
+            cells = st.tuples(st.sampled_from(codes), st.sampled_from(counties))
+        mask = data.draw(st.lists(cells, max_size=16))
+        known = data.draw(st.dictionaries(cells, _SURFACES, max_size=3))
+        got = _problem_or_error(problem_from_caps, caps_r, caps_c, weights, mask, known)
+        want = _problem_or_error(problem_from_caps_oracle, caps_r, caps_c, weights, mask, known)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert not isinstance(got, str), got
+        for name in ("appellation_caps", "county_caps", "weights", "cells",
+                     "row_codes", "col_codes"):
+            assert getattr(got, name) == getattr(want, name), name
+        for name in ("lower_bounds", "upper_bounds", "row_caps", "col_caps",
+                     "row_index", "col_index", "alpha"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+    def test_cells_are_the_input_tuples(self):
+        instance = synth.generate((6, 12, 0.4), seed=3, counties_per_department=4)
+        mask = set(instance.problem.cells)
+        apps = [AppellationRecord(code=code, category=Category.AOP, marginal_surface=cap)
+                for code, cap in instance.problem.appellation_caps.items()]
+        counties = [CountyRecord(insee_code=insee, marginal_surface=cap)
+                    for insee, cap in instance.problem.county_caps.items()]
+        given = {id(cell) for cell in mask}
+        problem = build_problem(apps, counties, mask)
+        assert problem.cells == instance.problem.cells
+        assert all(id(cell) in given for cell in problem.cells)
+
+    @pytest.mark.parametrize("make", [
+        lambda: known_cell_problem(),
+        lambda: synth.generate((6, 12, 0.4), seed=3, counties_per_department=4).problem,
+    ], ids=["known", "synth"])
+    def test_loaded_cells_share_the_caps_strings(self, tmp_path, make):
+        problem = make()
+        dump_problem(problem, tmp_path)
+        loaded = load_problem(tmp_path)
+        assert loaded.cells == problem.cells
+        for (code, insee), row, col in zip(loaded.cells, loaded.row_index.tolist(),
+                                           loaded.col_index.tolist()):
+            assert code is loaded.row_codes[row]
+            assert insee is loaded.col_codes[col]
 
 
 def known_cell_problem():
@@ -1268,6 +1343,18 @@ class TestPersistence:
         with open(tmp_path / name, "a", encoding="utf-8", newline="") as fh:
             fh.write(row + "\n")
         with pytest.raises(IntegrityError, match=f"^{message}$"):
+            load_problem(tmp_path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("ZZZ;01001;", "appellation 'ZZZ'"),
+        ("AOP1;99999;", "county '99999'"),
+    ], ids=["appellation", "county"])
+    def test_unknown_reference_names_the_file(self, tmp_path, row, message):
+        dump_problem(known_cell_problem(), tmp_path)
+        with open(tmp_path / "mask_cells.csv", "a", encoding="utf-8", newline="") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(IntegrityError,
+                           match=f"^mask_cells.csv: cell references unknown {message}$"):
             load_problem(tmp_path)
 
     def test_solution_round_trip(self, tmp_path):

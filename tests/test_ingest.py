@@ -331,6 +331,84 @@ def test_missing_configured_column_is_config_error(parse, text, columns, missing
         parse(_src(text), **columns)
 
 
+class TestHeadedTables:
+    """The rows of the four headed input tables: a blank row is skipped and
+    not counted, a short row reads its missing fields as "", and a header
+    name given twice names its last column."""
+
+    def test_customs_by_appellation(self):
+        text = "cvi;surface_ha;name\n\n1B001M01;4.0;Alpha\n;;\n3B011M01\n1B002S01;abc;Beta\n"
+        records, report = parse_customs_by_appellation(_src(text), name_col="name")
+        assert report.rows_read == 3
+        assert [(r.code, r.name, r.marginal_surface) for r in records] == [
+            ("1B001M", "Alpha", 4.0), ("3B011M", "", 0.0)]
+        assert report.secretized == 1
+        assert report.row_errors == [(6, "malformed surface 'abc'")]
+
+    def test_customs_by_county(self):
+        records, report = parse_customs_by_county(
+            _src("insee;surface_ha\n01001;1.5\n\n01002\n01003;x\n"))
+        assert report.rows_read == 3
+        assert [(r.insee_code, r.marginal_surface) for r in records] == [("01001", 1.5)]
+        assert report.secretized == 1
+        assert report.row_errors == [(5, "malformed surface 'x'")]
+
+    def test_inao_authorizations(self):
+        mask, report = _authorizations(
+            _src("appellation;insee\n3B011;01001\n\n3B012\n;\n1B001M;01002\n"))
+        assert report.rows_read == 3
+        assert mask == {("3B011", "01001"), ("1B001M", "01002")}
+        assert (report.records_out, report.unmatched) == (2, 1)
+        assert report.notes == {"unmatched_county": 1}
+
+    def test_price_scale(self):
+        entries, report = parse_price_scale(
+            _src("label;price_eur_hl\nChablis;150\n\n \t\nPetit Chablis\n"))
+        assert report.rows_read == 2
+        assert [(e.label, e.price) for e in entries] == [("Chablis", 150.0)]
+        assert report.row_errors == [(5, "malformed price ''")]
+
+    @pytest.mark.parametrize("parse, text, read", [
+        (parse_customs_by_appellation, "cvi;surface_ha;surface_ha\n1B001M01;1;4\n",
+         lambda out: [(r.code, r.marginal_surface) for r in out]),
+        (parse_customs_by_county, "insee;surface_ha;surface_ha\n01001;1.0;2.0\n",
+         lambda out: [(r.insee_code, r.marginal_surface) for r in out]),
+        (_authorizations, "appellation;insee;insee\n3B011;99999;01001\n", sorted),
+        (parse_price_scale, "label;price_eur_hl;price_eur_hl\nChablis;1;150\n",
+         lambda out: [(e.label, e.price) for e in out]),
+    ], ids=["appellation", "county", "mask", "price"])
+    def test_repeated_header_name_takes_the_last_column(self, parse, text, read):
+        out, report = parse(_src(text))
+        assert read(out) == {
+            parse_customs_by_appellation: [("1B001M", 4.0)],
+            parse_customs_by_county: [("01001", 2.0)],
+            _authorizations: [("3B011", "01001")],
+            parse_price_scale: [("Chablis", 150.0)],
+        }[parse]
+        assert (report.rows_read, report.row_errors) == (1, [])
+
+    def test_missing_column_message(self):
+        with pytest.raises(ConfigError) as caught:
+            parse_customs_by_county(_src(" insee ;area\n01001;1\n"))
+        assert str(caught.value) == (
+            "customs_by_county: missing column(s) ['surface_ha'] in header ['insee', 'area']")
+
+    def test_missing_column_is_reported_before_any_row(self):
+        # The second row would be a fatal duplicate; the header comes first.
+        with pytest.raises(ConfigError, match=r"missing column\(s\) \['ra'\]"):
+            parse_customs_by_county(_src("insee;surface_ha\n01001;1\n01001;2\n"), ra_col="ra")
+
+    @pytest.mark.parametrize("parse, dataset", [
+        (parse_customs_by_appellation, "customs_by_appellation"),
+        (parse_customs_by_county, "customs_by_county"),
+        (_authorizations, "inao_authorizations"),
+        (parse_price_scale, "price_scale"),
+    ], ids=["appellation", "county", "mask", "price"])
+    def test_no_header_row(self, parse, dataset):
+        with pytest.raises(ConfigError, match=rf"^{dataset}: input has no header row$"):
+            parse(_src(""))
+
+
 class TestInjectPseudoAppellations:
     def _inputs(self):
         counties = [
