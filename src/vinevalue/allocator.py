@@ -37,6 +37,7 @@ import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -56,6 +57,7 @@ from .model import (
     exact_sums,
     finite_float,
     read_rows,
+    unrepeated,
     write_rows,
 )
 
@@ -139,8 +141,9 @@ class AllocationProblem:
 @dataclass(eq=False)
 class AllocationMatrix:
     """Solver output: the cells of the mask above ``_SUPPORT_HA``, the cells
-    its file holds. Functions that read an allocation take the ``cells``
-    mapping itself, and :func:`objective` values it.
+    its file holds, built from a vector only where :func:`multi_start_average`
+    hands it out. Functions that read an allocation, :func:`objective` among
+    them, take the ``cells`` mapping itself.
 
     It stays while the benchmark reads ``.cells`` of the per-start solutions
     and of the synthetic truth; ROADMAP item 5, after item 3, replaces it
@@ -226,11 +229,9 @@ def problem_from_caps(
         col_index=col_index,
         alpha=np.array([weights[c] for c in row_codes], dtype=float)[row_index],
     )
-    kept = _matrix_from_vector(problem, problem.lower_bounds).cells  # the known columns
-    if kept:
-        over = feasibility_violations(problem, kept, rel_tol=0.0, abs_tol=0.0)
-        if over:
-            raise IntegrityError("known cells exceed their caps: " + "; ".join(over[:10]))
+    over = feasibility_violations(problem, problem.lower_bounds, rel_tol=0.0, abs_tol=0.0)
+    if over:
+        raise IntegrityError("known cells exceed their caps: " + "; ".join(over[:10]))
     return problem
 
 
@@ -501,8 +502,8 @@ def solve(problem: AllocationProblem, seed: int, lp: _FaceLP,
 
 @dataclass(eq=False)
 class MultiStartResult:
-    """Averaged allocation, the per-start solutions in seed order, each one
-    holding exactly the cells of its file, and the failed starts as (seed, message)."""
+    """Averaged allocation, checked against the caps, the per-start solutions in
+    seed order, each holding exactly the cells of its file, and the failed starts."""
 
     average: AllocationMatrix
     solutions: list[AllocationMatrix]
@@ -528,7 +529,8 @@ def _run_starts(pool: ThreadPoolExecutor, workers: int, problem: AllocationProbl
     a model of its own. With ``probe``, the
     first failed start rejects the face: no thread takes a seed after it, the
     starts already running finish, and the result is None. Without it, a
-    failed start records its error."""
+    failed start records its error. Any other exception, ``KeyboardInterrupt``
+    included, stops every thread as a rejection does, and then propagates."""
     pending: queue.SimpleQueue[int] = queue.SimpleQueue()
     for seed in seeds:
         pending.put(seed)
@@ -538,20 +540,24 @@ def _run_starts(pool: ThreadPoolExecutor, workers: int, problem: AllocationProbl
 
     def run() -> None:
         highs = None
-        while not rejected.is_set():
-            try:
-                seed = pending.get_nowait()
-            except queue.Empty:
-                return
-            try:
-                if highs is None:
-                    highs = _phase2_highs()
-                outcomes[seed] = solve(problem, seed, lp, highs)
-            except SolveError as exc:
-                if probe:
-                    rejected.set()
-                else:
-                    outcomes[seed] = exc
+        try:
+            while not rejected.is_set():
+                try:
+                    seed = pending.get_nowait()
+                except queue.Empty:
+                    return
+                try:
+                    if highs is None:
+                        highs = _phase2_highs()
+                    outcomes[seed] = solve(problem, seed, lp, highs)
+                except SolveError as exc:
+                    if probe:
+                        rejected.set()
+                    else:
+                        outcomes[seed] = exc
+        except BaseException:
+            rejected.set()
+            raise
 
     helpers = [pool.submit(run) for _ in range(workers - 1)]
     run()
@@ -573,9 +579,10 @@ def multi_start_average(
     the rejected face counts as failed. The starts run on ``min(k_starts,
     CPUs)`` threads, this one included, as HiGHS releases the GIL. Outcomes are
     kept by seed and reduced in seed order, so results are bit-identical
-    whatever the thread count. The average, feasible by convexity, and each
-    start are cut at ``_SUPPORT_HA``. Failed starts are excluded and reported;
-    all starts failing is fatal, and any other error in a start propagates.
+    whatever the thread count. The average and each start are cut at
+    ``_SUPPORT_HA``, and the average is checked (:func:`assert_feasible`) as
+    it is handed out. Failed starts are excluded and reported; all starts
+    failing is fatal, and any other error in a start propagates at once.
     Agreement between the starts is measured by ``validate.compare_solutions``.
     """
     if k_starts < 1:
@@ -604,38 +611,38 @@ def multi_start_average(
         raise SolveError(f"all {k_starts} starts failed")
 
     avg = project_feasible(problem, np.vstack(vectors).sum(axis=0) / len(vectors))
+    avg[avg <= _SUPPORT_HA] = 0.0
+    assert_feasible(problem, avg)
     solutions = [_matrix_from_vector(problem, x) for x in vectors]
     return MultiStartResult(_matrix_from_vector(problem, avg), solutions, failures, face.value)
 
 
 def feasibility_violations(
     problem: AllocationProblem,
-    cells: Mapping[Cell, float],
+    x: np.ndarray,
     rel_tol: float = 1e-6,
     abs_tol: float = 1e-9,
 ) -> list[str]:
-    """All constraint-family violations beyond tolerance: mask support,
-    nonnegativity, row sums, column sums. Sums use exact summation."""
-    known = set(problem.cells)
-    violations = []
-    inside = []
-    for (code, insee), value in cells.items():
-        if (code, insee) not in known:
-            violations.append(f"cell ({code}, {insee}) outside the mask")
-            continue
-        if value < -abs_tol:
-            violations.append(f"cell ({code}, {insee}) negative: {value!r}")
-        inside.append(((code, insee), value))
-    for family, side, caps in (("appellation", 0, problem.appellation_caps),
-                               ("county", 1, problem.county_caps)):
-        for key, total in sorted(exact_sums((cell[side], v) for cell, v in inside).items()):
-            if total > caps[key] * (1 + rel_tol) + abs_tol:
-                violations.append(f"{family} {key} over cap: {total!r} > {caps[key]!r}")
+    """All constraint-family violations of ``x``, a vector over
+    ``problem.cells``, beyond tolerance: negative cells, then appellation
+    totals, then county totals, each in code order. A total is exactly
+    rounded over the nonzero cells."""
+    negative = np.flatnonzero(x < -abs_tol)
+    violations = [f"cell ({', '.join(problem.cells[k])}) negative: {value!r}"
+                  for k, value in zip(negative.tolist(), x[negative].tolist())]
+    held = np.flatnonzero(x)
+    for family, index, codes, caps in (
+        ("appellation", problem.row_index, problem.row_codes, problem.row_caps.tolist()),
+        ("county", problem.col_index, problem.col_codes, problem.col_caps.tolist()),
+    ):
+        for rank, total in sorted(exact_sums(zip(index[held].tolist(), x[held].tolist())).items()):
+            if total > caps[rank] * (1 + rel_tol) + abs_tol:
+                violations.append(f"{family} {codes[rank]} over cap: {total!r} > {caps[rank]!r}")
     return violations
 
 
-def assert_feasible(problem: AllocationProblem, cells: Mapping[Cell, float]) -> None:
-    violations = feasibility_violations(problem, cells)
+def assert_feasible(problem: AllocationProblem, x: np.ndarray) -> None:
+    violations = feasibility_violations(problem, x)
     if violations:
         raise SolveError("; ".join(violations[:10]))
 
@@ -717,8 +724,8 @@ def write_solution(cells: Mapping[Cell, float], path: str | Path) -> None:
 
 def read_solution(path: str | Path) -> dict[Cell, float]:
     """Read a solution written by :func:`write_solution`. A malformed row, a
-    non-finite surface or a negative one is a ``model.LayoutError`` naming
-    the file and line."""
+    non-finite surface, a negative one or a repeated cell is a
+    ``model.LayoutError`` naming the file and line."""
 
     def row(code: str, insee: str, text: str) -> tuple[Cell, float]:
         value = finite_float(text)
@@ -726,4 +733,4 @@ def read_solution(path: str | Path) -> dict[Cell, float]:
             raise ValueError(f"negative surface {text!r}")
         return (code, insee), value
 
-    return dict(read_rows(path, SOLUTION_HEADER, row))
+    return dict(read_rows(path, SOLUTION_HEADER, unrepeated(row, itemgetter(0), "cell")))

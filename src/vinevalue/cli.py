@@ -172,7 +172,6 @@ def stage_solve(cfg: PipelineConfig) -> allocator.MultiStartResult:
     out = cfg.output_dir
     problem = allocator.load_problem(_require(out / PROBLEM_DIR, "ingest"))
     result = allocator.multi_start_average(problem, k_starts=cfg.k_starts, seed_base=cfg.seed)
-    allocator.assert_feasible(problem, result.average.cells)
 
     solutions_dir = out / SOLUTIONS_DIR
     solutions_dir.mkdir(parents=True, exist_ok=True)

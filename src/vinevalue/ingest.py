@@ -14,6 +14,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -30,6 +31,7 @@ from .model import (
     finite_float,
     is_valid_insee,
     read_rows,
+    unrepeated,
     write_rows,
 )
 
@@ -539,7 +541,7 @@ def read_appellations(path: str | Path) -> list[AppellationRecord]:
             yield_history={int(y): finite_float(v) for y, v in years.items()},
         )
 
-    return list(read_rows(path, APPELLATIONS_HEADER, row))
+    return list(read_rows(path, APPELLATIONS_HEADER, unrepeated(row, attrgetter("code"), "code")))
 
 
 def write_counties(records: Iterable[CountyRecord], path: str | Path) -> None:
@@ -555,7 +557,8 @@ def read_counties(path: str | Path) -> list[CountyRecord]:
         return CountyRecord(insee_code=insee, agricultural_region_id=region,
                             marginal_surface=finite_float(surface))
 
-    return list(read_rows(path, COUNTIES_HEADER, row))
+    return list(read_rows(path, COUNTIES_HEADER,
+                          unrepeated(row, attrgetter("insee_code"), "county")))
 
 
 def write_mask(mask: Iterable[Cell], path: str | Path) -> None:

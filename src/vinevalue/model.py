@@ -23,7 +23,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Ty
 #: An (appellation code, INSEE county code) pair. Allocation readers take a
 #: ``Mapping[Cell, float]`` of hectares: a solution read back from CSV, or the
 #: ``cells`` of an ``allocator.AllocationMatrix`` (the synthetic truth, or solver
-#: output, equal to its CSV). ``allocator.objective`` computes its weighted objective.
+#: output, equal to its CSV). The solver checks a vector over the problem's cells.
 Cell = tuple[str, str]
 
 
@@ -222,3 +222,20 @@ def read_rows(path: str | Path, header: Sequence[str],
             except ValueError as exc:
                 raise LayoutError(f"{name} line {reader.line_num}: {exc}; {rerun}") from None
             yield row
+
+
+def unrepeated(parse: Callable[..., Row], key: Callable[[Row], Hashable],
+               what: str) -> Callable[..., Row]:
+    """``parse`` for :func:`read_rows`, raising ValueError on a row whose
+    ``key`` an earlier row had, so that a repeated key names its file and line."""
+    seen: set[Hashable] = set()
+
+    def parse_once(*fields: str) -> Row:
+        row = parse(*fields)
+        name = key(row)
+        if name in seen:
+            raise ValueError(f"{what} {name!r} is repeated")
+        seen.add(name)
+        return row
+
+    return parse_once

@@ -16,13 +16,12 @@ from vinevalue.allocator import (
     AllocationProblem,
     OptimalFace,
     SolveError,
-    feasibility_violations,
     optimal_value,
     project_feasible,
     random_init,
 )
 from vinevalue.linkage import LabelMatch, expand_price_entries, normalize_label
-from vinevalue.model import AppellationRecord, Cell, IntegrityError, PriceEntry
+from vinevalue.model import AppellationRecord, Cell, IntegrityError, PriceEntry, exact_sums
 
 BRUTE_FORCE_MAX_CELLS = 9
 BRUTE_FORCE_MAX_LEVELS = 12
@@ -85,10 +84,40 @@ def problem_from_caps_oracle(
         alpha=np.array([weights[c] for c, _ in active], dtype=float),
     )
     kept = {active[i]: lower[i] for i in np.flatnonzero(problem.lower_bounds)}
-    over = feasibility_violations(problem, kept, rel_tol=0.0, abs_tol=0.0)
+    over = feasibility_violations_oracle(problem, kept, rel_tol=0.0, abs_tol=0.0)
     if over:
         raise IntegrityError("known cells exceed their caps: " + "; ".join(over[:10]))
     return problem
+
+
+def feasibility_violations_oracle(
+    problem: AllocationProblem,
+    cells: Mapping[Cell, float],
+    rel_tol: float = 1e-6,
+    abs_tol: float = 1e-9,
+) -> list[str]:
+    """All constraint-family violations beyond tolerance: mask support,
+    nonnegativity, row sums, column sums. Sums use exact summation.
+
+    ``allocator.feasibility_violations`` on an allocation held as a dict,
+    cells outside the mask included, as the program checked it before it
+    took a vector over ``problem.cells``."""
+    known = set(problem.cells)
+    violations = []
+    inside = []
+    for (code, insee), value in cells.items():
+        if (code, insee) not in known:
+            violations.append(f"cell ({code}, {insee}) outside the mask")
+            continue
+        if value < -abs_tol:
+            violations.append(f"cell ({code}, {insee}) negative: {value!r}")
+        inside.append(((code, insee), value))
+    for family, side, caps in (("appellation", 0, problem.appellation_caps),
+                               ("county", 1, problem.county_caps)):
+        for key, total in sorted(exact_sums((cell[side], v) for cell, v in inside).items()):
+            if total > caps[key] * (1 + rel_tol) + abs_tol:
+                violations.append(f"{family} {key} over cap: {total!r} > {caps[key]!r}")
+    return violations
 
 
 def greedy_baseline(problem: AllocationProblem) -> AllocationMatrix:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import threading
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from scipy import sparse
 
 from baselines import (
     brute_force_optimum,
+    feasibility_violations_oracle,
     greedy_baseline,
     linprog_start,
     phase1_multi_start,
@@ -36,7 +40,8 @@ from vinevalue.allocator import (
     write_solution,
 )
 from vinevalue.config import load_config
-from vinevalue.model import AppellationRecord, Category, CountyRecord, IntegrityError
+from vinevalue.model import (AppellationRecord, Category, CountyRecord, IntegrityError,
+                             LayoutError)
 from vinevalue.validate import compare_solutions
 
 
@@ -294,13 +299,13 @@ class TestKnownCells:
             assert solution.cells[("K1", "01001")] == 3.0
             assert solution.cells[("AOP1", "01001")] == pytest.approx(7.0, rel=1e-12)
             assert solution.cells[("AOP1", "01002")] == pytest.approx(3.0, rel=1e-12)
-            assert feasibility_violations(problem, solution.cells) == []
+            assert feasibility_violations_oracle(problem, solution.cells) == []
 
     def test_projection_keeps_known_cells(self):
         problem = known_cell_problem()
         projected = project_feasible(problem, np.array([9.0, 4.0, 0.0]))
         assert projected[2] == 3.0
-        assert feasibility_violations(problem, dict(zip(problem.cells, projected))) == []
+        assert feasibility_violations(problem, projected) == []
 
     @pytest.mark.parametrize("known, message", [
         ({("K1", "01001"): 3.0, ("K1", "01002"): 1.5}, "appellation K1 over cap"),
@@ -371,7 +376,8 @@ class TestSolve:
             problem = random_small_problem(rng, max_rows=4, max_cols=4, integer_caps=False)
             face = optimal_value(problem)
             for seed in (1, 2, 3):
-                assert feasibility_violations(problem, solve_start(problem, seed, face).cells) == []
+                assert feasibility_violations_oracle(
+                    problem, solve_start(problem, seed, face).cells) == []
 
     def test_empty_problem(self):
         problem = _simple({"A": 0.0}, {"00001": 0.0}, {"A": 1.0}, [("A", "00001")])
@@ -499,7 +505,7 @@ class TestSolverAgainstOracles:
         for _ in range(30):
             problem = random_small_problem(rng, max_rows=5, max_cols=5, integer_caps=False)
             greedy = greedy_baseline(problem)
-            assert feasibility_violations(problem, greedy.cells) == []
+            assert feasibility_violations_oracle(problem, greedy.cells) == []
             solution = solve_start(problem, 3, optimal_value(problem))
             # The solver returns a point of the exact optimal face, so it can
             # fall short of greedy by float rounding only.
@@ -525,7 +531,7 @@ class TestMultiStart:
         for _ in range(5):
             problem = random_small_problem(rng, max_rows=6, max_cols=8, integer_caps=False)
             result = multi_start_average(problem, k_starts=4, seed_base=0)
-            assert feasibility_violations(problem, result.average.cells) == []
+            assert feasibility_violations_oracle(problem, result.average.cells) == []
 
     def test_unique_optimum_gives_tau_one(self):
         result = multi_start_average(priority_problem(), k_starts=3, seed_base=9)
@@ -573,6 +579,17 @@ class TestMultiStart:
             assert solution.cells == {("A", "01"): 1.0}
             write_solution(solution.cells, tmp_path / "solution.csv")
             assert read_solution(tmp_path / "solution.csv") == solution.cells
+
+    def test_an_average_over_a_cap_is_fatal(self, monkeypatch):
+        """The average is checked as it is handed out. The projection makes
+        any average feasible, so here it returns the point as it is, and the
+        starts break both caps."""
+        monkeypatch.setattr(allocator, "project_feasible", lambda problem, point: point)
+        monkeypatch.setattr(allocator, "solve", lambda problem, *args: 2 * problem.upper_bounds)
+        with pytest.raises(SolveError, match=r"^appellation AOP1 over cap: 20.0 > 10.0; "
+                                             r"appellation NP1 over cap: 20.0 > 10.0; "
+                                             r"county 01001 over cap: 40.0 > 10.0$"):
+            multi_start_average(priority_problem(), k_starts=3)
 
     @pytest.mark.parametrize("cpus", [3, 8])
     def test_same_result_for_any_worker_count(self, monkeypatch, cpus):
@@ -713,6 +730,30 @@ class TestFailedStarts:
         with pytest.raises(RuntimeError, match="helper broke"):
             multi_start_average(priority_problem(), k_starts=4)
         assert helper_called.is_set()
+
+    @pytest.mark.parametrize("failing", ["calling", "helper"])
+    def test_other_error_stops_every_thread(self, monkeypatch, failing):
+        """An error that is not a SolveError leaves the seeds in the queue:
+        after it, each thread runs at most the start it has already taken."""
+        monkeypatch.setattr(allocator, "_cpu_count", lambda: 2)
+        failed = threading.Event()
+        after = Counter()  # starts begun after the failure, by thread
+
+        def solve_or_break(problem, *args):
+            calling = threading.current_thread() is threading.main_thread()
+            if failed.is_set():
+                after[calling] += 1
+            if calling == (failing == "calling"):
+                failed.set()
+                raise RuntimeError("start broke")
+            time.sleep(0.005)
+            return np.zeros(problem.n_cells)
+
+        monkeypatch.setattr(allocator, "solve", solve_or_break)
+        with pytest.raises(RuntimeError, match="start broke"):
+            multi_start_average(priority_problem(), k_starts=40)
+        assert failed.is_set()
+        assert max(after.values(), default=0) <= 1, after
 
 
 def count_lps(monkeypatch) -> tuple[list[int], list[int]]:
@@ -891,7 +932,7 @@ class TestFilledRowsFace:
             assert (len(phase1), len(phase2)) == (1, 2)
             same_starts(result, face, solutions)
             for solution in (*result.solutions, result.average):
-                assert feasibility_violations(problem, solution.cells) == []
+                assert feasibility_violations_oracle(problem, solution.cells) == []
         assert tight_county_faces >= 30 and fixed_column_faces >= 25
 
 
@@ -1260,9 +1301,7 @@ class TestProjectFeasible:
         for _ in range(10):
             problem = random_small_problem(rng, max_rows=4, max_cols=4, integer_caps=False)
             wild = problem.upper_bounds * rng.uniform(0, 3, size=problem.n_cells)
-            projected = project_feasible(problem, wild)
-            cells = dict(zip(problem.cells, projected))
-            assert feasibility_violations(problem, cells) == []
+            assert feasibility_violations(problem, project_feasible(problem, wild)) == []
 
     def test_feasible_point_unchanged(self):
         problem = priority_problem()
@@ -1364,17 +1403,67 @@ class TestPersistence:
         # The sub-threshold cell is dropped; the real cell survives bit-exact.
         assert read_solution(path) == {("A", "00001"): 1.2345678901234567}
 
+    def test_repeated_solution_cell_is_fatal(self, tmp_path):
+        # Read as a dict, the last row would silently win.
+        path = tmp_path / "solution.csv"
+        write_solution({("A", "01001"): 1.0, ("B", "01001"): 3.0}, path)
+        with open(path, "a", encoding="utf-8", newline="") as fh:
+            fh.write("A;01001;2.0\n")
+        with pytest.raises(LayoutError, match=r"^solution.csv line 4: cell \('A', '01001'\) "
+                                              r"is repeated; re-run the stage that writes it$"):
+            read_solution(path)
+
 
 def test_assert_feasible_raises_on_violation():
     problem = priority_problem()
-    with pytest.raises(SolveError, match="^appellation AOP1 over cap"):
-        assert_feasible(problem, {("AOP1", "01001"): 11.0})
+    with pytest.raises(SolveError, match="^appellation AOP1 over cap: 11.0 > 10.0; "
+                                         "county 01001 over cap: 11.0 > 10.0$"):
+        assert_feasible(problem, np.array([11.0, 0.0]))
 
 
 def test_feasibility_violations_reports_all_families():
-    problem = priority_problem()
-    violations = feasibility_violations(
-        problem, {("AOP1", "01001"): 11.0, ("ZZ", "01001"): 1.0}
-    )
-    assert any("outside the mask" in v for v in violations)
-    assert any("over cap" in v for v in violations)
+    """Negative cells, then the appellations and then the counties over their
+    caps, each in code order. A vector over the problem's cells has no cell
+    outside the mask."""
+    problem = _simple({"B": 5.0, "A": 5.0}, {"01002": 9.0, "01001": 4.0},
+                      {"A": 1.0, "B": 0.25},
+                      [("A", "01001"), ("A", "01002"), ("B", "01001"), ("B", "01002")])
+    x = np.array([-1.0, 7.0, 6.0, -2.0])
+    assert feasibility_violations(problem, x) == [
+        "cell (A, 01001) negative: -1.0",
+        "cell (B, 01002) negative: -2.0",
+        "appellation A over cap: 6.0 > 5.0",
+        "county 01001 over cap: 5.0 > 4.0",
+    ]
+
+
+@functools.cache
+def _feasibility_problems() -> tuple[allocator.AllocationProblem, ...]:
+    """Criterion 2's draws with county caps as drawn and × 0.8, and the
+    known-cell problem."""
+    rng = np.random.default_rng(2718)
+    return (*(criterion_2_problem(rng, scale) for scale in (1.0, 1.0, 0.8, 0.8)),
+            known_cell_problem())
+
+
+class TestFeasibilityViolations:
+    @settings(max_examples=200, deadline=None)
+    @given(which=st.integers(0, 4), seed=st.integers(0, 2**32 - 1),
+           over=st.sampled_from([0.0, 1e-7, 1e-6, 2e-6, 0.5]),
+           negative=st.sampled_from([0.0, 0.01, 0.3]),
+           exact=st.booleans())
+    def test_equals_the_check_on_a_dict(self, which, seed, over, negative, exact):
+        """Feasible points scaled by ``1 + over``, rows and columns at and
+        beyond the tolerance, with a share ``negative`` of cells made negative
+        (some within ``abs_tol``), give the dict check's list."""
+        problem = _feasibility_problems()[which]
+        rng = np.random.default_rng(seed)
+        wild = problem.upper_bounds * rng.uniform(0, 3, size=problem.n_cells)
+        x = project_feasible(problem, wild) * (1 + over)
+        x[rng.random(problem.n_cells) < 0.2] = 0.0
+        flip = rng.random(problem.n_cells) < negative
+        x[flip] = -x[flip] * rng.choice([1.0, 1e-12, 1e-9 / 1.5], size=int(flip.sum()))
+        tolerances = {"rel_tol": 0.0, "abs_tol": 0.0} if exact else {}
+        want = feasibility_violations_oracle(problem, dict(zip(problem.cells, x.tolist())),
+                                             **tolerances)
+        assert feasibility_violations(problem, x, **tolerances) == want

@@ -36,6 +36,7 @@ from vinevalue.model import (
     CountyRecord,
     DEFAULT_WEIGHTS,
     IntegrityError,
+    LayoutError,
     PriceEntry,
     ProductionMode,
     cvi_prefix,
@@ -611,6 +612,23 @@ class TestCanonicalRoundTrip:
         path = tmp_path / "counties.csv"
         write_counties(records, path)
         assert read_counties(path) == records
+
+    @pytest.mark.parametrize("write, read, record, message", [
+        (write_appellations, read_appellations,
+         AppellationRecord(code="1B001M", marginal_surface=2.0), "code '1B001M'"),
+        (write_counties, read_counties,
+         CountyRecord(insee_code="01001", marginal_surface=2.0), "county '01001'"),
+    ], ids=["appellations", "counties"])
+    def test_repeated_key_is_fatal(self, tmp_path, write, read, record, message):
+        # Both rows would be returned, and a dict by key would keep the last.
+        path = tmp_path / "table.csv"
+        write([record], path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            header, row = fh.read().splitlines()
+        path.write_text(f"{header}\n{row}\n{row}\n", encoding="utf-8")
+        with pytest.raises(LayoutError, match=f"^table.csv line 3: {message} is repeated; "
+                                              "re-run the stage that writes it$"):
+            read(path)
 
     def test_mask(self, tmp_path):
         mask = {("3B011", "01001"), ("1B001M", "01002")}

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from vinevalue.model import AppellationRecord, Category
+from vinevalue.model import AppellationRecord, Category, LayoutError
 from vinevalue.yields import (
     DEFAULT_YIELD,
     ExpectedYield,
@@ -164,3 +164,14 @@ def test_table_round_trip(tmp_path):
     loaded = read_expected_yields(path)
     assert loaded == table
     assert all(not math.isnan(e.value) for e in loaded.values())
+
+
+def test_repeated_code_is_fatal(tmp_path):
+    # Read as a dict, the last row would silently win.
+    path = tmp_path / "expected_yields.csv"
+    write_expected_yields(expected_yield_table([AppellationRecord(code="A")], 2023), path)
+    with open(path, "a", encoding="utf-8", newline="") as fh:
+        fh.write("A;40.0;DEFAULT_40\n")
+    with pytest.raises(LayoutError, match="^expected_yields.csv line 3: code 'A' is repeated; "
+                                          "re-run the stage that writes it$"):
+        read_expected_yields(path)
