@@ -3,7 +3,10 @@
 The unknown per-cell surfaces maximize the weighted total
 ``sum(alpha_a * s_ac)`` subject to row sums at most the per-appellation
 totals, column sums at most the per-county totals, zero outside the
-authorization mask, and per-cell upper bounds ``min(s_a, s_c)``.
+authorization mask, and per-cell upper bounds ``min(s_a, s_c)``. The weights
+set a priority order and act only through it: the optimum places as much of
+the top class as fits, then as much of the next (Edmonds 1970; Megiddo 1974),
+so any weights in the same order give the same estimate.
 
 The optimum value of this linear program is unique but the optimal point is
 not. Every start picks the vertex of the optimal face that maximizes a
@@ -34,10 +37,8 @@ import math
 import os
 import queue
 import threading
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -57,7 +58,6 @@ from .model import (
     exact_sums,
     finite_float,
     read_rows,
-    unrepeated,
     write_rows,
 )
 
@@ -175,7 +175,8 @@ def problem_from_caps(
     :class:`IntegrityError`). A cell whose upper bound (a known cell's
     surface) is at or below ``_SUPPORT_HA`` is no column: no allocation holds it.
 
-    A repeated cell counts once. ``cells`` holds the input tuples themselves
+    A repeated mask cell is an :class:`IntegrityError`; a known cell may
+    repeat a mask cell. ``cells`` holds the input tuples themselves
     and ``row_codes``/``col_codes`` the keys of the caps: each cell is carried
     as the ranks of its code and county among the sorted keys, and a rank
     pair ``row * n_counties + col`` sorts as the cell does."""
@@ -202,12 +203,16 @@ def problem_from_caps(
         raise IntegrityError(f"{MASK_CELLS_FILE}: cell references unknown {what}")
     ranks = rows * len(counties) + cols
     keys, first = np.unique(ranks, return_index=True)
+    n_mask = len(given) - len(known)  # known cells come last
+    if np.count_nonzero(first < n_mask) < n_mask:
+        cell = min(given[k] for k in np.setdiff1d(np.arange(n_mask), first).tolist())
+        raise IntegrityError(f"{MASK_CELLS_FILE}: cell {cell!r} is repeated")
     rows, cols = rows[first], cols[first]
     code_cap = np.array([appellation_caps[c] for c in codes], dtype=float)
     county_cap = np.array([county_caps[i] for i in counties], dtype=float)
     upper = np.minimum(code_cap[rows], county_cap[cols])
     lower = np.zeros(len(keys))
-    fixed = np.searchsorted(keys, ranks[len(given) - len(known):])  # known cells come last
+    fixed = np.searchsorted(keys, ranks[n_mask:])
     lower[fixed] = upper[fixed] = np.fromiter(known.values(), float, len(known))
     keep = upper > _SUPPORT_HA
     used_rows, row_index = _compact(rows[keep], len(codes))
@@ -624,13 +629,16 @@ def feasibility_violations(
     abs_tol: float = 1e-9,
 ) -> list[str]:
     """All constraint-family violations of ``x``, a vector over
-    ``problem.cells``, beyond tolerance: negative cells, then appellation
-    totals, then county totals, each in code order. A total is exactly
-    rounded over the nonzero cells."""
-    negative = np.flatnonzero(x < -abs_tol)
-    violations = [f"cell ({', '.join(problem.cells[k])}) negative: {value!r}"
-                  for k, value in zip(negative.tolist(), x[negative].tolist())]
-    held = np.flatnonzero(x)
+    ``problem.cells``, beyond tolerance: cells that are not finite, negative
+    cells, then appellation totals, then county totals, each in code order. A
+    total is exactly rounded over the finite nonzero cells."""
+    finite = np.isfinite(x)
+    violations: list[str] = []
+    for what, bad in (("not finite", ~finite), ("negative", finite & (x < -abs_tol))):
+        cells = np.flatnonzero(bad)
+        violations += [f"cell ({', '.join(problem.cells[k])}) {what}: {value!r}"
+                       for k, value in zip(cells.tolist(), x[cells].tolist())]
+    held = np.flatnonzero(finite & (x != 0))
     for family, index, codes, caps in (
         ("appellation", problem.row_index, problem.row_codes, problem.row_caps.tolist()),
         ("county", problem.col_index, problem.col_codes, problem.col_caps.tolist()),
@@ -680,22 +688,23 @@ def dump_problem(problem: AllocationProblem, directory: str | Path) -> None:
 
 
 def load_problem(directory: str | Path) -> AllocationProblem:
-    """Read a problem written by :func:`dump_problem`. A malformed row is a
-    ``model.LayoutError`` naming the file and line, and a repeated key or a
-    value out of the ranges :func:`problem_from_caps` checks an
-    :class:`IntegrityError` naming the file."""
+    """Read a problem written by :func:`dump_problem`. A malformed row, a non-finite
+    number or a repeated code or county is a ``model.LayoutError`` naming the file and
+    line; a repeated mask cell or a value out of the ranges :func:`problem_from_caps`
+    checks, an :class:`IntegrityError` naming the file."""
     directory = Path(directory)
-    appellations = list(read_rows(directory / CAPS_APPELLATIONS_FILE, CAPS_APPELLATIONS_HEADER,
-                                  lambda code, cap, alpha: (code, float(cap), float(alpha))))
+    appellations = list(read_rows(
+        directory / CAPS_APPELLATIONS_FILE, CAPS_APPELLATIONS_HEADER,
+        lambda code, cap, alpha: (code, finite_float(cap), finite_float(alpha)), key=1))
     county_caps = list(read_rows(directory / CAPS_COUNTIES_FILE, CAPS_COUNTIES_HEADER,
-                                 lambda insee, cap: (insee, float(cap))))
+                                 lambda insee, cap: (insee, finite_float(cap)), key=1))
     # A cell holds the caps' own key strings, one per code and per county.
     codes = {code: code for code, _, _ in appellations}
     counties = {insee: insee for insee, _ in county_caps}
 
     def mask_row(code: str, insee: str, known_ha: str) -> tuple[Cell, float | None]:
         return ((codes.get(code, code), counties.get(insee, insee)),
-                float(known_ha) if known_ha else None)
+                finite_float(known_ha) if known_ha else None)
 
     cells: list[Cell] = []
     known: dict[Cell, float] = {}
@@ -703,12 +712,6 @@ def load_problem(directory: str | Path) -> AllocationProblem:
         cells.append(cell)
         if surface is not None:
             known[cell] = surface
-    for name, what, keys in ((CAPS_APPELLATIONS_FILE, "code", [c for c, _, _ in appellations]),
-                             (CAPS_COUNTIES_FILE, "county", [i for i, _ in county_caps]),
-                             (MASK_CELLS_FILE, "cell", cells)):
-        if len(set(keys)) < len(keys):
-            repeated = next(key for key, n in Counter(keys).items() if n > 1)
-            raise IntegrityError(f"{name}: {what} {repeated!r} is repeated")
     return problem_from_caps({code: cap for code, cap, _ in appellations}, dict(county_caps),
                              {code: alpha for code, _, alpha in appellations}, cells, known)
 
@@ -724,7 +727,7 @@ def write_solution(cells: Mapping[Cell, float], path: str | Path) -> None:
 
 def read_solution(path: str | Path) -> dict[Cell, float]:
     """Read a solution written by :func:`write_solution`. A malformed row, a
-    non-finite surface, a negative one or a repeated cell is a
+    repeated cell, a non-finite surface or a negative one is a
     ``model.LayoutError`` naming the file and line."""
 
     def row(code: str, insee: str, text: str) -> tuple[Cell, float]:
@@ -733,4 +736,4 @@ def read_solution(path: str | Path) -> dict[Cell, float]:
             raise ValueError(f"negative surface {text!r}")
         return (code, insee), value
 
-    return dict(read_rows(path, SOLUTION_HEADER, unrepeated(row, itemgetter(0), "cell")))
+    return dict(read_rows(path, SOLUTION_HEADER, row, key=2))

@@ -14,7 +14,6 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -31,7 +30,6 @@ from .model import (
     finite_float,
     is_valid_insee,
     read_rows,
-    unrepeated,
     write_rows,
 )
 
@@ -541,7 +539,7 @@ def read_appellations(path: str | Path) -> list[AppellationRecord]:
             yield_history={int(y): finite_float(v) for y, v in years.items()},
         )
 
-    return list(read_rows(path, APPELLATIONS_HEADER, unrepeated(row, attrgetter("code"), "code")))
+    return list(read_rows(path, APPELLATIONS_HEADER, row, key=1))
 
 
 def write_counties(records: Iterable[CountyRecord], path: str | Path) -> None:
@@ -557,8 +555,7 @@ def read_counties(path: str | Path) -> list[CountyRecord]:
         return CountyRecord(insee_code=insee, agricultural_region_id=region,
                             marginal_surface=finite_float(surface))
 
-    return list(read_rows(path, COUNTIES_HEADER,
-                          unrepeated(row, attrgetter("insee_code"), "county")))
+    return list(read_rows(path, COUNTIES_HEADER, row, key=1))
 
 
 def write_mask(mask: Iterable[Cell], path: str | Path) -> None:

@@ -17,6 +17,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -193,21 +194,25 @@ def finite_float(text: str) -> float:
 
 class LayoutError(PipelineError):
     """An artifact table is not as its reader expects: another header row, a
-    row with another number of fields, or a field that does not parse."""
+    row with another number of fields, a repeated key, or a field that does
+    not parse."""
 
 
 Row = TypeVar("Row")
 
 
 def read_rows(path: str | Path, header: Sequence[str],
-              parse: Callable[..., Row]) -> Iterator[Row]:
+              parse: Callable[..., Row], key: int = 0) -> Iterator[Row]:
     """The data rows of an artifact table written by :func:`write_rows` with
-    ``header``, one at a time, each as ``parse(*fields)``. Raises
-    :class:`LayoutError` naming the file when its header row differs, and
-    naming the file and line when a row has another number of fields or
+    ``header``, one at a time, each as ``parse(*fields)``. The first ``key``
+    fields form a key that no two rows may share. Raises :class:`LayoutError`
+    naming the file when its header row differs, and naming the file and line
+    when a row has another number of fields, repeats an earlier row's key or
     ``parse`` raises ``ValueError`` on it."""
     name = Path(path).name
     rerun = "re-run the stage that writes it"
+    pick = itemgetter(*range(key)) if key else None
+    seen: set[str | tuple[str, ...]] = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=";")
         found, expected = ";".join(next(reader, [])), ";".join(header)
@@ -218,24 +223,12 @@ def read_rows(path: str | Path, header: Sequence[str],
                 raise LayoutError(f"{name} line {reader.line_num} has {len(fields)} fields, "
                                   f"not {len(header)}; {rerun}")
             try:
+                if pick:
+                    keyed = pick(fields)
+                    if keyed in seen:
+                        raise ValueError(f"repeated key {';'.join(fields[:key])!r}")
+                    seen.add(keyed)
                 row = parse(*fields)
             except ValueError as exc:
                 raise LayoutError(f"{name} line {reader.line_num}: {exc}; {rerun}") from None
             yield row
-
-
-def unrepeated(parse: Callable[..., Row], key: Callable[[Row], Hashable],
-               what: str) -> Callable[..., Row]:
-    """``parse`` for :func:`read_rows`, raising ValueError on a row whose
-    ``key`` an earlier row had, so that a repeated key names its file and line."""
-    seen: set[Hashable] = set()
-
-    def parse_once(*fields: str) -> Row:
-        row = parse(*fields)
-        name = key(row)
-        if name in seen:
-            raise ValueError(f"{what} {name!r} is repeated")
-        seen.add(name)
-        return row
-
-    return parse_once

@@ -10,12 +10,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .model import (AppellationRecord, Category, exact_sums, finite_float, read_rows, unrepeated,
-                    write_rows)
+from .model import AppellationRecord, Category, exact_sums, finite_float, read_rows, write_rows
 
 #: Flat fallback when neither the appellation nor its category has a usable
 #: five-year history.
@@ -137,4 +135,4 @@ def read_expected_yields(path: str | Path) -> dict[str, ExpectedYield]:
     def row(code: str, value: str, provenance: str) -> tuple[str, ExpectedYield]:
         return code, ExpectedYield(code, finite_float(value), YieldProvenance(provenance))
 
-    return dict(read_rows(path, YIELDS_HEADER, unrepeated(row, itemgetter(0), "code")))
+    return dict(read_rows(path, YIELDS_HEADER, row, key=1))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -36,6 +37,7 @@ def problem_from_caps_oracle(
 ) -> AllocationProblem:
     """``allocator.problem_from_caps`` as one Python loop over the sorted
     cells: a ``min`` and dict lookups per cell. The unknown-reference errors
+    and, after them, a repeated mask cell (the smallest, if several repeat)
     name ``mask_cells.csv``, as the program's do."""
     _SURFACE_RULE, _WEIGHT_RULE, _SUPPORT_HA = (
         allocator._SURFACE_RULE, allocator._WEIGHT_RULE, allocator._SUPPORT_HA)
@@ -48,6 +50,7 @@ def problem_from_caps_oracle(
         bad = [f"{key!r} = {value!r}" for key, value in values.items() if not test(value)]
         if bad:
             raise IntegrityError(f"{what} must be finite and {rule}: " + ", ".join(bad[:10]))
+    mask_cells = list(mask_cells)
     active: list[Cell] = []
     lower: list[float] = []
     upper: list[float] = []
@@ -64,6 +67,9 @@ def problem_from_caps_oracle(
             active.append((code, insee))
             lower.append(lb)
             upper.append(ub)
+    repeated = [cell for cell, n in Counter(mask_cells).items() if n > 1]
+    if repeated:
+        raise IntegrityError(f"{MASK_CELLS_FILE}: cell {min(repeated)!r} is repeated")
     row_codes = tuple(sorted({c for c, _ in active}))
     col_codes = tuple(sorted({i for _, i in active}))
     row_pos = {code: k for k, code in enumerate(row_codes)}
@@ -264,6 +270,31 @@ def linprog_start(problem: AllocationProblem, seed: int, face: OptimalFace,
     x = project_feasible(problem, res.x)
     return AllocationMatrix({cell: float(v) for cell, v in zip(problem.cells, x)
                              if v > allocator._SUPPORT_HA})
+
+
+def lexicographic_class_totals(problem: AllocationProblem) -> dict[float, float]:
+    """The surface each weight class places at the LP optimum, by weight,
+    from the highest down. A class is the codes that share a weight. The
+    optimum is lexicographic by class (Edmonds 1970; Megiddo 1974): each
+    class, from the top, places as much as the classes above it, held at
+    their totals, leave room for. One ``linprog`` call a class: at most 3 with
+    the default weights."""
+    matrix, rhs = allocator._constraints(problem)
+    bounds = np.column_stack([problem.lower_bounds, problem.upper_bounds])
+    held: list[np.ndarray] = []
+    totals: dict[float, float] = {}
+    for weight in sorted(set(problem.alpha.tolist()), reverse=True):
+        member = problem.alpha == weight
+        res = linprog(
+            -member.astype(float), A_ub=matrix, b_ub=rhs,
+            A_eq=np.array(held, dtype=float) if held else None,
+            b_eq=list(totals.values()) if held else None,
+            bounds=bounds, method="highs", options=allocator._HIGHS_OPTIONS,
+        )
+        assert res.status == 0, res.message
+        totals[weight] = math.fsum(res.x[member].tolist())
+        held.append(member)
+    return totals
 
 
 def kendall_tau_oracle(x, y) -> float:

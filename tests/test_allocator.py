@@ -16,6 +16,7 @@ from baselines import (
     brute_force_optimum,
     feasibility_violations_oracle,
     greedy_baseline,
+    lexicographic_class_totals,
     linprog_start,
     phase1_multi_start,
     problem_from_caps_oracle,
@@ -41,7 +42,7 @@ from vinevalue.allocator import (
 )
 from vinevalue.config import load_config
 from vinevalue.model import (AppellationRecord, Category, CountyRecord, IntegrityError,
-                             LayoutError)
+                             LayoutError, exact_sums)
 from vinevalue.validate import compare_solutions
 
 
@@ -177,6 +178,17 @@ class TestBuildProblem:
             with pytest.raises(IntegrityError, match=f"unknown {name}"):
                 problem_from_caps({"A": 1.0}, {"00001": 1.0}, {"A": 1.0}, cells, known)
 
+    def test_repeated_mask_cell_is_fatal(self):
+        caps = ({"A": 1.0, "B": 1.0}, {"01": 1.0, "02": 1.0}, {"A": 1.0, "B": 1.0})
+        mask = [("B", "02"), ("A", "02"), ("A", "01"), ("B", "02"), ("A", "02")]
+        # The smallest repeated cell is named, wherever its rows are.
+        with pytest.raises(IntegrityError, match=r"^mask_cells.csv: cell \('A', '02'\) is repeated$"):
+            problem_from_caps(*caps, mask)
+        # A known cell may repeat a mask cell, as load_problem reads it.
+        problem = problem_from_caps(*caps, mask[:3], {("B", "02"): 0.5})
+        assert problem.cells == (("A", "01"), ("A", "02"), ("B", "02"))
+        assert problem.lower_bounds.tolist() == [0.0, 0.0, 0.5]
+
     def test_from_records(self):
         apps = [AppellationRecord(code="A", category=Category.AOP, marginal_surface=5.0)]
         counties = [CountyRecord(insee_code="00001", marginal_surface=3.0)]
@@ -215,16 +227,17 @@ class TestBuildProblemOnRanks:
            counties=st.lists(st.sampled_from(_COUNTIES), unique=True),
            data=st.data())
     def test_equals_the_loop_over_cells(self, codes, counties, data):
-        # Cells may repeat, name unknown codes or counties, or be known; a
-        # known cell may lie outside the mask, exceed its caps or sit at the
-        # support cut-off, and the mask may be empty.
+        # Cells may repeat (in half the draws), name unknown codes or
+        # counties, or be known; a known cell may lie outside the mask, repeat
+        # a mask cell, exceed its caps or sit at the support cut-off, and the
+        # mask may be empty.
         caps_r = {code: data.draw(_SURFACES) for code in codes}
         caps_c = {insee: data.draw(_SURFACES) for insee in counties}
         weights = {code: data.draw(st.sampled_from([1.0, 1.0 / 3.0, 0.25])) for code in codes}
         cells = _CELLS
         if codes and counties and data.draw(st.booleans()):  # only known codes and counties
             cells = st.tuples(st.sampled_from(codes), st.sampled_from(counties))
-        mask = data.draw(st.lists(cells, max_size=16))
+        mask = data.draw(st.lists(cells, max_size=16, unique=data.draw(st.booleans())))
         known = data.draw(st.dictionaries(cells, _SURFACES, max_size=3))
         got = _problem_or_error(problem_from_caps, caps_r, caps_c, weights, mask, known)
         want = _problem_or_error(problem_from_caps_oracle, caps_r, caps_c, weights, mask, known)
@@ -953,6 +966,78 @@ def criterion_2_problem(rng, county_scale=1.0):
     )
 
 
+def with_class_weights(problem, weight_of):
+    """``problem`` with each code's weight ``w`` replaced by ``weight_of[w]``."""
+    return problem_from_caps(
+        problem.appellation_caps, problem.county_caps,
+        {code: weight_of[w] for code, w in problem.weights.items()}, problem.cells,
+    )
+
+
+def class_totals(weights, cells):
+    """The surface each weight class places in ``cells``, by weight."""
+    return exact_sums((weights[code], v) for (code, _), v in cells.items())
+
+
+class TestPriorityOrder:
+    """The priority weights act only through their order: the optimum is
+    lexicographic by class, and any weights in the same order give the same
+    optimal face. Criterion 2's draws with contested county caps, checked
+    against ``lexicographic_class_totals``."""
+
+    draws = dict(seed=st.integers(0, 2**32 - 1), county_scale=st.sampled_from([0.8, 0.6]))
+
+    @settings(max_examples=20, deadline=None)
+    @given(**draws)
+    def test_class_totals_are_lexicographic(self, seed, county_scale):
+        problem = criterion_2_problem(np.random.default_rng(seed), county_scale)
+        want = lexicographic_class_totals(problem)
+        total = math.fsum(want.values())
+        result = multi_start_average(problem, k_starts=3, seed_base=seed % 1000)
+        for solution in (*result.solutions, result.average):
+            got = class_totals(problem.weights, solution.cells)
+            assert got.keys() <= want.keys()
+            for weight, placed in want.items():
+                assert abs(got.get(weight, 0.0) - placed) <= 1e-12 * total, weight
+
+    @settings(max_examples=20, deadline=None)
+    @given(**draws)
+    def test_weights_in_the_same_order_give_the_same_optimum(self, seed, county_scale):
+        problem = criterion_2_problem(np.random.default_rng(seed), county_scale)
+        ranked = sorted(set(problem.weights.values()), reverse=True)
+        weight_of = dict(zip(ranked, (1.0, 0.99, 0.01)))
+        other = with_class_weights(problem, weight_of)
+        best = optimal_value(other).value
+        # The order's lexicographic optimum is optimal under the other weights.
+        placed = lexicographic_class_totals(problem)
+        assert abs(math.fsum(weight_of[w] * t for w, t in placed.items()) - best) <= 1e-12 * best
+        result = multi_start_average(problem, k_starts=3, seed_base=seed % 1000)
+        for solution in result.solutions:
+            assert abs(objective(other.weights, solution.cells) - best) <= 1e-12 * best
+
+    def test_reversing_the_order_changes_the_optimum(self):
+        """On most draws, not all: a draw whose classes do not compete keeps
+        its optimum (2 of seeds 0-39's 80 draws do). The starts under the
+        reversed weights reach the reversed order's optimum on every draw."""
+        changed = 0
+        for seed in range(20):
+            for county_scale in (0.8, 0.6):
+                problem = criterion_2_problem(np.random.default_rng(seed), county_scale)
+                ranked = sorted(set(problem.weights.values()), reverse=True)
+                flipped = dict(zip(ranked, reversed(ranked)))
+                reverse = with_class_weights(problem, flipped)
+                want = lexicographic_class_totals(reverse)
+                total = math.fsum(want.values())
+                result = multi_start_average(reverse, k_starts=1, seed_base=seed)
+                got = class_totals(reverse.weights, result.solutions[0].cells)
+                for weight, placed in want.items():
+                    assert abs(got.get(weight, 0.0) - placed) <= 1e-12 * total, weight
+                before = lexicographic_class_totals(problem)
+                changed += any(abs(want[flipped[w]] - placed) > 1e-9 * total
+                               for w, placed in before.items())
+        assert changed >= 36
+
+
 class TestFaceModel:
     """``_FaceLP`` lays out a face's LP as ``linprog`` does, the rows of
     ``_constraints`` that may be slack, then the tight ones, over the whole
@@ -1368,20 +1453,37 @@ class TestPersistence:
         assert loaded.cells == (("AOP1", "01001"), ("K1", "01001"))
         assert loaded.col_codes == ("01001",)
 
-    @pytest.mark.parametrize("name, row, message", [
-        ("caps_appellations.csv", "AOP1;5.0;1.0",
-         "caps_appellations.csv: code 'AOP1' is repeated"),
-        ("caps_counties.csv", "01001;1.0", "caps_counties.csv: county '01001' is repeated"),
-        ("mask_cells.csv", "AOP1;01001;0.5",
+    @pytest.mark.parametrize("name, row, error, message", [
+        ("caps_appellations.csv", "AOP1;5.0;1.0", LayoutError,
+         "caps_appellations.csv line 4: repeated key 'AOP1'; re-run the stage that writes it"),
+        ("caps_counties.csv", "01001;1.0", LayoutError,
+         "caps_counties.csv line 4: repeated key '01001'; re-run the stage that writes it"),
+        ("mask_cells.csv", "AOP1;01001;0.5", IntegrityError,
          "mask_cells.csv: cell \\('AOP1', '01001'\\) is repeated"),
     ], ids=["appellations", "counties", "mask"])
-    def test_repeated_row_is_fatal(self, tmp_path, name, row, message):
+    def test_repeated_row_is_fatal(self, tmp_path, name, row, error, message):
         # Read as a dict, the last row would silently win: a cap of 5.0, or a
         # free cell turned into a known one.
         dump_problem(known_cell_problem(), tmp_path)
         with open(tmp_path / name, "a", encoding="utf-8", newline="") as fh:
             fh.write(row + "\n")
-        with pytest.raises(IntegrityError, match=f"^{message}$"):
+        with pytest.raises(error, match=f"^{message}$"):
+            load_problem(tmp_path)
+
+    @pytest.mark.parametrize("name, old, new, line, bad", [
+        ("caps_appellations.csv", "AOP1;20.0;1.0", "AOP1;nan;1.0", 2, "nan"),
+        ("caps_appellations.csv", "K1;3.0;0.25", "K1;3.0;inf", 3, "inf"),
+        ("caps_counties.csv", "01002;3.0", "01002;-inf", 3, "-inf"),
+        ("mask_cells.csv", "K1;01001;3.0", "K1;01001;nan", 4, "nan"),
+    ], ids=["cap", "alpha", "county cap", "known"])
+    def test_non_finite_number_names_the_line(self, tmp_path, name, old, new, line, bad):
+        dump_problem(known_cell_problem(), tmp_path)
+        path = tmp_path / name
+        text = path.read_text(encoding="utf-8")
+        assert old in text
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        with pytest.raises(LayoutError, match=f"^{name} line {line}: non-finite number "
+                                              f"'{bad}'; re-run the stage that writes it$"):
             load_problem(tmp_path)
 
     @pytest.mark.parametrize("row, message", [
@@ -1409,8 +1511,8 @@ class TestPersistence:
         write_solution({("A", "01001"): 1.0, ("B", "01001"): 3.0}, path)
         with open(path, "a", encoding="utf-8", newline="") as fh:
             fh.write("A;01001;2.0\n")
-        with pytest.raises(LayoutError, match=r"^solution.csv line 4: cell \('A', '01001'\) "
-                                              r"is repeated; re-run the stage that writes it$"):
+        with pytest.raises(LayoutError, match=r"^solution.csv line 4: repeated key 'A;01001'; "
+                                              r"re-run the stage that writes it$"):
             read_solution(path)
 
 
@@ -1435,6 +1537,35 @@ def test_feasibility_violations_reports_all_families():
         "appellation A over cap: 6.0 > 5.0",
         "county 01001 over cap: 5.0 > 4.0",
     ]
+
+
+class TestNonFiniteCells:
+    """A cell that is not finite is a violation of its own, reported first,
+    and left out of the totals: NaN passes every comparison with a cap, and
+    ``math.fsum`` of ``inf`` and ``-inf`` raises."""
+
+    def test_nan_cell_is_reported(self):
+        problem = priority_problem()
+        assert feasibility_violations(problem, np.array([np.nan, 0.0])) == [
+            "cell (AOP1, 01001) not finite: nan"]
+
+    def test_opposite_infinities_in_one_row_are_reported(self):
+        problem = _simple({"A": 5.0}, {"01": 5.0, "02": 5.0}, {"A": 1.0},
+                          [("A", "01"), ("A", "02")])
+        assert feasibility_violations(problem, np.array([np.inf, -np.inf])) == [
+            "cell (A, 01) not finite: inf", "cell (A, 02) not finite: -inf"]
+        assert feasibility_violations(problem, np.array([-np.inf, 6.0])) == [
+            "cell (A, 01) not finite: -inf", "appellation A over cap: 6.0 > 5.0",
+            "county 02 over cap: 6.0 > 5.0"]
+
+    def test_nan_start_stops_the_average(self, monkeypatch):
+        def solve_nan(problem, *args):
+            return np.full(problem.n_cells, np.nan)
+
+        monkeypatch.setattr(allocator, "solve", solve_nan)
+        with pytest.raises(SolveError, match=r"^cell \(AOP1, 01001\) not finite: nan; "
+                                             r"cell \(NP1, 01001\) not finite: nan$"):
+            multi_start_average(priority_problem(), k_starts=2)
 
 
 @functools.cache

@@ -359,18 +359,18 @@ class TestSharedProblem:
 
     @pytest.mark.parametrize("name, old, new, message", [
         ("caps_appellations.csv", "1B001M;69.5;1.0", "1B001M;69.5;nan",
-         "caps_appellations.csv: weights must be finite and > 0: '1B001M' = nan"),
+         "caps_appellations.csv line 2: non-finite number 'nan'; re-run the stage that writes it"),
         ("caps_counties.csv", "67003;48.7", "67003;-5.0",
          "caps_counties.csv: county caps must be finite and >= 0: '67003' = -5.0"),
         ("caps_counties.csv", "67003;48.7", "67003;nan",
-         "caps_counties.csv: county caps must be finite and >= 0: '67003' = nan"),
+         "caps_counties.csv line 2: non-finite number 'nan'; re-run the stage that writes it"),
         ("caps_counties.csv", "67003;48.7", "67003;inf",
-         "caps_counties.csv: county caps must be finite and >= 0: '67003' = inf"),
+         "caps_counties.csv line 2: non-finite number 'inf'; re-run the stage that writes it"),
         ("caps_counties.csv", "67003;48.7", "67003;abc",
          "caps_counties.csv line 2: could not convert string to float: 'abc'; "
          "re-run the stage that writes it"),
         ("mask_cells.csv", "1B001M;67003;", "1B001M;67003;nan",
-         "mask_cells.csv: known surfaces must be finite and >= 0: ('1B001M', '67003') = nan"),
+         "mask_cells.csv line 2: non-finite number 'nan'; re-run the stage that writes it"),
         ("mask_cells.csv", "appellation;insee;known_ha", "appellation;insee",
          "mask_cells.csv has columns 'appellation;insee', not 'appellation;insee;known_ha'; "
          "re-run the stage that writes it"),

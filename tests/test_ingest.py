@@ -615,9 +615,9 @@ class TestCanonicalRoundTrip:
 
     @pytest.mark.parametrize("write, read, record, message", [
         (write_appellations, read_appellations,
-         AppellationRecord(code="1B001M", marginal_surface=2.0), "code '1B001M'"),
+         AppellationRecord(code="1B001M", marginal_surface=2.0), "'1B001M'"),
         (write_counties, read_counties,
-         CountyRecord(insee_code="01001", marginal_surface=2.0), "county '01001'"),
+         CountyRecord(insee_code="01001", marginal_surface=2.0), "'01001'"),
     ], ids=["appellations", "counties"])
     def test_repeated_key_is_fatal(self, tmp_path, write, read, record, message):
         # Both rows would be returned, and a dict by key would keep the last.
@@ -626,7 +626,7 @@ class TestCanonicalRoundTrip:
         with open(path, encoding="utf-8", newline="") as fh:
             header, row = fh.read().splitlines()
         path.write_text(f"{header}\n{row}\n{row}\n", encoding="utf-8")
-        with pytest.raises(LayoutError, match=f"^table.csv line 3: {message} is repeated; "
+        with pytest.raises(LayoutError, match=f"^table.csv line 3: repeated key {message}; "
                                               "re-run the stage that writes it$"):
             read(path)
 

@@ -73,3 +73,19 @@ def test_read_rows_checks_every_row(tmp_path, row, message):
     with pytest.raises(LayoutError) as caught:
         next(rows)
     assert str(caught.value) == message
+
+
+def test_read_rows_refuses_a_repeated_key(tmp_path):
+    """The first ``key`` fields, as written, may not repeat; with ``key=0``
+    any row may."""
+    path = tmp_path / "table.csv"
+    write_rows(path, ["a", "b", "c"], [["x", "1", "2"], ["x", "2", "3"], ["x", "1", "nan"]])
+    assert len(list(read_rows(path, ("a", "b", "c"), lambda *fields: fields))) == 3
+    assert next(read_rows(path, ("a", "b", "c"), lambda *fields: fields, key=1)) == ("x", "1", "2")
+    for key, line, repeated in ((1, 3, "x"), (2, 4, "x;1")):
+        # The key is checked before ``parse``, which would refuse the last row's nan.
+        rows = read_rows(path, ("a", "b", "c"), lambda a, b, c: float(c), key=key)
+        with pytest.raises(LayoutError) as caught:
+            list(rows)
+        assert str(caught.value) == (f"table.csv line {line}: repeated key {repeated!r}; "
+                                     "re-run the stage that writes it")

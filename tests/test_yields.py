@@ -172,6 +172,6 @@ def test_repeated_code_is_fatal(tmp_path):
     write_expected_yields(expected_yield_table([AppellationRecord(code="A")], 2023), path)
     with open(path, "a", encoding="utf-8", newline="") as fh:
         fh.write("A;40.0;DEFAULT_40\n")
-    with pytest.raises(LayoutError, match="^expected_yields.csv line 3: code 'A' is repeated; "
+    with pytest.raises(LayoutError, match="^expected_yields.csv line 3: repeated key 'A'; "
                                           "re-run the stage that writes it$"):
         read_expected_yields(path)
